@@ -9,9 +9,10 @@ Subcommands:
 * ``conformance`` — compare a compiled network's traces with the engine
 
 Exit codes: 0 success, 1 validation or conformance failure, 2 usage or I/O
-error.  All diagnostics go to stderr; artifacts are written only to the files
-named on the command line, and identical invocations over identical inputs
-produce byte-identical artifacts.
+error, 3 inconclusive (exploration passed ``--max-states`` before it
+finished).  All diagnostics go to stderr; artifacts are written only to the
+files named on the command line, and identical invocations over identical
+inputs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .engine import Bounds
 from .network import Severity, load_network, validate_network
 from .simulator import (
     SimulationError,
+    StateSpaceLimitExceeded,
     Verdict,
     check_network_conformance,
     simulate_exhaustive,
@@ -110,7 +112,7 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
     else:
-        result = simulate_exhaustive(model, _bounds(args))
+        result = simulate_exhaustive(model, _bounds(args), args.max_states)
         lines = sorted(trace.to_json() for trace in result.traces)
         print(
             f"{len(lines)} trace(s) over {result.states} explored state(s)",
@@ -126,9 +128,26 @@ def cmd_conformance(args) -> int:
     net = load_network(args.network)
     if _fail(validate_network(net)):
         return 1
-    report = check_network_conformance(net, _LEVELS[args.level])
+    report = check_network_conformance(net, _LEVELS[args.level], max_states=args.max_states)
     print(report.summary(), file=sys.stderr)
     return 0 if report.verdict is Verdict.CONFORMANT else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_max_states(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--max-states",
+        type=_positive_int,
+        default=1_000_000,
+        metavar="N",
+        help="give up as inconclusive (exit 3) after exploring N states",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,12 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rerequest", type=int, default=1)
     p.add_argument("--max-redeclare", type=int, default=1)
     p.add_argument("--max-revocations", type=int, default=1)
+    _add_max_states(p)
     p.add_argument("--traces", help="write traces to this JSON-lines file")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("conformance", help="check a network against the engine")
     p.add_argument("network", help="transaction network JSON file")
     p.add_argument("--level", required=True, choices=levels, help="detail level")
+    _add_max_states(p)
     p.set_defaults(func=cmd_conformance)
 
     return parser
@@ -199,6 +220,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except StateSpaceLimitExceeded as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, SimulationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .engine import Act, Role
 
@@ -61,8 +61,7 @@ def slugify_tk(tk_id: str) -> str:
     return tk_id.lower().replace("_", "")
 
 
-@dataclass(frozen=True)
-class NodeMeta:
+class NodeMeta(NamedTuple):
     tk: str  # slugified transaction id
     role: Role
     slug: str
@@ -92,9 +91,7 @@ def parse_node_id(node_id: str) -> Optional[NodeMeta]:
     slug = "_".join(parts[2:-1])
     if role_tag not in _ROLE_TAGS or kind_tag not in _KIND_TAGS:
         return None
-    return NodeMeta(
-        tk=tk, role=_ROLE_TAGS[role_tag], slug=slug, kind=_KIND_TAGS[kind_tag], ordinal=ordinal
-    )
+    return NodeMeta(tk, _ROLE_TAGS[role_tag], slug, _KIND_TAGS[kind_tag], ordinal)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 ID_PATTERN = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -95,12 +95,6 @@ class TransactionNetwork:
 
     def children_of(self, tk_id: str) -> tuple[Dependency, ...]:
         return tuple(d for d in self.dependencies if d.parent == tk_id)
-
-    def parent_of(self, tk_id: str) -> Optional[Dependency]:
-        for dep in self.dependencies:
-            if dep.child == tk_id:
-                return dep
-        return None
 
     def roots(self) -> tuple[Transaction, ...]:
         with_parent = {d.child for d in self.dependencies}

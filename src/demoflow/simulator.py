@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from collections import Counter, deque
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -42,7 +43,6 @@ from .model import (
     ACT_SLUGS,
     BpmnModel,
     FlowNode,
-    MessageFlow,
     NodeKind,
     NodeMeta,
     SLUG_FOR_ACT,
@@ -100,16 +100,6 @@ class TkStatus:
 
 
 @dataclass(frozen=True)
-class _State:
-    tokens: tuple[tuple[str, int], ...]
-    in_flight: frozenset[str]  # sources of undelivered messages
-    spawned: frozenset[str]  # transactions whose executor instance started
-    completed: frozenset[str]  # task nodes that ran (and could be compensated)
-    compensated: frozenset[str]
-    shadows: tuple[tuple[str, TkStatus], ...]
-
-
-@dataclass(frozen=True)
 class SimTrace:
     """One recorded run: the emitted events plus each transaction's phase."""
 
@@ -159,24 +149,65 @@ class ExhaustiveResult:
     states: int
 
 
+class _State:
+    """One exploration state, hashed once when it is frozen.
+
+    Nodes and transactions are the simulation's integer indices:
+    ``tokens`` is a sorted tuple of ``(node, count)`` pairs; ``in_flight``
+    (sources of undelivered messages), ``completed`` (task nodes that ran and
+    could be compensated) and ``compensated`` are bitsets over nodes;
+    ``spawned`` (transactions whose executor instance started) is a bitset
+    over transactions; ``shadows`` holds each transaction's interned
+    ``TkStatus`` code, in transaction order.
+    """
+
+    __slots__ = ("tokens", "in_flight", "spawned", "completed", "compensated", "shadows", "_hash")
+
+    def __init__(self, tokens, in_flight, spawned, completed, compensated, shadows):
+        self.tokens: tuple[tuple[int, int], ...] = tokens
+        self.in_flight: int = in_flight
+        self.spawned: int = spawned
+        self.completed: int = completed
+        self.compensated: int = compensated
+        self.shadows: tuple[int, ...] = shadows
+        self._hash = hash((tokens, in_flight, spawned, completed, compensated, shadows))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return (
+            self._hash == other._hash
+            and self.tokens == other.tokens
+            and self.shadows == other.shadows
+            and self.in_flight == other.in_flight
+            and self.spawned == other.spawned
+            and self.completed == other.completed
+            and self.compensated == other.compensated
+        )
+
+
 class _Working:
     """Mutable copy of a _State while one step is applied."""
 
-    def __init__(self, state: _State):
-        self.tokens = dict(state.tokens)
-        self.in_flight = set(state.in_flight)
-        self.spawned = set(state.spawned)
-        self.completed = set(state.completed)
-        self.compensated = set(state.compensated)
-        self.shadows = dict(state.shadows)
+    __slots__ = ("ids", "tokens", "in_flight", "spawned", "completed", "compensated", "shadows")
 
-    def add_token(self, node: str, count: int = 1) -> None:
+    def __init__(self, state: _State, ids: list[str]):
+        self.ids = ids
+        self.tokens = dict(state.tokens)
+        self.in_flight = state.in_flight
+        self.spawned = state.spawned
+        self.completed = state.completed
+        self.compensated = state.compensated
+        self.shadows = list(state.shadows)
+
+    def add_token(self, node: int, count: int = 1) -> None:
         self.tokens[node] = self.tokens.get(node, 0) + count
 
-    def take_token(self, node: str, count: int = 1) -> None:
+    def take_token(self, node: int, count: int = 1) -> None:
         left = self.tokens.get(node, 0) - count
         if left < 0:
-            raise SimulationError(f"token underflow at {node}")
+            raise SimulationError(f"token underflow at {self.ids[node]}")
         if left:
             self.tokens[node] = left
         else:
@@ -184,223 +215,337 @@ class _Working:
 
     def freeze(self) -> _State:
         return _State(
-            tokens=tuple(sorted((n, c) for n, c in self.tokens.items() if c > 0)),
-            in_flight=frozenset(self.in_flight),
-            spawned=frozenset(self.spawned),
-            completed=frozenset(self.completed),
-            compensated=frozenset(self.compensated),
-            shadows=tuple(sorted(self.shadows.items())),
+            tuple(sorted(self.tokens.items())),
+            self.in_flight,
+            self.spawned,
+            self.completed,
+            self.compensated,
+            tuple(self.shadows),
         )
 
 
+class _Interner:
+    """Numbers distinct values 0, 1, 2, ... in the order they are first seen."""
+
+    __slots__ = ("values", "_codes")
+
+    def __init__(self) -> None:
+        self.values: list = []
+        self._codes: dict = {}
+
+    def code(self, value) -> int:
+        code = self._codes.get(value)
+        if code is None:
+            code = self._codes[value] = len(self.values)
+            self.values.append(value)
+        return code
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# Enum members the step code compares against, bound once: in CPython 3.11
+# reading a member off its Enum class is a descriptor call.
+_START, _MESSAGE_START, _END, _TERMINATE = (
+    NodeKind.START_EVENT, NodeKind.MESSAGE_START_EVENT,
+    NodeKind.END_EVENT, NodeKind.TERMINATE_END_EVENT,
+)
+_TASK, _SEND_TASK, _CATCH, _THROW = (
+    NodeKind.TASK, NodeKind.SEND_TASK, NodeKind.MESSAGE_CATCH, NodeKind.COMPENSATION_THROW,
+)
+_XOR, _PAR, _EBG = (
+    NodeKind.EXCLUSIVE_GATEWAY, NodeKind.PARALLEL_GATEWAY, NodeKind.EVENT_BASED_GATEWAY,
+)
+_INITIAL = Phase.INITIAL
+
+
+# Step operations, numbered in the alphabetical order of their names so that
+# steps sort as ("deliver" | "fire" | "trigger", node id, ...) tuples would.
+_DELIVER, _FIRE, _TRIGGER = 0, 1, 2
+
+# kinds fired by delivery or environment, or never; their need is more
+# tokens than a node ever holds
+_PASSIVE = 1 << 62
+_PASSIVE_KINDS = frozenset({
+    NodeKind.MESSAGE_CATCH, NodeKind.MESSAGE_START_EVENT,
+    NodeKind.EVENT_BASED_GATEWAY, NodeKind.COMPENSATION_BOUNDARY,
+    NodeKind.COMPENSATION_HANDLER,
+})
+
+
 class _Simulation:
-    """Structure derived from the model plus the step semantics."""
+    """Structure derived from the model plus the step semantics.
+
+    Nodes are numbered in sorted-id order and transactions in sorted order,
+    so sorting steps by index sorts them as by id.  A step is ``(op, node,
+    arg)``: ``arg`` is a delivery's target node, or an exclusive gateway's
+    branch in flow-id order.  Transaction statuses, emitted events and
+    outcome tuples are interned to small ints; ``trace`` decodes them.
+    """
 
     def __init__(self, model: BpmnModel, bounds: Bounds):
+        # Per-node and per-flow data are flat lists: a container per node or
+        # flow would live as long as the simulation and make the cyclic
+        # garbage collector, which runs during short random walks, slower.
         self.bounds = bounds
-        self.nodes: dict[str, FlowNode] = {}
-        self.meta: dict[str, NodeMeta] = {}
-        self.pool_of: dict[str, str] = {}
-        self.succ: dict[str, list[SequenceFlow]] = {}
-        self.indeg: dict[str, int] = {}
-        self.msg_out: dict[str, list[MessageFlow]] = {}
-        msg_in: dict[str, list[MessageFlow]] = {}
-
+        ids: list[str] = []
+        nodes: list[FlowNode] = []
+        metas: list[NodeMeta] = []
+        pools: list[str] = []
         for pool in model.pools:
             for node in pool.nodes:
-                if node.id in self.nodes:
-                    raise SimulationError(f"duplicate node id {node.id}")
                 meta = parse_node_id(node.id)
                 if meta is None:
                     raise SimulationError(
                         f"node {node.id} does not follow the generated-id grammar; "
                         "only generated models can be simulated"
                     )
-                self.nodes[node.id] = node
-                self.meta[node.id] = meta
-                self.pool_of[node.id] = pool.id
-                self.succ.setdefault(node.id, [])
-                self.indeg.setdefault(node.id, 0)
+                ids.append(node.id)
+                nodes.append(node)
+                metas.append(meta)
+                pools.append(pool.id)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids = [ids[k] for k in order]
+        index = {node_id: i for i, node_id in enumerate(self.ids)}
+        if len(index) < len(self.ids):
+            duplicate = next(a for a, b in zip(self.ids, self.ids[1:]) if a == b)
+            raise SimulationError(f"duplicate node id {duplicate}")
+        nodes = [nodes[k] for k in order]
+        self.meta = [metas[k] for k in order]
+        self.pool_of = [pools[k] for k in order]
+        self.kinds = kinds = [node.kind for node in nodes]
+        slugs = [meta.slug for meta in self.meta]
+        tks = [meta.tk for meta in self.meta]
+        self.tks = sorted(set(tks))
+        tk_index = {tk: t for t, tk in enumerate(self.tks)}
+        self.tk_of = [tk_index[tk] for tk in tks]
+        self.tk_nodes: list[list[int]] = [[] for _ in self.tks]
+        for node, tk in enumerate(self.tk_of):
+            self.tk_nodes[tk].append(node)
+
+        # sequence flows, numbered by source node and in model order within
+        # it: node n's outgoing flows are first_out[n] .. first_out[n + 1] - 1
+        unsorted: list[SequenceFlow] = []
+        sources: list[int] = []
+        targets: list[int] = []
+        for pool in model.pools:
             for flow in pool.flows:
-                self.succ.setdefault(flow.source, []).append(flow)
-                self.indeg[flow.target] = self.indeg.get(flow.target, 0) + 1
+                source, target = index.get(flow.source), index.get(flow.target)
+                if source is None or target is None:
+                    raise SimulationError(f"sequence flow {flow.id} joins an unknown node")
+                unsorted.append(flow)
+                sources.append(source)
+                targets.append(target)
+        by_source = sorted(range(len(unsorted)), key=sources.__getitem__)
+        self.flows = [unsorted[k] for k in by_source]
+        self.target = [targets[k] for k in by_source]
+        sources = [sources[k] for k in by_source]
+        self.first_out = [bisect_left(sources, node) for node in range(len(self.ids) + 1)]
+        indeg = Counter(targets)
+        # message targets by source; None marks a target outside the model
+        self.msg_out: dict[int, list[Optional[int]]] = {}
+        msg_in: set[int] = set()
         for mf in model.message_flows:
-            self.msg_out.setdefault(mf.source, []).append(mf)
-            msg_in.setdefault(mf.target, []).append(mf)
+            source, target = index.get(mf.source), index.get(mf.target)
+            if source is not None:
+                self.msg_out.setdefault(source, []).append(target)
+            if target is not None:
+                msg_in.add(target)
 
-        self.tks = sorted({m.tk for m in self.meta.values()})
-        self.tk_nodes: dict[str, set[str]] = {tk: set() for tk in self.tks}
-        for node_id, meta in self.meta.items():
-            self.tk_nodes[meta.tk].add(node_id)
+        self.need = [  # tokens one firing consumes; passive nodes never fire on tokens
+            _PASSIVE if kind in _PASSIVE_KINDS
+            else max(1, indeg[i]) if kind is _PAR
+            else 1
+            for i, kind in enumerate(kinds)
+        ]
+        self.rev_zone = {i for i, slug in enumerate(slugs) if slug in _REV_ZONE_SLUGS}
+        # a node freezes while its transaction holds a lock; the revocation
+        # zone and the arming gateway do not, so a late-spawning executor
+        # instance can still join the protocol
+        self.unlockable = self.rev_zone | {
+            i for i, slug in enumerate(slugs)
+            if slug == "entry" and kinds[i] is _PAR
+        }
+        self.starts = [i for i, kind in enumerate(kinds) if kind is _START]
+        self.ebg_pred: dict[int, int] = {
+            self.target[f]: i
+            for i, kind in enumerate(kinds) if kind is _EBG
+            for f in self._out(i)
+        }
+        self.compensates: dict[int, Optional[int]] = {
+            i: index.get(nodes[i].compensates)
+            for i, kind in enumerate(kinds) if kind is _THROW
+        }
+        revocation_nodes = [i for i, slug in enumerate(slugs) if slug in _REVOCATION_SLUGS]
+        self.reposition_splits = {i for i in revocation_nodes if kinds[i] is _PAR}
+        revocation_catches = [
+            i for i in revocation_nodes if kinds[i] is _CATCH and i not in msg_in
+        ]
+        # (trigger catch, its transaction, its gateway or None), in id order
+        self.triggers = [(i, self.tk_of[i], self.ebg_pred.get(i)) for i in revocation_catches]
+        # an exclusive gateway's outgoing flows in flow-id order
+        self.branches: dict[int, list[int]] = {
+            i: sorted(self._out(i), key=lambda f: self.flows[f].id)
+            for i, kind in enumerate(kinds) if kind is _XOR
+        }
+        self._wire_splices(sources, index)
 
-        self.starts = sorted(
-            n for n, node in self.nodes.items() if node.kind is NodeKind.START_EVENT
-        )
-        self.rev_zone = {
-            n for n, m in self.meta.items() if m.slug in _REV_ZONE_SLUGS
-        }
-        # the arming gateway stays live even while a revocation is pending,
-        # so a late-spawning executor instance can still join the protocol
-        self.arming_gateways = {
-            n for n, m in self.meta.items()
-            if m.slug == "entry" and self.nodes[n].kind is NodeKind.PARALLEL_GATEWAY
-        }
-        self.ebg_pred: dict[str, str] = {}
-        for node_id, flows in self.succ.items():
-            if self.nodes[node_id].kind is NodeKind.EVENT_BASED_GATEWAY:
-                for flow in flows:
-                    self.ebg_pred[flow.target] = node_id
-        self.trigger_catches = {
-            n: m.act
-            for n, m in self.meta.items()
-            if self.nodes[n].kind is NodeKind.MESSAGE_CATCH
-            and m.slug in _REVOCATION_SLUGS
-            and n not in msg_in
-        }
-        self.reposition_splits = {
-            n for n, m in self.meta.items()
-            if self.nodes[n].kind is NodeKind.PARALLEL_GATEWAY
-            and m.slug in _REVOCATION_SLUGS
-        }
+        self._statuses = _Interner()
+        self._statuses.code(TkStatus())  # code 0, every transaction's start
+        self.statuses: list[TkStatus] = self._statuses.values
+        self._events = _Interner()
+        self.events: list[SimEvent] = self._events.values
+        self._outcomes = _Interner()
+        # (status code, node) -> (status code after the node's act, event code)
+        self._advances: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
+        self._node_events: dict[tuple[int, bool], int] = {}
+        self._outcome_of_shadows: dict[tuple[int, ...], int] = {}
 
-        self._wire_splices()
+    def _out(self, node: int) -> range:
+        return range(self.first_out[node], self.first_out[node + 1])
 
-    def _wire_splices(self) -> None:
+    def _wire_splices(self, sources: list[int], index: dict[str, int]) -> None:
         # Cross-transaction sequence flows are the compiler's splices: an
         # entry starts a child, an exit resumes the parent after the child's
         # accept.  Re-entering an already-started child teleports the token
         # past it instead (or drops it for the asynchronous case).
-        self.exit_guard: dict[str, tuple[str, Phase]] = {}
-        self.entry_info: dict[str, tuple[str, Optional[tuple[str, Optional[Phase]]]]] = {}
-        self.direct_children: dict[str, set[str]] = {}
-
-        cross = []
-        for flows in self.succ.values():
-            for flow in flows:
-                if self.meta[flow.source].tk != self.meta[flow.target].tk:
-                    cross.append(flow)
-
-        exit_of_child: dict[str, SequenceFlow] = {}
-        for flow in cross:
-            source_meta = self.meta[flow.source]
-            target_meta = self.meta[flow.target]
-            if source_meta.slug == "accept":
-                exit_of_child[source_meta.tk] = flow
-                target_slug = target_meta.slug
-                if target_slug in ("execute", "declare"):
-                    self.exit_guard[flow.id] = (target_meta.tk, _EXIT_GATE[target_slug])
+        # self.splices maps a flow to its (exit guard, entry info).
+        self.splices: dict[int, tuple[Optional[tuple[int, Phase]], Optional[tuple]]] = {}
+        self.direct_children: dict[int, set[int]] = {}
+        cross = [
+            (f, source, target)
+            for f, (source, target) in enumerate(zip(sources, self.target))
+            if self.tk_of[source] != self.tk_of[target]
+        ]
+        # each child's exit: (the parent node it resumes, the phase it needs)
+        exit_of_child: dict[int, tuple[int, Optional[Phase]]] = {}
+        for f, source, target in cross:
+            target_slug = self.meta[target].slug
+            if self.meta[source].slug == "accept":
                 # exits into a rap/rae join are unguarded; the join's own
                 # outgoing flow carries the guard
-            elif target_meta.slug not in ("request", "entry"):
-                raise SimulationError(f"unrecognized cross-transaction flow {flow.id}")
+                gate = _EXIT_GATE[target_slug] if target_slug in ("execute", "declare") else None
+                exit_of_child[self.tk_of[source]] = (target, gate)
+                if gate is not None:
+                    self.splices[f] = ((self.tk_of[target], gate), None)
+            elif target_slug not in ("request", "entry"):
+                raise SimulationError(f"unrecognized cross-transaction flow {self.flows[f].id}")
 
-        for node_id, meta in self.meta.items():
+        for node, meta in enumerate(self.meta):
             if meta.slug in ("rap", "rae") and meta.ordinal == 2:
-                for flow in self.succ[node_id]:
-                    self.exit_guard[flow.id] = (meta.tk, _EXIT_GATE[meta.slug])
+                for f in self._out(node):
+                    self.splices[f] = ((self.tk_of[node], _EXIT_GATE[meta.slug]), None)
 
-        for flow in cross:
-            source_meta = self.meta[flow.source]
-            target_meta = self.meta[flow.target]
-            if source_meta.slug == "accept":
+        for f, source, target in cross:
+            source_slug = self.meta[source].slug
+            if source_slug == "accept":
                 continue
-            child = target_meta.tk
-            self.direct_children.setdefault(source_meta.tk, set()).add(child)
-            teleport: Optional[tuple[str, Optional[Phase]]]
-            if source_meta.slug == "rad":
+            child = self.tk_of[target]
+            self.direct_children.setdefault(self.tk_of[source], set()).add(child)
+            teleport: Optional[tuple[int, Optional[Phase]]]
+            if source_slug == "rad":
                 teleport = None  # asynchronous child: a stale re-entry just vanishes
-            elif source_meta.slug in ("rap", "rae"):
-                join = f"{flow.source}_2"
-                if join not in self.nodes:
-                    raise SimulationError(f"splice join {join} missing")
+            elif source_slug in ("rap", "rae"):
+                join = index.get(f"{self.ids[source]}_2")
+                if join is None:
+                    raise SimulationError(f"splice join {self.ids[source]}_2 missing")
                 teleport = (join, None)
             else:
-                exit_flow = exit_of_child.get(child)
-                if exit_flow is None:
-                    raise SimulationError(f"child {child} has no splice exit")
-                teleport = (exit_flow.target, self.exit_guard[exit_flow.id][1])
-            self.entry_info[flow.id] = (child, teleport)
+                teleport = exit_of_child.get(child)
+                if teleport is None or teleport[1] is None:
+                    raise SimulationError(f"child {self.tks[child]} has no guarded splice exit")
+            guard, _entry = self.splices.get(f, (None, None))
+            self.splices[f] = (guard, (child, teleport))
+
+    # -- interning ----------------------------------------------------------
+
+    def _event_code(self, node: int, inverse: bool) -> int:
+        """The code of the node's act event, or of its compensation."""
+        code = self._node_events.get((node, inverse))
+        if code is None:
+            meta = self.meta[node]
+            code = self._events.code(SimEvent(meta.tk, meta.act, meta.role, inverse))
+            self._node_events[(node, inverse)] = code
+        return code
+
+    def outcome_code(self, state: _State) -> int:
+        code = self._outcome_of_shadows.get(state.shadows)
+        if code is None:
+            code = self._outcome_of_shadows[state.shadows] = self._outcomes.code(self.outcomes(state))
+        return code
+
+    def trace(self, events: tuple[int, ...], outcome: int) -> SimTrace:
+        """Decode an event-code tuple and an outcome code."""
+        return SimTrace(tuple(self.events[code] for code in events), self._outcomes.values[outcome])
 
     # -- state ------------------------------------------------------------
 
     def initial(self) -> _State:
-        working = _Working(
-            _State((), frozenset(), frozenset(), frozenset(),
-                   frozenset(), ())
+        return _State(
+            tuple((start, 1) for start in self.starts), 0, 0, 0, 0, (0,) * len(self.tks)
         )
-        for start in self.starts:
-            working.add_token(start)
-        working.shadows = {tk: TkStatus() for tk in self.tks}
-        return working.freeze()
 
     def outcomes(self, state: _State) -> tuple[tuple[str, Phase], ...]:
-        return tuple((tk, status.state.phase) for tk, status in state.shadows)
+        return tuple(
+            (tk, self.statuses[code].state.phase) for tk, code in zip(self.tks, state.shadows)
+        )
 
     # -- step enumeration --------------------------------------------------
 
-    def _frozen(self, node_id: str, shadows: dict[str, TkStatus]) -> bool:
-        if node_id in self.rev_zone or node_id in self.arming_gateways:
+    def _frozen(self, node: int, shadows) -> bool:
+        if node in self.unlockable:
             return False
-        return shadows[self.meta[node_id].tk].lock is not None
+        return self.statuses[shadows[self.tk_of[node]]].lock is not None
 
-    def steps(self, state: _State) -> list[tuple[str, str, str]]:
+    def steps(self, state: _State) -> list[tuple[int, int, int]]:
+        shadows = state.shadows
+        statuses = self.statuses
+        out: list[tuple[int, int, int]] = []
+
+        for node, count in state.tokens:
+            if count < self.need[node]:
+                continue
+            if self._frozen(node, shadows):
+                continue
+            branches = self.branches.get(node)
+            if branches is None:
+                out.append((_FIRE, node, 0))
+                continue
+            status = statuses[shadows[self.tk_of[node]]]
+            for branch, f in enumerate(branches):
+                if self._branch_allowed(self.flows[f], status):
+                    out.append((_FIRE, node, branch))
+
         tokens = dict(state.tokens)
-        shadows = dict(state.shadows)
-        out: list[tuple[str, str, str]] = []
-
-        for node_id, count in tokens.items():
-            if count <= 0:
-                continue
-            node = self.nodes[node_id]
-            kind = node.kind
-            if kind in (
-                NodeKind.MESSAGE_CATCH, NodeKind.MESSAGE_START_EVENT,
-                NodeKind.EVENT_BASED_GATEWAY, NodeKind.COMPENSATION_BOUNDARY,
-                NodeKind.COMPENSATION_HANDLER,
-            ):
-                continue  # fired by delivery or environment, or never
-            if kind is NodeKind.PARALLEL_GATEWAY and count < max(1, self.indeg[node_id]):
-                continue
-            if self._frozen(node_id, shadows):
-                continue
-            if kind is NodeKind.EXCLUSIVE_GATEWAY:
-                for flow in self.succ[node_id]:
-                    if self._branch_allowed(flow, shadows[self.meta[node_id].tk]):
-                        out.append(("fire", node_id, flow.id))
-            else:
-                out.append(("fire", node_id, ""))
-
-        for source in state.in_flight:
-            for mf in self.msg_out.get(source, ()):
-                target = mf.target
-                node = self.nodes.get(target)
-                if node is None:
+        for source in _bits(state.in_flight):
+            for target in self.msg_out.get(source, ()):
+                if target is None:
                     continue
-                tk = self.meta[target].tk
-                if node.kind is NodeKind.MESSAGE_START_EVENT:
-                    if tk not in state.spawned:
-                        out.append(("deliver", source, target))
+                if self.kinds[target] is _MESSAGE_START:
+                    if not state.spawned >> self.tk_of[target] & 1:
+                        out.append((_DELIVER, source, target))
                     continue
-                armed = tokens.get(target, 0) > 0 or (
-                    target in self.ebg_pred
-                    and tokens.get(self.ebg_pred[target], 0) > 0
-                )
+                gate = self.ebg_pred.get(target)
+                armed = target in tokens or (gate is not None and gate in tokens)
                 if not armed:
                     continue
                 if self._frozen(target, shadows):
                     continue
-                out.append(("deliver", source, target))
+                out.append((_DELIVER, source, target))
 
-        for trigger, act in sorted(self.trigger_catches.items()):
-            status = shadows[self.meta[trigger].tk]
+        for trigger, tk, gate in self.triggers:
+            status = statuses[shadows[tk]]
             if status.lock is not None or status.revocations >= self.bounds.revocations:
                 continue
             phase = status.state.phase
-            if phase is Phase.INITIAL or phase in DEAD_PHASES:
+            if phase is _INITIAL or phase in DEAD_PHASES:
                 continue
-            gate = self.ebg_pred.get(trigger)
-            if gate and tokens.get(gate, 0) > 0:
-                out.append(("trigger", trigger, ""))
+            if gate is not None and gate in tokens:
+                out.append((_TRIGGER, trigger, 0))
 
         out.sort()
         return out
@@ -418,33 +563,44 @@ class _Simulation:
 
     # -- step application --------------------------------------------------
 
-    def apply(self, state: _State, step: tuple[str, str, str]) -> tuple[_State, tuple[SimEvent, ...]]:
-        working = _Working(state)
-        events: list[SimEvent] = []
-        op, a, b = step
-        if op == "fire":
-            self._fire(working, a, b, events)
-        elif op == "deliver":
-            self._deliver(working, a, b, events)
-        elif op == "trigger":
-            self._trigger(working, a)
+    def apply(self, state: _State, step: tuple[int, int, int]) -> tuple[_State, tuple[int, ...]]:
+        """The successor state and the codes of the events the step emits."""
+        working = _Working(state, self.ids)
+        events: list[int] = []
+        op, node, arg = step
+        if op == _FIRE:
+            self._fire(working, node, arg, events)
+        elif op == _DELIVER:
+            self._deliver(working, node, arg)
+        elif op == _TRIGGER:
+            self._trigger(working, node)
         else:
             raise SimulationError(f"unknown step {step}")
         return working.freeze(), tuple(events)
 
-    def _emit(self, working: _Working, node_id: str, events: list[SimEvent]) -> None:
-        meta = self.meta[node_id]
+    def _emit(self, working: _Working, node: int, events: list[int]) -> None:
+        tk = self.tk_of[node]
+        key = (working.shadows[tk], node)
+        advance = self._advances.get(key)
+        if advance is None:
+            advance = self._advances[key] = self._advance(key[0], node)
+        working.shadows[tk], event = advance
+        if event is not None:
+            events.append(event)
+
+    def _advance(self, code: int, node: int) -> tuple[int, Optional[int]]:
+        """The status after the node's act, and the act's event code."""
+        meta = self.meta[node]
         act = meta.act
         if act is None:
-            return
-        tk = meta.tk
-        status = working.shadows[tk]
+            return code, None
+        status = self.statuses[code]
         prior = status.state
         try:
             new_state = apply_act(prior, act, meta.role)
         except Exception as exc:
             raise SimulationError(
-                f"model lets {act.value} happen out of order at {node_id}: {exc}"
+                f"model lets {act.value} happen out of order at {self.ids[node]}: {exc}"
             ) from exc
         rerequests = status.rerequests
         redeclares = status.redeclares
@@ -455,157 +611,166 @@ class _Simulation:
         lock = status.lock
         if act in (Act.ALLOW, Act.REFUSE):
             if prior.pending is None:
-                raise SimulationError(f"{node_id} resolved a revocation that was not pending")
+                raise SimulationError(f"{self.ids[node]} resolved a revocation that was not pending")
             revocation = prior.pending[0]
             if act is Act.ALLOW:
                 if revocation_auto_refused(prior):
-                    raise SimulationError(f"{node_id} allowed an unperformed-target revocation")
+                    raise SimulationError(f"{self.ids[node]} allowed an unperformed-target revocation")
                 lock = ("pending",) if revocation is Act.REVOKE_REQUEST else ("repositioning", 2)
             else:
                 lock = None
-        working.shadows[tk] = TkStatus(new_state, rerequests, redeclares, status.revocations, lock)
-        events.append(SimEvent(tk, act, meta.role))
+        new_status = TkStatus(new_state, rerequests, redeclares, status.revocations, lock)
+        return self._statuses.code(new_status), self._event_code(node, False)
 
-    def _fire(self, working: _Working, node_id: str, flow_id: str, events: list[SimEvent]) -> None:
-        node = self.nodes[node_id]
-        kind = node.kind
-        need = max(1, self.indeg[node_id]) if kind is NodeKind.PARALLEL_GATEWAY else 1
-        working.take_token(node_id, need)
+    def _fire(self, working: _Working, node: int, branch: int, events: list[int]) -> None:
+        kind = self.kinds[node]
+        working.take_token(node, self.need[node])
 
-        if kind in (NodeKind.TASK, NodeKind.SEND_TASK):
-            self._emit(working, node_id, events)
-            working.completed.add(node_id)
-            working.compensated.discard(node_id)
-            if kind is NodeKind.SEND_TASK and self.msg_out.get(node_id):
-                if node_id in working.in_flight:
-                    raise SimulationError(f"message from {node_id} still in flight")
-                working.in_flight.add(node_id)
-            self._place_all(working, node_id)
-        elif kind is NodeKind.COMPENSATION_THROW:
-            target = node.compensates
-            if target in working.completed and target not in working.compensated:
-                meta = self.meta[target]
-                working.compensated.add(target)
-                events.append(SimEvent(meta.tk, meta.act, meta.role, inverse=True))
-            self._place_all(working, node_id)
-        elif kind is NodeKind.EXCLUSIVE_GATEWAY:
-            chosen = next(f for f in self.succ[node_id] if f.id == flow_id)
-            self._place(working, chosen)
-        elif kind is NodeKind.PARALLEL_GATEWAY:
-            if node_id in self.reposition_splits:
-                self._reposition(working, node_id)
-            self._place_all(working, node_id)
-        elif kind is NodeKind.TERMINATE_END_EVENT:
-            self._terminate(working, node_id)
-        elif kind is NodeKind.END_EVENT:
+        if kind is _TASK or kind is _SEND_TASK:
+            self._emit(working, node, events)
+            bit = 1 << node
+            working.completed |= bit
+            working.compensated &= ~bit
+            if kind is _SEND_TASK and self.msg_out.get(node):
+                if working.in_flight & bit:
+                    raise SimulationError(f"message from {self.ids[node]} still in flight")
+                working.in_flight |= bit
+            self._place_all(working, node)
+        elif kind is _THROW:
+            target = self.compensates[node]
+            if (
+                target is not None
+                and working.completed >> target & 1
+                and not working.compensated >> target & 1
+            ):
+                working.compensated |= 1 << target
+                events.append(self._event_code(target, True))
+            self._place_all(working, node)
+        elif kind is _XOR:
+            self._place(working, self.branches[node][branch])
+        elif kind is _PAR:
+            if node in self.reposition_splits:
+                self._reposition(working, node)
+            self._place_all(working, node)
+        elif kind is _TERMINATE:
+            self._terminate(working, node)
+        elif kind is _END:
             pass
-        elif kind is NodeKind.START_EVENT:
-            self._place_all(working, node_id)
+        elif kind is _START:
+            self._place_all(working, node)
         else:
-            raise SimulationError(f"cannot fire {kind} node {node_id}")
+            raise SimulationError(f"cannot fire {kind} node {self.ids[node]}")
 
-    def _deliver(self, working: _Working, source: str, target: str, events: list[SimEvent]) -> None:
-        if source not in working.in_flight:
-            raise SimulationError(f"no message in flight from {source}")
-        working.in_flight.discard(source)
-        node = self.nodes[target]
-        if node.kind is NodeKind.MESSAGE_START_EVENT:
-            working.spawned.add(self.meta[target].tk)
-        elif working.tokens.get(target, 0) > 0:
+    def _deliver(self, working: _Working, source: int, target: int) -> None:
+        if not working.in_flight >> source & 1:
+            raise SimulationError(f"no message in flight from {self.ids[source]}")
+        working.in_flight &= ~(1 << source)
+        if self.kinds[target] is _MESSAGE_START:
+            working.spawned |= 1 << self.tk_of[target]
+        elif target in working.tokens:
             working.take_token(target)
         else:
             gate = self.ebg_pred.get(target)
-            if gate is None or working.tokens.get(gate, 0) <= 0:
-                raise SimulationError(f"delivery to unarmed catch {target}")
+            if gate is None or gate not in working.tokens:
+                raise SimulationError(f"delivery to unarmed catch {self.ids[target]}")
             working.take_token(gate)
         self._place_all(working, target)
 
-    def _trigger(self, working: _Working, trigger: str) -> None:
+    def _trigger(self, working: _Working, trigger: int) -> None:
         gate = self.ebg_pred[trigger]
         working.take_token(gate)
-        tk = self.meta[trigger].tk
-        status = working.shadows[tk]
-        working.shadows[tk] = replace(
-            status, revocations=status.revocations + 1, lock=("pending",)
+        tk = self.tk_of[trigger]
+        status = self.statuses[working.shadows[tk]]
+        working.shadows[tk] = self._statuses.code(
+            replace(status, revocations=status.revocations + 1, lock=("pending",))
         )
         self._place_all(working, trigger)
 
     # -- placement with splice guards --------------------------------------
 
-    def _place_all(self, working: _Working, node_id: str) -> None:
-        for flow in self.succ.get(node_id, ()):
-            self._place(working, flow)
+    def _place_all(self, working: _Working, node: int) -> None:
+        for f in self._out(node):
+            self._place(working, f)
 
-    def _place(self, working: _Working, flow: SequenceFlow) -> None:
-        guard = self.exit_guard.get(flow.id)
+    def _phase(self, working: _Working, tk: int) -> Phase:
+        return self.statuses[working.shadows[tk]].state.phase
+
+    def _place(self, working: _Working, f: int) -> None:
+        target = self.target[f]
+        splice = self.splices.get(f)
+        if splice is None:
+            working.add_token(target)
+            return
+        guard, entry = splice
         if guard is not None:
             parent_tk, phase = guard
-            if working.shadows[parent_tk].state.phase is not phase:
+            if self._phase(working, parent_tk) is not phase:
                 return  # stale resumption after a rollback or reposition
-        entry = self.entry_info.get(flow.id)
         if entry is not None:
             child, teleport = entry
             if self._child_fresh(working, child):
-                working.add_token(flow.target)
+                working.add_token(target)
             elif teleport is not None:
                 node, gate_phase = teleport
-                parent_tk = self.meta[node].tk
-                if gate_phase is None or working.shadows[parent_tk].state.phase is gate_phase:
+                if gate_phase is None or self._phase(working, self.tk_of[node]) is gate_phase:
                     working.add_token(node)
             return
-        working.add_token(flow.target)
+        working.add_token(target)
 
-    def _child_fresh(self, working: _Working, child: str) -> bool:
-        if child in working.spawned:
+    def _child_fresh(self, working: _Working, child: int) -> bool:
+        if working.spawned >> child & 1:
             return False
-        if working.shadows[child].state.phase is not Phase.INITIAL:
+        if self._phase(working, child) is not _INITIAL:
             return False
-        return not any(working.tokens.get(n, 0) for n in self.tk_nodes[child])
+        return not any(self.tk_of[node] == child for node in working.tokens)
 
     # -- revocation bookkeeping --------------------------------------------
 
-    def _reposition(self, working: _Working, split: str) -> None:
-        meta = self.meta[split]
-        tk, pool = meta.tk, self.pool_of[split]
-        status = working.shadows[tk]
+    def _reposition(self, working: _Working, split: int) -> None:
+        tk, pool = self.tk_of[split], self.pool_of[split]
+        status = self.statuses[working.shadows[tk]]
         if not (status.lock and status.lock[0] == "repositioning"):
-            raise SimulationError(f"reposition split {split} fired without an allowed revocation")
+            raise SimulationError(
+                f"reposition split {self.ids[split]} fired without an allowed revocation"
+            )
         # the rolled-back flow restarts from the landing node: clear this
         # pool's normal tokens for the transaction, plus any not-yet-started
         # child entry left over from the cancelled attempt
-        for node_id in self.tk_nodes[tk]:
-            if self.pool_of[node_id] == pool and node_id not in self.rev_zone:
-                working.tokens.pop(node_id, None)
+        for node in self.tk_nodes[tk]:
+            if self.pool_of[node] == pool and node not in self.rev_zone:
+                working.tokens.pop(node, None)
         for child in self.direct_children.get(tk, ()):
-            if child not in working.spawned and working.shadows[child].state.phase is Phase.INITIAL:
-                for node_id in self.tk_nodes[child]:
-                    if self.pool_of[node_id] == pool:
-                        working.tokens.pop(node_id, None)
-        for source in list(working.in_flight):
-            if self.meta[source].tk != tk:
+            if not working.spawned >> child & 1 and self._phase(working, child) is _INITIAL:
+                for node in self.tk_nodes[child]:
+                    if self.pool_of[node] == pool:
+                        working.tokens.pop(node, None)
+        for source in _bits(working.in_flight):
+            if self.tk_of[source] != tk:
                 continue
             targets = self.msg_out.get(source, ())
             if targets and all(
-                self.pool_of.get(mf.target) == pool and mf.target not in self.rev_zone
-                for mf in targets
+                target is not None and self.pool_of[target] == pool and target not in self.rev_zone
+                for target in targets
             ):
-                working.in_flight.discard(source)
+                working.in_flight &= ~(1 << source)
         left = status.lock[1] - 1
-        working.shadows[tk] = replace(
-            status, lock=None if left == 0 else ("repositioning", left)
+        working.shadows[tk] = self._statuses.code(
+            replace(status, lock=None if left == 0 else ("repositioning", left))
         )
 
-    def _terminate(self, working: _Working, node_id: str) -> None:
-        tk, pool = self.meta[node_id].tk, self.pool_of[node_id]
+    def _terminate(self, working: _Working, node: int) -> None:
+        tk, pool = self.tk_of[node], self.pool_of[node]
         for other in self.tk_nodes[tk]:
             if self.pool_of[other] == pool:
                 working.tokens.pop(other, None)
-        for source in list(working.in_flight):
-            if self.meta[source].tk != tk:
+        for source in _bits(working.in_flight):
+            if self.tk_of[source] != tk:
                 continue
             targets = self.msg_out.get(source, ())
-            if targets and all(self.pool_of.get(mf.target) == pool for mf in targets):
-                working.in_flight.discard(source)
+            if targets and all(
+                target is not None and self.pool_of[target] == pool for target in targets
+            ):
+                working.in_flight &= ~(1 << source)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +786,14 @@ def simulate_exhaustive(
     A trace is recorded at every quiescent state — one where nothing can
     happen except an environment-triggered revocation — so an accepted run
     and its post-acceptance revocation extensions are all members.
+
+    The memo keeps each state's suffix traces as (event codes, outcome code)
+    pairs; only the root's are decoded.
     """
     sim = _Simulation(model, bounds)
     root = sim.initial()
 
-    memo: dict[_State, frozenset] = {}
+    memo: dict[_State, frozenset[tuple[tuple[int, ...], int]]] = {}
     onstack: set[_State] = set()
     stack: list[list] = []
 
@@ -635,7 +803,7 @@ def simulate_exhaustive(
                 f"more than {max_states} states explored"
             )
         steps = sim.steps(state)
-        quiescent = all(step[0] == "trigger" for step in steps)
+        quiescent = all(step[0] == _TRIGGER for step in steps)
         successors = [sim.apply(state, step) for step in steps]
         onstack.add(state)
         stack.append([state, successors, quiescent, 0, set()])
@@ -647,9 +815,12 @@ def simulate_exhaustive(
         if index < len(successors):
             child, emitted = successors[index]
             if child in memo:
-                collected.update(
-                    (emitted + suffix, outcome) for suffix, outcome in memo[child]
-                )
+                if emitted:
+                    collected.update(
+                        (emitted + suffix, outcome) for suffix, outcome in memo[child]
+                    )
+                else:
+                    collected.update(memo[child])
                 frame[3] += 1
             elif child in onstack:
                 raise SimulationError("simulation state graph has a cycle")
@@ -657,14 +828,12 @@ def simulate_exhaustive(
                 open_frame(child)
             continue
         if quiescent:
-            collected.add(((), sim.outcomes(state)))
+            collected.add(((), sim.outcome_code(state)))
         memo[state] = frozenset(collected)
         onstack.discard(state)
         stack.pop()
 
-    traces = frozenset(
-        SimTrace(tuple(events), outcomes) for events, outcomes in memo[root]
-    )
+    traces = frozenset(sim.trace(events, outcome) for events, outcome in memo[root])
     return ExhaustiveResult(traces=traces, states=len(memo))
 
 
@@ -681,25 +850,31 @@ def simulate_random(
     traces = []
     for _ in range(runs):
         state = sim.initial()
-        events: list[SimEvent] = []
+        events: list[int] = []
         exhausted = False
         for _step in range(max_steps):
             steps = sim.steps(state)
             if not steps:
                 break
-            if all(s[0] == "trigger" for s in steps) and rng.random() < 0.5:
+            if all(s[0] == _TRIGGER for s in steps) and rng.random() < 0.5:
                 break  # settle here rather than revoke
             state, emitted = sim.apply(state, steps[rng.randrange(len(steps))])
             events.extend(emitted)
         else:
             exhausted = True
-        traces.append(SimTrace(tuple(events), sim.outcomes(state), exhausted))
+        decoded = tuple(sim.events[code] for code in events)
+        traces.append(SimTrace(decoded, sim.outcomes(state), exhausted))
     return traces
 
 
 # ---------------------------------------------------------------------------
 # Conformance and invariant checks
 # ---------------------------------------------------------------------------
+
+
+def _projection_order(projection: tuple[tuple[Act, ...], Phase]) -> tuple:
+    sequence, phase = projection
+    return tuple(a.value for a in sequence), phase.value
 
 
 class Verdict(Enum):
@@ -718,14 +893,11 @@ class ConformanceReport:
 
     def summary(self) -> str:
         lines = [f"{self.verdict.value}: {self.traces} traces over {self.states} states"]
-        for tk in sorted(self.missing):
-            for sequence, phase in sorted(self.missing[tk]):
-                acts = ",".join(a.value for a in sequence)
-                lines.append(f"  missing {tk}: [{acts}] -> {phase.value}")
-        for tk in sorted(self.unexpected):
-            for sequence, phase in sorted(self.unexpected[tk]):
-                acts = ",".join(a.value for a in sequence)
-                lines.append(f"  unexpected {tk}: [{acts}] -> {phase.value}")
+        for label, projections in (("missing", self.missing), ("unexpected", self.unexpected)):
+            for tk in sorted(projections):
+                for sequence, phase in sorted(projections[tk], key=_projection_order):
+                    acts = ",".join(a.value for a in sequence)
+                    lines.append(f"  {label} {tk}: [{acts}] -> {phase.value}")
         for violation in self.compensation_violations:
             lines.append(f"  compensation: {violation}")
         return "\n".join(lines)

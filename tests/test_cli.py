@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -267,6 +268,17 @@ def test_simulate_exhaustive_trace_dump(tmp_path, solo_file, capsys):
         assert doc["outcome"] in {"Accepted", "Stopped", "Terminated"}
 
 
+# SHA-256 of the exhaustive trace dump of the solo network at complete
+SOLO_COMPLETE_TRACES_SHA256 = "b6c4f8c58167f21752f48815b3b6ebf213d182cde1e02b1d8db66f70acff0e41"
+
+
+def test_simulate_exhaustive_trace_dump_is_pinned(tmp_path, solo_file):
+    traces = tmp_path / "traces.jsonl"
+    code = main(["simulate", str(solo_file), "--level", "complete", "--traces", str(traces)])
+    assert code == 0
+    assert hashlib.sha256(traces.read_bytes()).hexdigest() == SOLO_COMPLETE_TRACES_SHA256
+
+
 def test_simulate_bounds_flags(tmp_path, solo_file, capsys):
     traces = tmp_path / "traces.jsonl"
     code = main(
@@ -327,6 +339,58 @@ def test_conformance_solo_all_levels(solo_file, level, capsys):
 
 def test_conformance_rejects_invalid_network(capsys):
     assert main(["conformance", str(FIXTURES / "cyclic.json"), "--level", "happy"]) == 1
+
+
+@pytest.fixture()
+def chain2_rap_file(tmp_path):
+    """TK02 is requested after TK01's promise: NonConformant at dissent."""
+    doc = {
+        "name": "chain2-rap",
+        "actors": [{"id": f"A{i}", "name": f"Actor {i}"} for i in (1, 2, 3)],
+        "transactions": [
+            {
+                "id": f"TK0{i}",
+                "name": f"step {i}",
+                "initiator": f"A{i}",
+                "executor": f"A{i + 1}",
+                "result": {"id": f"PK0{i}", "phrase": f"[product {i}] has been made"},
+            }
+            for i in (1, 2)
+        ],
+        "dependencies": [{"parent": "TK01", "child": "TK02", "kind": "RaP"}],
+    }
+    path = tmp_path / "chain2-rap.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_conformance_prints_a_nonconformant_report(chain2_rap_file, capsys):
+    assert main(["conformance", str(chain2_rap_file), "--level", "dissent"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NonConformant: ")
+    assert "  unexpected tk01: [Request,Promise] -> Promised\n" in err
+    assert "Traceback" not in err and "error:" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "conformance"])
+def test_max_states_bound_is_inclusive(solo_file, command, capsys):
+    # the solo network at complete has 5319 states
+    assert main([command, str(solo_file), "--level", "complete", "--max-states", "5319"]) == 0
+    assert "5319" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "conformance"])
+def test_exhausted_state_bound_exits_inconclusive(solo_file, command, capsys):
+    assert main([command, str(solo_file), "--level", "complete", "--max-states", "5318"]) == 3
+    err = capsys.readouterr().err
+    assert err == "inconclusive: more than 5318 states explored\n"
+
+
+def test_max_states_must_be_positive(solo_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["conformance", str(solo_file), "--level", "happy", "--max-states", "0"])
+    assert excinfo.value.code == 2
+    assert "--max-states: must be at least 1, got 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,8 @@ from demoflow.simulator import (
     SimTrace,
     StateSpaceLimitExceeded,
     Verdict,
+    _Simulation,
+    _TRIGGER,
     check_composition,
     check_conformance,
     check_network_conformance,
@@ -331,3 +334,70 @@ def test_composition_checker_spots_violations():
     reordered = SimTrace((child_request, *events), good.outcomes)
     problems = check_composition(net, reordered)
     assert any("TK02" in p and "Promise" in p for p in problems)
+
+
+def test_nonconformant_report_renders_its_projections():
+    # a child that ends Stopped strands its RaP parent at dissent (ROADMAP
+    # item 3), which makes this network NonConformant
+    net = _chain_net(DependencyKind.RAP, 2)
+    report = check_network_conformance(net, DetailLevel.WITH_DISSENT)
+    assert report.verdict is Verdict.NONCONFORMANT
+    lines = report.summary().splitlines()
+    assert lines[0].startswith("NonConformant: ")
+    unexpected = [line for line in lines if line.startswith("  unexpected tk01: [")]
+    assert "  unexpected tk01: [Request,Promise] -> Promised" in unexpected
+    assert len(unexpected) == len(report.unexpected["tk01"])
+    assert unexpected == sorted(unexpected)
+
+
+# ---------------------------------------------------------------------------
+# The memo against a brute-force enumeration, and pinned exploration results
+# ---------------------------------------------------------------------------
+
+
+def _every_path_traces(model) -> set[SimTrace]:
+    """The trace of every path from the initial state to each quiescent
+    state, enumerated one path at a time with no memo."""
+    sim = _Simulation(model, Bounds())
+    traces = set()
+    pending = [(sim.initial(), ())]
+    while pending:
+        state, events = pending.pop()
+        steps = sim.steps(state)
+        if all(step[0] == _TRIGGER for step in steps):
+            decoded = tuple(sim.events[code] for code in events)
+            traces.add(SimTrace(decoded, sim.outcomes(state)))
+        for step in steps:
+            child, emitted = sim.apply(state, step)
+            pending.append((child, events + emitted))
+    return traces
+
+
+@pytest.mark.parametrize(
+    "net,level",
+    [
+        (None, DetailLevel.HAPPY_FLOW),
+        (None, DetailLevel.WITH_DISSENT),
+        (_chain_net(DependencyKind.RAP, 2), DetailLevel.HAPPY_FLOW),
+    ],
+    ids=["solo-happy", "solo-dissent", "chain2-rap-happy"],
+)
+def test_memo_matches_every_path_enumeration(solo_net, net, level):
+    model = compile_network(net or solo_net, level)
+    assert simulate_exhaustive(model).traces == _every_path_traces(model)
+
+
+def test_poc2_happy_counts_are_pinned(poc2_net):
+    result = simulate_exhaustive(compile_network(poc2_net, DetailLevel.HAPPY_FLOW))
+    assert (len(result.traces), result.states) == (252, 6363)
+
+
+# SHA-256 of the JSON lines of 20 seeded walks (seed 7) over poc1 at complete
+POC1_COMPLETE_WALKS_SHA256 = "ecee102068c0b8d15a5d431df7552b76318f2677bc192a9226523272047aa7f9"
+
+
+def test_poc1_complete_walks_are_pinned(poc1_net):
+    model = compile_network(poc1_net, DetailLevel.COMPLETE)
+    lines = [trace.to_json() for trace in simulate_random(model, seed=7, runs=20)]
+    payload = "".join(line + "\n" for line in lines).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == POC1_COMPLETE_WALKS_SHA256
