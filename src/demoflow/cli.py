@@ -128,16 +128,35 @@ def cmd_conformance(args) -> int:
     net = load_network(args.network)
     if _fail(validate_network(net)):
         return 1
-    report = check_network_conformance(net, _LEVELS[args.level], max_states=args.max_states)
+    report = check_network_conformance(
+        net, _LEVELS[args.level], _bounds(args), max_states=args.max_states
+    )
     print(report.summary(), file=sys.stderr)
     return 0 if report.verdict is Verdict.CONFORMANT else 1
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _add_bounds(p: argparse.ArgumentParser) -> None:
+    for flag, help_text in (
+        ("--max-rerequest", "re-requests allowed after a decline"),
+        ("--max-redeclare", "re-declarations allowed after a reject"),
+        ("--max-revocations", "revocation episodes allowed"),
+    ):
+        p.add_argument(flag, type=_non_negative_int, default=1, metavar="N", help=help_text)
 
 
 def _add_max_states(p: argparse.ArgumentParser) -> None:
@@ -196,10 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument("--random", action="store_true", help="seeded random walks")
     p.add_argument("--seed", type=int, default=0, help="random mode seed")
-    p.add_argument("--runs", type=int, default=100, help="random mode run count")
-    p.add_argument("--max-rerequest", type=int, default=1)
-    p.add_argument("--max-redeclare", type=int, default=1)
-    p.add_argument("--max-revocations", type=int, default=1)
+    p.add_argument("--runs", type=_positive_int, default=100, help="random mode run count")
+    _add_bounds(p)
     _add_max_states(p)
     p.add_argument("--traces", help="write traces to this JSON-lines file")
     p.set_defaults(func=cmd_simulate)
@@ -207,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conformance", help="check a network against the engine")
     p.add_argument("network", help="transaction network JSON file")
     p.add_argument("--level", required=True, choices=levels, help="detail level")
+    _add_bounds(p)
     _add_max_states(p)
     p.set_defaults(func=cmd_conformance)
 

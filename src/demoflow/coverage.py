@@ -58,7 +58,8 @@ ROW_ORDER: tuple[Act, ...] = (
 
 
 class UnknownAnnotationKey(ValueError):
-    """A mapping or annotation entry names an unknown transaction or act."""
+    """A mapping or annotation document is not a list of objects, or one of
+    its entries names an unknown transaction or act."""
 
 
 @dataclass
@@ -98,6 +99,22 @@ class CoverageMatrix:
         )
 
 
+def _entries(document: Optional[Iterable[Mapping]], source: str) -> list[Mapping]:
+    """The entries of a mapping or annotation document, each checked to be an
+    object; the document may come straight from a user's JSON file."""
+    if document is None:
+        return []
+    if isinstance(document, (Mapping, str, bytes)) or not isinstance(document, Iterable):
+        raise UnknownAnnotationKey(
+            f"{source} must be a list of objects, not {type(document).__name__}"
+        )
+    entries = list(document)
+    for entry in entries:
+        if not isinstance(entry, Mapping):
+            raise UnknownAnnotationKey(f"{source} entry {entry!r} is not an object")
+    return entries
+
+
 def _act_from(value: str) -> Optional[Act]:
     for act in Act:
         if act.value == value:
@@ -120,7 +137,9 @@ def classify_acts(
     assert implicitness.  With ``heuristic_names`` a node whose name contains
     "<act> <transaction name>" (case-insensitive), or whose generated id
     carries the matching transaction and act tags, also counts as explicit.
-    Explicit wins over Implicit on conflict, with a warning.
+    Explicit wins over Implicit on conflict, with a warning.  A document that
+    is not a list of objects, or an entry that names an unknown transaction
+    or act, raises ``UnknownAnnotationKey``.
     """
     transactions = tuple(sorted(tk.id for tk in net.transactions))
     tk_index = {tk_id: net.transaction(tk_id) for tk_id in transactions}
@@ -133,7 +152,7 @@ def classify_acts(
     def resolve_key(entry: Mapping, source: str) -> tuple[str, Act]:
         tk_id = entry.get("transaction")
         act = _act_from(entry.get("act", ""))
-        if tk_id not in tk_index:
+        if not isinstance(tk_id, str) or tk_id not in tk_index:
             raise UnknownAnnotationKey(f"{source} entry names unknown transaction {tk_id!r}")
         if act is None:
             raise UnknownAnnotationKey(
@@ -141,10 +160,10 @@ def classify_acts(
             )
         return tk_id, act
 
-    for entry in mapping or ():
+    for entry in _entries(mapping, "mapping"):
         key = resolve_key(entry, "mapping")
         node_id = entry.get("nodeId", "")
-        if node_id not in node_ids:
+        if not isinstance(node_id, str) or node_id not in node_ids:
             warnings.append(
                 f"mapping for ({key[0]}, {key[1].value}) references missing node "
                 f"{node_id!r}; ignored"
@@ -152,7 +171,7 @@ def classify_acts(
             continue
         explicit.setdefault(key, []).append(node_id)
 
-    for entry in annotations or ():
+    for entry in _entries(annotations, "annotation"):
         key = resolve_key(entry, "annotation")
         status = entry.get("status")
         if status != "implicit":
@@ -163,20 +182,23 @@ def classify_acts(
         implicit.setdefault(key, []).append(entry.get("note", ""))
 
     if heuristic_names:
+        # (id, lowercased name, (transaction slug, act) tags or None) per node
+        scanned = []
+        for node in model.all_nodes():
+            meta = parse_node_id(node.id)
+            tags = None if meta is None else (meta.tk, meta.act)
+            scanned.append((node.id, node.name.lower(), tags))
         for tk_id in transactions:
             tk = tk_index[tk_id]
             tk_slug = slugify_tk(tk_id)
             for act in ROW_ORDER:
                 needle = f"{act.value} {tk.name}".lower()
-                for node in model.all_nodes():
-                    hit = needle in node.name.lower()
-                    if not hit:
-                        meta = parse_node_id(node.id)
-                        hit = meta is not None and meta.tk == tk_slug and meta.act is act
-                    if hit:
+                wanted = (tk_slug, act)
+                for node_id, name, tags in scanned:
+                    if needle in name or tags == wanted:
                         nodes = explicit.setdefault((tk_id, act), [])
-                        if node.id not in nodes:
-                            nodes.append(node.id)
+                        if node_id not in nodes:
+                            nodes.append(node_id)
 
     cells: dict[tuple[str, Act], ActStatus] = {}
     evidence: dict[tuple[str, Act], tuple[str, ...]] = {}

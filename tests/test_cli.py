@@ -239,6 +239,34 @@ def test_analyze_rejects_unknown_act(tmp_path, solo_file, capsys):
     assert "UnknownAnnotationKey" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--mapping", "--annotations"])
+@pytest.mark.parametrize("document", ['{"a": 1}', "[1, 2]"])
+def test_analyze_rejects_a_document_that_is_not_a_list_of_objects(
+    tmp_path, solo_file, capsys, flag, document
+):
+    model_file = tmp_path / "solo.bpmn"
+    main(["generate", str(solo_file), "--level", "happy", "--out", str(model_file)])
+    bad = tmp_path / "bad.json"
+    bad.write_text(document, encoding="utf-8")
+    code = main(
+        [
+            "analyze",
+            str(model_file),
+            "--network",
+            str(solo_file),
+            flag,
+            str(bad),
+            "--report",
+            str(tmp_path / "r.csv"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    source = "mapping" if flag == "--mapping" else "annotation"
+    assert err.startswith(f"error: UnknownAnnotationKey: {source} ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -320,6 +348,14 @@ def test_simulate_random_is_reproducible(tmp_path, solo_file):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_simulate_runs_must_be_positive(solo_file, capsys, runs):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", str(solo_file), "--level", "happy", "--random", "--runs", runs])
+    assert excinfo.value.code == 2
+    assert f"--runs: must be at least 1, got {runs}" in capsys.readouterr().err
+
+
 def test_simulate_mode_flags_conflict(solo_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", str(solo_file), "--level", "happy", "--exhaustive", "--random"])
@@ -335,6 +371,28 @@ def test_simulate_mode_flags_conflict(solo_file):
 def test_conformance_solo_all_levels(solo_file, level, capsys):
     assert main(["conformance", str(solo_file), "--level", level]) == 0
     assert "Conformant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, level, summary",
+    [
+        ("--max-rerequest", "2", "dissent", "Conformant: 15 traces over 175 states"),
+        ("--max-redeclare", "0", "dissent", "Conformant: 6 traces over 77 states"),
+        ("--max-revocations", "0", "complete", "Conformant: 10 traces over 119 states"),
+    ],
+)
+def test_conformance_bounds_flags(solo_file, capsys, flag, value, level, summary):
+    assert main(["conformance", str(solo_file), "--level", level, flag, value]) == 0
+    assert capsys.readouterr().err == summary + "\n"
+
+
+@pytest.mark.parametrize("flag", ["--max-rerequest", "--max-redeclare", "--max-revocations"])
+@pytest.mark.parametrize("command", ["simulate", "conformance"])
+def test_bounds_flags_reject_negative_values(solo_file, capsys, command, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(solo_file), "--level", "happy", flag, "-1"])
+    assert excinfo.value.code == 2
+    assert f"{flag}: must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_conformance_rejects_invalid_network(capsys):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import demoflow.coverage
 from demoflow.compiler import DetailLevel, compile_network
 from demoflow.coverage import (
     ActStatus,
@@ -18,8 +19,17 @@ from demoflow.coverage import (
     render_matrix,
 )
 from demoflow.engine import Act
-from demoflow.model import BpmnModel, FlowNode, NodeKind, Pool, SequenceFlow
-from demoflow.network import load_network
+from demoflow.model import (
+    BpmnModel,
+    FlowNode,
+    NodeKind,
+    Pool,
+    SequenceFlow,
+    parse_node_id,
+    slugify_tk,
+)
+from demoflow.network import load_network, parse_network
+from demoflow.xmlio import parse_model, serialize_model
 
 from conftest import make_solo_network
 
@@ -176,6 +186,25 @@ def test_unknown_act_rejected():
         classify_acts(net, model, mapping=bad)
 
 
+@pytest.mark.parametrize("source", ["mapping", "annotations"])
+@pytest.mark.parametrize("document", [{"a": 1}, [1, 2], "Request", 5])
+def test_document_that_is_not_a_list_of_objects_rejected(source, document):
+    net, model, _, _ = _audit("poc1")
+    name = "mapping" if source == "mapping" else "annotation"
+    with pytest.raises(UnknownAnnotationKey, match=f"^{name} "):
+        classify_acts(net, model, **{source: document})
+
+
+def test_unhashable_keys_rejected_or_ignored():
+    net, model, _, _ = _audit("poc1")
+    with pytest.raises(UnknownAnnotationKey, match="unknown transaction"):
+        classify_acts(net, model, mapping=[{"transaction": ["TK01"], "act": "Request"}])
+    mapping = [{"transaction": "TK01", "act": "Request", "nodeId": ["x"]}]
+    matrix = classify_acts(net, model, mapping=mapping)
+    assert matrix.status("TK01", Act.REQUEST) is ActStatus.NOT_IMPLEMENTED
+    assert any("['x']" in w and "ignored" in w for w in matrix.warnings)
+
+
 def test_bad_annotation_status_rejected():
     net, model, _, _ = _audit("poc1")
     bad = [{"transaction": "TK01", "act": "Request", "status": "explicit"}]
@@ -250,6 +279,122 @@ def test_heuristic_matches_generated_meta_tags():
     model = compile_network(net, DetailLevel.WITH_DISSENT)
     matrix = classify_acts(net, model, heuristic_names=True)
     assert matrix.column_sum("TK01") == (8, 0, 6)
+
+
+def test_heuristic_lists_a_node_once_when_name_id_and_mapping_all_match():
+    net = make_solo_network()
+    model = compile_network(net, DetailLevel.WITH_DISSENT)
+    node = next(n for n in model.all_nodes() if n.id == "tk01_i_request_sendtask")
+    assert "request order fulfilment" in node.name.lower()
+    assert parse_node_id(node.id).act is Act.REQUEST
+    mapping = [{"transaction": "TK01", "act": "Request", "nodeId": node.id}]
+    for kwargs in ({}, {"mapping": mapping}):
+        matrix = classify_acts(net, model, heuristic_names=True, **kwargs)
+        evidence = matrix.evidence[("TK01", Act.REQUEST)]
+        assert evidence.count(node.id) == 1
+        assert evidence[0] == node.id
+
+
+def _reference_heuristic(net, model, mapping=None, annotations=None):
+    """The heuristic scan as a plain nested loop, one ``parse_node_id`` per
+    (transaction, act, node): its hits become extra mapping entries after the
+    given ones, deduplicated against what each cell already lists."""
+    base = classify_acts(net, model, mapping=mapping)
+    hits = []
+    for tk_id in base.transactions:
+        tk = net.transaction(tk_id)
+        tk_slug = slugify_tk(tk_id)
+        for act in ROW_ORDER:
+            key = (tk_id, act)
+            nodes = list(base.evidence[key]) if base.cells[key] is ActStatus.EXPLICIT else []
+            needle = f"{act.value} {tk.name}".lower()
+            for node in model.all_nodes():
+                hit = needle in node.name.lower()
+                if not hit:
+                    meta = parse_node_id(node.id)
+                    hit = meta is not None and meta.tk == tk_slug and meta.act is act
+                if hit and node.id not in nodes:
+                    nodes.append(node.id)
+                    hits.append({"transaction": tk_id, "act": act.value, "nodeId": node.id})
+    return classify_acts(
+        net, model, mapping=[*(mapping or ()), *hits], annotations=annotations
+    )
+
+
+# parent index (1-based, None for the root), dependency kind and name per
+# transaction; "claim" and "claim review" make one transaction's needle
+# ("request claim") match the other's node names
+_COMPOSED = {
+    "chain3": ((None, None, "claim"), (1, "RaP", "claim review"), (2, "RaE", "payment")),
+    "fan4": (
+        (None, None, "order"),
+        (1, "RaD", "order check"),
+        (1, "RaP", "invoice"),
+        (1, "RaE", "shipping"),
+    ),
+}
+
+
+def _composed_network(shape: str):
+    spec = _COMPOSED[shape]
+    doc = {
+        "name": shape,
+        "actors": [{"id": f"A{i}", "name": f"Actor {i}"} for i in range(len(spec) + 1)],
+        "transactions": [],
+        "dependencies": [],
+    }
+    for i, (parent, kind, name) in enumerate(spec, start=1):
+        doc["transactions"].append(
+            {
+                "id": f"TK0{i}",
+                "name": name,
+                "initiator": f"A{parent or 0}",
+                "executor": f"A{i}",
+                "result": {"id": f"PK0{i}", "phrase": f"[{name}] has been done"},
+            }
+        )
+        if parent is not None:
+            doc["dependencies"].append({"parent": f"TK0{parent}", "child": f"TK0{i}", "kind": kind})
+    return parse_network(json.dumps(doc))
+
+
+def _differential_inputs(name: str, level: DetailLevel):
+    if name in ("poc1", "poc2"):
+        net, _, mapping, annotations = _audit(name)
+        # a mapping entry for a missing node keeps a warning in the comparison
+        mapping = [*mapping, {"transaction": "TK01", "act": "Stop", "nodeId": "ghost"}]
+    else:
+        net, mapping, annotations = _composed_network(name), None, None
+    return net, compile_network(net, level), mapping, annotations
+
+
+@pytest.mark.parametrize("round_trip", [False, True], ids=["compiled", "round-trip"])
+@pytest.mark.parametrize("level", list(DetailLevel), ids=lambda level: level.value)
+@pytest.mark.parametrize("name", ["poc1", "poc2", "chain3", "fan4"])
+def test_heuristic_scan_matches_nested_loop_reference(name, level, round_trip):
+    net, model, mapping, annotations = _differential_inputs(name, level)
+    if round_trip:
+        model = parse_model(serialize_model(model))
+    got = classify_acts(net, model, mapping, annotations, heuristic_names=True)
+    want = _reference_heuristic(net, model, mapping, annotations)
+    assert got.cells == want.cells
+    assert list(got.evidence.items()) == list(want.evidence.items())
+    assert got.warnings == want.warnings
+    assert got.implemented() > classify_acts(net, model, mapping, annotations).implemented()
+
+
+def test_heuristic_scan_parses_each_node_id_at_most_once(monkeypatch):
+    net = _composed_network("fan4")
+    model = compile_network(net, DetailLevel.COMPLETE)
+    calls = []
+
+    def counting(node_id):
+        calls.append(node_id)
+        return parse_node_id(node_id)
+
+    monkeypatch.setattr(demoflow.coverage, "parse_node_id", counting)
+    classify_acts(net, model, heuristic_names=True)
+    assert 0 < len(calls) <= len(model.all_nodes())
 
 
 # ---------------------------------------------------------------------------
