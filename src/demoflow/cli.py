@@ -136,7 +136,10 @@ def cmd_conformance(args) -> int:
 
 
 def _int_at_least(text: str, minimum: int) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value

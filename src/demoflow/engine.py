@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 
 class Act(Enum):
@@ -171,6 +171,17 @@ class TransactionState:
 INITIAL_STATE = TransactionState()
 
 
+# (phase, role) -> acts the role may perform with no revocation pending.
+_ALLOWED: dict[tuple[Phase, Role], frozenset[Act]] = {
+    (phase, role): frozenset(
+        [act for (p, act, r) in _TRANSITIONS if p is phase and r is role]
+        + [r for r in REVOCATIONS if REVOKER[r] is role and phase not in DEAD_PHASES | {Phase.INITIAL}]
+    )
+    for phase in Phase for role in Role
+}
+_DECISIONS = frozenset({Act.ALLOW, Act.REFUSE})
+
+
 def allowed_acts(state: TransactionState, role: Role) -> frozenset[Act]:
     """Acts apply_act would accept for this role in this state.
 
@@ -178,16 +189,8 @@ def allowed_acts(state: TransactionState, role: Role) -> frozenset[Act]:
     is unperformed; those are enabled but resolve to an automatic refusal.
     """
     if state.pending is not None:
-        revocation, by = state.pending
-        if role is REVOKER[revocation].other:
-            return frozenset({Act.ALLOW, Act.REFUSE})
-        return frozenset()
-    if state.phase in DEAD_PHASES:
-        return frozenset()
-    acts = {act for (phase, act, r) in _TRANSITIONS if phase is state.phase and r is role}
-    if state.phase is not Phase.INITIAL:
-        acts.update(r for r in REVOCATIONS if REVOKER[r] is role)
-    return frozenset(acts)
+        return _DECISIONS if role is REVOKER[state.pending[0]].other else frozenset()
+    return _ALLOWED[(state.phase, role)]
 
 
 def apply_act(state: TransactionState, act: Act, role: Role) -> TransactionState:
@@ -315,12 +318,49 @@ class Bounds:
     """Loop bounds that keep the bounded language finite.
 
     rerequest counts Declined->Requested transitions, redeclare counts
-    Rejected->Declared transitions, revocations counts triggered revocation
-    episodes (allowed, refused or auto-refused alike).
+    Rejected->Declared transitions, revocations counts revocation episodes,
+    each when its revocation act is performed (allowed, refused or auto-refused).
     """
     rerequest: int = 1
     redeclare: int = 1
     revocations: int = 1
+
+
+@dataclass(frozen=True)
+class BoundedState:
+    """A transaction state plus how often each bounded loop has been taken."""
+
+    state: TransactionState = INITIAL_STATE
+    rerequests: int = 0
+    redeclares: int = 0
+    revocations: int = 0
+
+
+def bounded_acts(run: BoundedState, role: Role, bounds: Bounds) -> frozenset[Act]:
+    """allowed_acts less the loop acts whose bound is spent, and less Allow
+    when the pending revocation can only be auto-refused."""
+    state = run.state
+    acts = allowed_acts(state, role)
+    if state.pending is not None:
+        return acts - {Act.ALLOW} if revocation_auto_refused(state) else acts
+    if run.revocations >= bounds.revocations:
+        acts = acts.difference(REVOCATIONS)
+    if state.phase is Phase.DECLINED and run.rerequests >= bounds.rerequest:
+        acts = acts - {Act.REQUEST}
+    elif state.phase is Phase.REJECTED and run.redeclares >= bounds.redeclare:
+        acts = acts - {Act.DECLARE}
+    return acts
+
+
+def bounded_apply(run: BoundedState, act: Act, role: Role) -> BoundedState:
+    """apply_act, counting the loop the act takes, if any."""
+    phase = run.state.phase
+    return BoundedState(
+        apply_act(run.state, act, role),
+        run.rerequests + (act is Act.REQUEST and phase is Phase.DECLINED),
+        run.redeclares + (act is Act.DECLARE and phase is Phase.REJECTED),
+        run.revocations + (act in REVOCATIONS),
+    )
 
 
 HAPPY_ALPHABET = frozenset(CORE_ACTS)
@@ -341,58 +381,13 @@ def enumerate_language(
     """
     results: set[tuple[tuple[Act, ...], Phase]] = set()
 
-    def options(
-        state: TransactionState, used: tuple[int, int, int]
-    ) -> list[tuple[Act, Role, Optional[Decision]]]:
-        rerequest, redeclare, revocations = used
-        if state.pending is not None:
-            decider = REVOKER[state.pending[0]].other
-            if Act.REFUSE not in alphabet:
-                return []
-            if revocation_auto_refused(state):
-                return [(Act.REFUSE, decider, None)]
-            return [(Act.ALLOW, decider, None), (Act.REFUSE, decider, None)]
-        out: list[tuple[Act, Role, Optional[Decision]]] = []
-        for (phase, act, role), _next in sorted(
-            _TRANSITIONS.items(), key=lambda kv: (kv[0][1].value, kv[0][2].value)
-        ):
-            if phase is not state.phase or act not in alphabet:
-                continue
-            if phase is Phase.DECLINED and act is Act.REQUEST and rerequest >= bounds.rerequest:
-                continue
-            if phase is Phase.REJECTED and act is Act.DECLARE and redeclare >= bounds.redeclare:
-                continue
-            out.append((act, role, None))
-        if (
-            state.phase not in DEAD_PHASES
-            and state.phase is not Phase.INITIAL
-            and revocations < bounds.revocations
-        ):
-            for revocation in REVOCATIONS:
-                if revocation in alphabet:
-                    out.append((revocation, REVOKER[revocation], None))
-        return out
-
-    def walk(
-        state: TransactionState, used: tuple[int, int, int], events: tuple[Act, ...]
-    ) -> None:
+    def walk(run: BoundedState, events: tuple[Act, ...]) -> None:
+        state = run.state
         if state.pending is None and state.phase in TERMINAL_PHASES:
             results.add((events, state.phase))
-            if state.phase in DEAD_PHASES:
-                return
-        for act, role, _decision in options(state, used):
-            rerequest, redeclare, revocations = used
-            if state.phase is Phase.DECLINED and act is Act.REQUEST:
-                rerequest += 1
-            if state.phase is Phase.REJECTED and act is Act.DECLARE:
-                redeclare += 1
-            if act in REVOCATIONS:
-                revocations += 1
-            walk(
-                apply_act(state, act, role),
-                (rerequest, redeclare, revocations),
-                events + (act,),
-            )
+        for role in Role:
+            for act in bounded_acts(run, role, bounds) & alphabet:
+                walk(bounded_apply(run, act, role), events + (act,))
 
-    walk(INITIAL_STATE, (0, 0, 0), ())
+    walk(BoundedState(), ())
     return frozenset(results)

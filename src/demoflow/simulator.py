@@ -3,9 +3,11 @@ transaction engine.
 
 The simulator replays a generated model step by step: firing nodes, delivering
 messages, letting the environment trigger revocations.  Every act-carrying
-node that fires is simultaneously applied to a shadow transaction state from
-:mod:`demoflow.engine`; a model that lets an act happen out of order fails
-loudly.  Exhaustive exploration produces the full set of bounded traces, which
+node that fires is simultaneously applied to its transaction's shadow run in
+the engine's bounded step (``bounded_acts``, ``bounded_apply``), which also
+decides which revocation triggers and loop branches are open; a model that
+lets an act happen out of order or past its loop bound fails loudly.
+Exhaustive exploration produces the full set of bounded traces, which
 conformance checking compares — per transaction, projected onto the fourteen
 acts — with the engine's enumerated language.
 
@@ -26,17 +28,19 @@ from typing import Iterable, Optional
 
 from .engine import (
     Act,
+    ActNotEnabled,
     Bounds,
-    DEAD_PHASES,
+    BoundedState,
     INITIAL_STATE,
     Phase,
     REVOCATIONS,
+    RevocationError,
     Role,
     TERMINAL_PHASES,
-    TransactionState,
     apply_act,
+    bounded_acts,
+    bounded_apply,
     enumerate_language,
-    revocation_auto_refused,
     rollback_chain,
 )
 from .model import (
@@ -48,9 +52,9 @@ from .model import (
     SLUG_FOR_ACT,
     SequenceFlow,
     parse_node_id,
+    slugify_tk,
 )
 from .network import DependencyKind, TransactionNetwork
-from .model import slugify_tk
 
 
 class SimulationError(RuntimeError):
@@ -89,12 +93,11 @@ class SimEvent:
 
 @dataclass(frozen=True)
 class TkStatus:
-    """Shadow state of one transaction during simulation."""
+    """Shadow of one transaction during simulation: its run through the
+    engine's bounded step, which also counts the loops it has taken, and the
+    lock that freezes its normal flow while a revocation plays out."""
 
-    state: TransactionState = INITIAL_STATE
-    rerequests: int = 0
-    redeclares: int = 0
-    revocations: int = 0
+    run: BoundedState = BoundedState()
     # None | ("pending",) | ("repositioning", splits_left)
     lock: Optional[tuple] = None
 
@@ -402,6 +405,8 @@ class _Simulation:
         self._outcomes = _Interner()
         # (status code, node) -> (status code after the node's act, event code)
         self._advances: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
+        # (status code, node) -> whether the bounded step allows the node's act
+        self._allowed: dict[tuple[int, int], bool] = {}
         self._node_events: dict[tuple[int, bool], int] = {}
         self._outcome_of_shadows: dict[tuple[int, ...], int] = {}
 
@@ -491,7 +496,7 @@ class _Simulation:
 
     def outcomes(self, state: _State) -> tuple[tuple[str, Phase], ...]:
         return tuple(
-            (tk, self.statuses[code].state.phase) for tk, code in zip(self.tks, state.shadows)
+            (tk, self.statuses[code].run.state.phase) for tk, code in zip(self.tks, state.shadows)
         )
 
     # -- step enumeration --------------------------------------------------
@@ -515,9 +520,9 @@ class _Simulation:
             if branches is None:
                 out.append((_FIRE, node, 0))
                 continue
-            status = statuses[shadows[self.tk_of[node]]]
+            code = shadows[self.tk_of[node]]
             for branch, f in enumerate(branches):
-                if self._branch_allowed(self.flows[f], status):
+                if self._branch_allowed(f, code):
                     out.append((_FIRE, node, branch))
 
         tokens = dict(state.tokens)
@@ -538,28 +543,35 @@ class _Simulation:
                 out.append((_DELIVER, source, target))
 
         for trigger, tk, gate in self.triggers:
-            status = statuses[shadows[tk]]
-            if status.lock is not None or status.revocations >= self.bounds.revocations:
+            if gate is None or gate not in tokens:
                 continue
-            phase = status.state.phase
-            if phase is _INITIAL or phase in DEAD_PHASES:
-                continue
-            if gate is not None and gate in tokens:
+            code = shadows[tk]
+            if statuses[code].lock is None and self._allows(code, trigger):
                 out.append((_TRIGGER, trigger, 0))
 
         out.sort()
         return out
 
-    def _branch_allowed(self, flow: SequenceFlow, status: TkStatus) -> bool:
-        label = flow.label
-        if label == "rerequest":
-            return status.rerequests < self.bounds.rerequest
-        if label == "redeclare":
-            return status.redeclares < self.bounds.redeclare
+    def _branch_allowed(self, f: int, code: int) -> bool:
+        label = self.flows[f].label
+        if label == "rerequest" or label == "redeclare":
+            # a loop branch is open while its target's Request or Declare is
+            return self._allows(code, self.target[f])
         if label.startswith("performed:"):
             act = ACT_SLUGS.get(label.split(":", 1)[1])
-            return act is not None and act in status.state.history
+            return act is not None and act in self.statuses[code].run.state.history
         return True
+
+    def _allows(self, code: int, node: int) -> bool:
+        """Whether the engine's bounded step lets the node's act happen now."""
+        key = (code, node)
+        allowed = self._allowed.get(key)
+        if allowed is None:
+            meta = self.meta[node]
+            allowed = self._allowed[key] = meta.act in bounded_acts(
+                self.statuses[code].run, meta.role, self.bounds
+            )
+        return allowed
 
     # -- step application --------------------------------------------------
 
@@ -595,31 +607,18 @@ class _Simulation:
         if act is None:
             return code, None
         status = self.statuses[code]
-        prior = status.state
-        try:
-            new_state = apply_act(prior, act, meta.role)
-        except Exception as exc:
+        run = status.run
+        if act not in bounded_acts(run, meta.role, self.bounds):
             raise SimulationError(
-                f"model lets {act.value} happen out of order at {self.ids[node]}: {exc}"
-            ) from exc
-        rerequests = status.rerequests
-        redeclares = status.redeclares
-        if act is Act.REQUEST and prior.phase is Phase.DECLINED:
-            rerequests += 1
-        if act is Act.DECLARE and prior.phase is Phase.REJECTED:
-            redeclares += 1
+                f"model lets {act.value} happen at {self.ids[node]} in phase "
+                f"{run.state.phase.value}, which the engine's bounded step forbids"
+            )
         lock = status.lock
-        if act in (Act.ALLOW, Act.REFUSE):
-            if prior.pending is None:
-                raise SimulationError(f"{self.ids[node]} resolved a revocation that was not pending")
-            revocation = prior.pending[0]
-            if act is Act.ALLOW:
-                if revocation_auto_refused(prior):
-                    raise SimulationError(f"{self.ids[node]} allowed an unperformed-target revocation")
-                lock = ("pending",) if revocation is Act.REVOKE_REQUEST else ("repositioning", 2)
-            else:
-                lock = None
-        new_status = TkStatus(new_state, rerequests, redeclares, status.revocations, lock)
+        if act is Act.ALLOW:
+            lock = ("pending",) if run.state.pending[0] is Act.REVOKE_REQUEST else ("repositioning", 2)
+        elif act is Act.REFUSE:
+            lock = None
+        new_status = TkStatus(bounded_apply(run, act, meta.role), lock)
         return self._statuses.code(new_status), self._event_code(node, False)
 
     def _fire(self, working: _Working, node: int, branch: int, events: list[int]) -> None:
@@ -681,9 +680,7 @@ class _Simulation:
         working.take_token(gate)
         tk = self.tk_of[trigger]
         status = self.statuses[working.shadows[tk]]
-        working.shadows[tk] = self._statuses.code(
-            replace(status, revocations=status.revocations + 1, lock=("pending",))
-        )
+        working.shadows[tk] = self._statuses.code(replace(status, lock=("pending",)))
         self._place_all(working, trigger)
 
     # -- placement with splice guards --------------------------------------
@@ -693,7 +690,7 @@ class _Simulation:
             self._place(working, f)
 
     def _phase(self, working: _Working, tk: int) -> Phase:
-        return self.statuses[working.shadows[tk]].state.phase
+        return self.statuses[working.shadows[tk]].run.state.phase
 
     def _place(self, working: _Working, f: int) -> None:
         target = self.target[f]
@@ -1021,7 +1018,7 @@ def check_compensation_order(trace: SimTrace) -> list[str]:
                         continue
                     try:
                         chain = deque(rollback_chain(state, state.pending[0]))
-                    except Exception:
+                    except RevocationError:
                         violations.append(f"{tk}: inverse {event.act.value} for an unperformed act")
                         continue
                 if not chain:
@@ -1040,7 +1037,7 @@ def check_compensation_order(trace: SimTrace) -> list[str]:
                 if chain is None:
                     try:
                         chain = deque(rollback_chain(state, state.pending[0]))
-                    except Exception:
+                    except RevocationError:
                         chain = deque()
                 state = apply_act(state, Act.ALLOW, event.role)
                 continue
@@ -1051,7 +1048,7 @@ def check_compensation_order(trace: SimTrace) -> list[str]:
             chain = None
             try:
                 state = apply_act(state, event.act, event.role)
-            except Exception as exc:
+            except (ActNotEnabled, RevocationError) as exc:
                 violations.append(f"{tk}: {event.act.value} not enabled ({exc})")
         if chain:
             violations.append(f"{tk}: rollback chain left unfinished")

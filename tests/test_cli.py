@@ -395,6 +395,25 @@ def test_bounds_flags_reject_negative_values(solo_file, capsys, command, flag):
     assert f"{flag}: must be at least 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("simulate", "--runs"),
+        ("simulate", "--max-states"),
+        ("conformance", "--max-rerequest"),
+        ("conformance", "--max-redeclare"),
+        ("simulate", "--max-revocations"),
+    ],
+)
+def test_integer_flags_reject_non_integers(solo_file, capsys, command, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(solo_file), "--level", "happy", flag, "abc"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer, got 'abc'" in err
+    assert "_int" not in err
+
+
 def test_conformance_rejects_invalid_network(capsys):
     assert main(["conformance", str(FIXTURES / "cyclic.json"), "--level", "happy"]) == 1
 

@@ -11,8 +11,10 @@ from demoflow.engine import (
     Act,
     ActNotEnabled,
     Bounds,
+    BoundedState,
     COMPLETE_ALPHABET,
     CORE_ACTS,
+    DEAD_PHASES,
     DISSENT_ALPHABET,
     Decision,
     HAPPY_ALPHABET,
@@ -23,11 +25,15 @@ from demoflow.engine import (
     REVOKER,
     RevocationError,
     Role,
+    TERMINAL_PHASES,
     TargetNotPerformed,
     TraceError,
     TransactionState,
+    _TRANSITIONS,
     allowed_acts,
     apply_act,
+    bounded_acts,
+    bounded_apply,
     enumerate_language,
     resolve_revocation,
     revocation_auto_refused,
@@ -336,6 +342,119 @@ def test_language_outcomes_partition():
         by_outcome.setdefault(outcome, set()).add(events)
     assert set(by_outcome) == {Phase.ACCEPTED, Phase.STOPPED, Phase.TERMINATED}
     assert sum(len(v) for v in by_outcome.values()) == len(language)
+
+
+def _reference_language(alphabet, bounds):
+    """The language as enumerated before the bounded step existed: the
+    bound rules and loop counters restated here, next to the transitions."""
+    results = set()
+
+    def options(state, used):
+        rerequest, redeclare, revocations = used
+        if state.pending is not None:
+            decider = REVOKER[state.pending[0]].other
+            if Act.REFUSE not in alphabet:
+                return []
+            if revocation_auto_refused(state):
+                return [(Act.REFUSE, decider)]
+            return [(Act.ALLOW, decider), (Act.REFUSE, decider)]
+        out = []
+        for (phase, act, role), _next in sorted(
+            _TRANSITIONS.items(), key=lambda kv: (kv[0][1].value, kv[0][2].value)
+        ):
+            if phase is not state.phase or act not in alphabet:
+                continue
+            if phase is Phase.DECLINED and act is Act.REQUEST and rerequest >= bounds.rerequest:
+                continue
+            if phase is Phase.REJECTED and act is Act.DECLARE and redeclare >= bounds.redeclare:
+                continue
+            out.append((act, role))
+        if (
+            state.phase not in DEAD_PHASES
+            and state.phase is not Phase.INITIAL
+            and revocations < bounds.revocations
+        ):
+            for revocation in REVOCATIONS:
+                if revocation in alphabet:
+                    out.append((revocation, REVOKER[revocation]))
+        return out
+
+    def walk(state, used, events):
+        if state.pending is None and state.phase in TERMINAL_PHASES:
+            results.add((events, state.phase))
+            if state.phase in DEAD_PHASES:
+                return
+        for act, role in options(state, used):
+            rerequest, redeclare, revocations = used
+            if state.phase is Phase.DECLINED and act is Act.REQUEST:
+                rerequest += 1
+            if state.phase is Phase.REJECTED and act is Act.DECLARE:
+                redeclare += 1
+            if act in REVOCATIONS:
+                revocations += 1
+            walk(apply_act(state, act, role), (rerequest, redeclare, revocations), events + (act,))
+
+    walk(INITIAL_STATE, (0, 0, 0), ())
+    return frozenset(results)
+
+
+@pytest.mark.parametrize("alphabet", [HAPPY_ALPHABET, DISSENT_ALPHABET, COMPLETE_ALPHABET],
+                         ids=["happy", "dissent", "complete"])
+@pytest.mark.parametrize("revocations", [0, 1, 2])
+@pytest.mark.parametrize("redeclare", [0, 1, 2])
+@pytest.mark.parametrize("rerequest", [0, 1, 2])
+def test_language_matches_the_reference_enumerator(rerequest, redeclare, revocations, alphabet):
+    bounds = Bounds(rerequest, redeclare, revocations)
+    assert enumerate_language(alphabet, bounds) == _reference_language(alphabet, bounds)
+
+
+# --- the bounded step --------------------------------------------------------
+
+_DECLINED = _state_after((Act.REQUEST, I), (Act.DECLINE, E))
+_REJECTED = run_trace(HAPPY[:4] + [(Act.REJECT, I)])
+_ACCEPTED = run_trace(HAPPY)
+
+
+@pytest.mark.parametrize(
+    "run, role, removed",
+    [
+        (BoundedState(_DECLINED), I, set()),
+        (BoundedState(_DECLINED, rerequests=1), I, {Act.REQUEST}),
+        (BoundedState(_DECLINED, redeclares=1), I, set()),
+        (BoundedState(_REJECTED), E, set()),
+        (BoundedState(_REJECTED, redeclares=1), E, {Act.DECLARE}),
+        (BoundedState(_REJECTED, rerequests=1), E, set()),
+        (BoundedState(_ACCEPTED), I, set()),
+        (BoundedState(_ACCEPTED, revocations=1), I, {Act.REVOKE_REQUEST, Act.REVOKE_ACCEPT}),
+        (BoundedState(_ACCEPTED, revocations=1), E, {Act.REVOKE_PROMISE, Act.REVOKE_DECLARE}),
+        (BoundedState(_DECLINED, revocations=1), I, {Act.REVOKE_REQUEST, Act.REVOKE_ACCEPT}),
+        # a pending revocation is decided whatever the counts say
+        (BoundedState(apply_act(_ACCEPTED, Act.REVOKE_DECLARE, E), 1, 1, 1), I, set()),
+        # revoking the unperformed declare can only be refused
+        (BoundedState(apply_act(_DECLINED, Act.REVOKE_DECLARE, E)), I, {Act.ALLOW}),
+        (BoundedState(apply_act(_DECLINED, Act.REVOKE_DECLARE, E)), E, set()),
+    ],
+)
+def test_bounded_acts_against_allowed_acts(run, role, removed):
+    allowed = allowed_acts(run.state, role)
+    assert removed <= allowed
+    assert bounded_acts(run, role, Bounds(1, 1, 1)) == allowed - removed
+
+
+def test_bounded_apply_counts_each_loop_once():
+    run = BoundedState()
+    for act, role in [(Act.REQUEST, I), (Act.DECLINE, E), (Act.REQUEST, I)] + HAPPY[1:4]:
+        run = bounded_apply(run, act, role)
+    assert (run.rerequests, run.redeclares, run.revocations) == (1, 0, 0)
+    run = bounded_apply(bounded_apply(run, Act.REJECT, I), Act.DECLARE, E)
+    assert (run.rerequests, run.redeclares, run.revocations) == (1, 1, 0)
+    run = bounded_apply(run, Act.REVOKE_DECLARE, E)
+    assert (run.rerequests, run.redeclares, run.revocations) == (1, 1, 1)
+    run = bounded_apply(run, Act.ALLOW, I)
+    assert run.state.phase is Phase.PROMISED
+    assert (run.rerequests, run.redeclares, run.revocations) == (1, 1, 1)
+    with pytest.raises(ActNotEnabled):
+        bounded_apply(run, Act.ACCEPT, I)
 
 
 # --- properties --------------------------------------------------------------

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from demoflow.compiler import DetailLevel, LEVEL_ALPHABETS, compile_network
-from demoflow.engine import Act, Bounds, Phase, enumerate_language
+from demoflow.engine import Act, Bounds, Phase, Role, enumerate_language
 from demoflow.network import (
     Actor,
     Dependency,
@@ -20,11 +20,14 @@ from demoflow.network import (
     validate_network,
 )
 from demoflow.simulator import (
+    SimEvent,
     SimTrace,
+    SimulationError,
     StateSpaceLimitExceeded,
     Verdict,
     _Simulation,
     _TRIGGER,
+    check_compensation_order,
     check_composition,
     check_conformance,
     check_network_conformance,
@@ -132,6 +135,64 @@ def test_allowed_revocation_rolls_back_in_inverse_order(solo_net):
             e.act for e in trace.events[allow_at + 1 : rerun_at] if e.inverse
         ]
         assert after_allow == [Act.DECLARE, Act.EXECUTE]
+
+
+def _rolled_back_trace(solo_net) -> SimTrace:
+    """A solo run at complete whose allowed RevokeDeclare undoes Accept,
+    Declare and Execute before the rerun."""
+    model = compile_network(solo_net, DetailLevel.COMPLETE)
+    wanted = HAPPY_ACTS + (Act.REVOKE_DECLARE, Act.ALLOW, Act.EXECUTE, Act.DECLARE, Act.ACCEPT)
+    return min(
+        (t for t in simulate_exhaustive(model).traces if t.acts_for("tk01") == wanted),
+        key=SimTrace.to_json,
+    )
+
+
+def _inverse_positions(trace: SimTrace) -> list[int]:
+    return [i for i, e in enumerate(trace.events) if e.inverse]
+
+
+def test_compensation_order_accepts_a_real_rollback(solo_net):
+    trace = _rolled_back_trace(solo_net)
+    assert [trace.events[i].act for i in _inverse_positions(trace)] == [
+        Act.ACCEPT, Act.DECLARE, Act.EXECUTE,
+    ]
+    assert check_compensation_order(trace) == []
+
+
+def test_compensation_order_reports_swapped_inverses(solo_net):
+    trace = _rolled_back_trace(solo_net)
+    first, second = _inverse_positions(trace)[:2]
+    events = list(trace.events)
+    events[first], events[second] = events[second], events[first]
+    violations = check_compensation_order(SimTrace(tuple(events), trace.outcomes))
+    assert "tk01: expected Accept undone next, got Declare" in violations
+
+
+def test_compensation_order_reports_a_dropped_inverse(solo_net):
+    trace = _rolled_back_trace(solo_net)
+    last = _inverse_positions(trace)[-1]
+    events = trace.events[:last] + trace.events[last + 1 :]
+    violations = check_compensation_order(SimTrace(events, trace.outcomes))
+    assert "tk01: Execute happened before the rollback finished" in violations
+
+
+def test_compensation_order_reports_an_inverse_outside_a_revocation(solo_net):
+    trace = _rolled_back_trace(solo_net)
+    stray = SimEvent("tk01", Act.REQUEST, Role.INITIATOR, inverse=True)
+    events = trace.events[:1] + (stray,) + trace.events[1:]
+    violations = check_compensation_order(SimTrace(events, trace.outcomes))
+    assert violations == ["tk01: inverse Request outside a revocation"]
+
+
+def test_compensation_order_does_not_hide_programming_errors(solo_net, monkeypatch):
+    def broken(*args):
+        raise TypeError("broken")
+
+    trace = _rolled_back_trace(solo_net)
+    monkeypatch.setattr("demoflow.simulator.apply_act", broken)
+    with pytest.raises(TypeError, match="broken"):
+        check_compensation_order(trace)
 
 
 def test_refused_revocation_compensates_nothing(solo_net):
@@ -245,6 +306,34 @@ def _without_initiator_accept(model):
         mf for mf in mutant.message_flows if "_i_accept_" not in mf.source
     ]
     return mutant
+
+
+def _without_guards(model, prefix: str):
+    mutant = copy.deepcopy(model)
+    for pool in mutant.pools:
+        for flow in pool.flows:
+            if flow.label.startswith(prefix):
+                flow.label = ""
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "label, node",
+    [("rerequest", "tk01_i_request_sendtask"), ("redeclare", "tk01_e_declare_sendtask")],
+)
+def test_unguarded_loop_fails_at_its_bound(solo_net, label, node):
+    model = _without_guards(compile_network(solo_net, DetailLevel.WITH_DISSENT), label)
+    with pytest.raises(SimulationError) as excinfo:
+        simulate_exhaustive(model, max_states=2000)
+    assert not isinstance(excinfo.value, StateSpaceLimitExceeded)
+    assert node in str(excinfo.value)
+
+
+def test_unguarded_allow_of_an_unperformed_target_fails(solo_net):
+    model = _without_guards(compile_network(solo_net, DetailLevel.COMPLETE), "performed:")
+    with pytest.raises(SimulationError, match="Allow") as excinfo:
+        simulate_exhaustive(model)
+    assert not isinstance(excinfo.value, StateSpaceLimitExceeded)
 
 
 def test_deleted_accept_task_is_nonconformant(solo_net):
