@@ -75,14 +75,8 @@ class CompileError(ValueError):
 
 INITIAL_GATEWAY_NAME = "INITIAL GATEWAY"
 
-# Which tasks each pool compensates when a revocation is allowed, in rollback
-# order (the initiator owns accept and request, the executor the middle three).
-_I_COMP_ACTS = {
-    Act.REVOKE_REQUEST: (Act.ACCEPT,),  # the request itself is undone last, after the handshake
-    Act.REVOKE_ACCEPT: (Act.ACCEPT,),
-    Act.REVOKE_PROMISE: (Act.ACCEPT,),
-    Act.REVOKE_DECLARE: (Act.ACCEPT,),
-}
+# Which tasks the executor compensates when a revocation is allowed, in
+# rollback order (the initiator undoes its accept, and a revoked request last).
 _E_COMP_ACTS = {
     Act.REVOKE_REQUEST: (Act.DECLARE, Act.EXECUTE, Act.PROMISE),
     Act.REVOKE_ACCEPT: (),
@@ -288,7 +282,7 @@ def _add_initiator_revocation_zone(frag: _Fragment, tk: Transaction) -> None:
                 frag.connect(undo_accept, reposition_send)
                 frag.connect(reposition_send, split)
                 frag.connect(split, revgate)
-                frag.connect(split, marks["retry"])
+                frag.connect(split, marks["retry"], label="reposition")
         else:
             # the executor triggered this revocation; this side decides
             catch = frag.add(slug, NodeKind.MESSAGE_CATCH, name=_catch_name(revocation, tk))
@@ -316,7 +310,7 @@ def _add_initiator_revocation_zone(frag: _Fragment, tk: Transaction) -> None:
             frag.connect(reposition_catch, split)
             frag.connect(split, revgate)
             landing = marks["declined"] if revocation is Act.REVOKE_PROMISE else marks["declare_catch"]
-            frag.connect(split, landing)
+            frag.connect(split, landing, label="reposition")
             frag.connect(decide, srefuse, label="refuse")
             frag.connect(srefuse, revgate)
 
@@ -452,7 +446,7 @@ def _add_executor_revocation_zone(frag: _Fragment, tk: Transaction) -> None:
                 frag.connect(sallow, reposition_catch)
                 frag.connect(reposition_catch, split)
                 frag.connect(split, revgate)
-                frag.connect(split, marks["rejected"])
+                frag.connect(split, marks["rejected"], label="reposition")
         else:
             # this side triggers the revocation; the initiator decides
             trigger = frag.add(
@@ -480,7 +474,7 @@ def _add_executor_revocation_zone(frag: _Fragment, tk: Transaction) -> None:
             frag.connect(reposition_send, split)
             frag.connect(split, revgate)
             landing = marks["retry"] if revocation is Act.REVOKE_PROMISE else marks["execute"]
-            frag.connect(split, landing)
+            frag.connect(split, landing, label="reposition")
 
 
 def _message_flows(tk: Transaction, level: DetailLevel) -> list[MessageFlow]:
@@ -534,7 +528,8 @@ def _message_flows(tk: Transaction, level: DetailLevel) -> list[MessageFlow]:
 
 
 def _splice(parent_frag: _Fragment, children: list[_Fragment], kind: DependencyKind) -> None:
-    """Wire child initiator fragments into the parent executor flow."""
+    """Wire child initiator fragments into the parent executor flow, under
+    the ``spawn`` and ``phase:`` guards."""
     anchor = {
         DependencyKind.RAP: parent_frag.marks["promise"],
         DependencyKind.RAE: parent_frag.marks["execute"],
@@ -548,29 +543,30 @@ def _splice(parent_frag: _Fragment, children: list[_Fragment], kind: DependencyK
         parent_frag.connect(anchor, split)
         parent_frag.connect(split, continuation)
         for child in children:
-            parent_frag.connect(split, child.marks["entry"])
+            parent_frag.connect(split, child.marks["entry"], label="spawn")
         return
 
-    slug = "rap" if kind is DependencyKind.RAP else "rae"
+    slug, gate = ("rap", "phase:promised") if kind is DependencyKind.RAP else ("rae", "phase:executed")
     for child in children:
         # the child completes into the parent flow instead of its own end event
         child.remove_node(child.marks["done"])
     if len(children) == 1:
         child = children[0]
-        parent_frag.connect(anchor, child.marks["entry"])
-        parent_frag.connect(child.marks["accept"], continuation)
+        parent_frag.connect(anchor, child.marks["entry"], label="spawn")
+        parent_frag.connect(child.marks["accept"], continuation, label=gate)
     else:
         split = parent_frag.add(slug, NodeKind.PARALLEL_GATEWAY)
         join = parent_frag.add(slug, NodeKind.PARALLEL_GATEWAY)
         parent_frag.connect(anchor, split)
         for child in children:
-            parent_frag.connect(split, child.marks["entry"])
+            parent_frag.connect(split, child.marks["entry"], label="spawn")
             parent_frag.connect(child.marks["accept"], join)
-        parent_frag.connect(join, continuation)
+        parent_frag.connect(join, continuation, label=gate)
 
 
-def compile_network(net: TransactionNetwork, level: DetailLevel) -> BpmnModel:
-    """Compile a validated network into a collaboration at the given level."""
+def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnModel:
+    """Compile a validated network into a collaboration at ``level`` (or its value)."""
+    level = DetailLevel(level)
     errors = [v for v in validate_network(net) if v.severity is Severity.ERROR]
     if errors:
         raise CompileError(

@@ -10,7 +10,8 @@ e.g. ``tk01_i_request_sendtask`` or ``tk01_e_revokedeclare_throw_2``, where
 the slug is either one of the fourteen act slugs or a plumbing word
 (entry, response, repromise, ...).  parse_node_id recovers the transaction,
 role and act from an id, which is what lets the simulator and the coverage
-auditor treat generated and re-parsed models identically.
+auditor treat generated and re-parsed models identically.  Control beyond
+the graph itself is carried by flow guards (see ``SequenceFlow``).
 """
 
 from __future__ import annotations
@@ -105,10 +106,27 @@ class FlowNode:
 
 @dataclass
 class SequenceFlow:
+    """A sequence flow.  Its ``label``, written as the flow's ``name``, is a
+    guard the simulator obeys:
+
+    - ``rerequest`` / ``redeclare``: a loop branch, open while the loop's
+      Request / Declare is still allowed;
+    - ``performed:<act>``: a decision branch, open once the act was performed;
+    - ``phase:promised`` / ``phase:executed``: a child's exit into its parent
+      (or a splice join's outgoing flow); a token arriving while the target's
+      transaction is in another phase is stale and dropped;
+    - ``spawn``: a parent's entry into a child; once the child has started,
+      the token takes the child's exit flow instead, or is dropped without one;
+    - ``reposition``: a reposition split's landing flow; it bounds the
+      revocation zone.
+
+    Other labels (``accept``, ``stop``, ...) only name a branch.
+    """
+
     id: str
     source: str
     target: str
-    label: str = ""  # decision guards: rerequest / redeclare / performed:<act> / ...
+    label: str = ""
 
 
 @dataclass

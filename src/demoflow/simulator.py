@@ -11,9 +11,11 @@ Exhaustive exploration produces the full set of bounded traces, which
 conformance checking compares — per transaction, projected onto the fourteen
 acts — with the engine's enumerated language.
 
-The simulator reads everything it needs out of the node-id grammar, so it
-works identically on freshly compiled models and on models parsed back from
-XML.
+Node ids give each node's transaction, role and act; control beyond the
+graph (splice entries and exits, stale resumptions, the revocation zone and
+its reposition splits) comes from the sequence-flow guards defined on
+``SequenceFlow``.  Both are written to BPMN XML, so the simulator works
+identically on freshly compiled models and on models parsed back from XML.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .engine import (
     BoundedState,
     INITIAL_STATE,
     Phase,
-    REVOCATIONS,
     RevocationError,
     Role,
     TERMINAL_PHASES,
@@ -49,7 +50,6 @@ from .model import (
     FlowNode,
     NodeKind,
     NodeMeta,
-    SLUG_FOR_ACT,
     SequenceFlow,
     parse_node_id,
     slugify_tk,
@@ -65,19 +65,8 @@ class StateSpaceLimitExceeded(SimulationError):
     pass
 
 
-# Node-id slugs that make up the revocation machinery; everything else is the
-# normal transaction flow.  A pending revocation freezes the normal zone of
-# its transaction while the revocation protocol plays out.
-_REVOCATION_SLUGS = frozenset(SLUG_FOR_ACT[r] for r in REVOCATIONS)
-_REV_ZONE_SLUGS = _REVOCATION_SLUGS | {
-    "revoke", "allow", "refuse", "ackgo", "ackdone",
-    "rereject", "redecline", "repromise", "terminated",
-}
-
-# Splice exits assume the parent just performed the gating act; a token
-# arriving when the parent has moved on (or rolled back) is stale and dropped.
-_EXIT_GATE = {"execute": Phase.PROMISED, "declare": Phase.EXECUTED,
-              "rap": Phase.PROMISED, "rae": Phase.EXECUTED}
+# the phases a ``phase:<phase>`` guard can name
+_GUARD_PHASES = {phase.value.lower(): phase for phase in Phase}
 
 
 @dataclass(frozen=True)
@@ -321,7 +310,6 @@ class _Simulation:
         self.meta = [metas[k] for k in order]
         self.pool_of = [pools[k] for k in order]
         self.kinds = kinds = [node.kind for node in nodes]
-        slugs = [meta.slug for meta in self.meta]
         tks = [meta.tk for meta in self.meta]
         self.tks = sorted(set(tks))
         tk_index = {tk: t for t, tk in enumerate(self.tks)}
@@ -365,14 +353,6 @@ class _Simulation:
             else 1
             for i, kind in enumerate(kinds)
         ]
-        self.rev_zone = {i for i, slug in enumerate(slugs) if slug in _REV_ZONE_SLUGS}
-        # a node freezes while its transaction holds a lock; the revocation
-        # zone and the arming gateway do not, so a late-spawning executor
-        # instance can still join the protocol
-        self.unlockable = self.rev_zone | {
-            i for i, slug in enumerate(slugs)
-            if slug == "entry" and kinds[i] is _PAR
-        }
         self.starts = [i for i, kind in enumerate(kinds) if kind is _START]
         self.ebg_pred: dict[int, int] = {
             self.target[f]: i
@@ -383,19 +363,19 @@ class _Simulation:
             i: index.get(nodes[i].compensates)
             for i, kind in enumerate(kinds) if kind is _THROW
         }
-        revocation_nodes = [i for i, slug in enumerate(slugs) if slug in _REVOCATION_SLUGS]
-        self.reposition_splits = {i for i in revocation_nodes if kinds[i] is _PAR}
-        revocation_catches = [
-            i for i in revocation_nodes if kinds[i] is _CATCH and i not in msg_in
+        # environment triggers, in id order: (message catch that no message
+        # reaches, its transaction, the revocation zone's gateway before it)
+        self.triggers = [
+            (i, self.tk_of[i], self.ebg_pred[i])
+            for i, kind in enumerate(kinds)
+            if kind is _CATCH and i not in msg_in and i in self.ebg_pred
         ]
-        # (trigger catch, its transaction, its gateway or None), in id order
-        self.triggers = [(i, self.tk_of[i], self.ebg_pred.get(i)) for i in revocation_catches]
         # an exclusive gateway's outgoing flows in flow-id order
         self.branches: dict[int, list[int]] = {
             i: sorted(self._out(i), key=lambda f: self.flows[f].id)
             for i, kind in enumerate(kinds) if kind is _XOR
         }
-        self._wire_splices(sources, index)
+        self._read_guards(sources)
 
         self._statuses = _Interner()
         self._statuses.code(TkStatus())  # code 0, every transaction's start
@@ -413,58 +393,64 @@ class _Simulation:
     def _out(self, node: int) -> range:
         return range(self.first_out[node], self.first_out[node + 1])
 
-    def _wire_splices(self, sources: list[int], index: dict[str, int]) -> None:
-        # Cross-transaction sequence flows are the compiler's splices: an
-        # entry starts a child, an exit resumes the parent after the child's
-        # accept.  Re-entering an already-started child teleports the token
-        # past it instead (or drops it for the asynchronous case).
-        # self.splices maps a flow to its (exit guard, entry info).
-        self.splices: dict[int, tuple[Optional[tuple[int, Phase]], Optional[tuple]]] = {}
+    def _read_guards(self, sources: list[int]) -> None:
+        """Splice and revocation-zone control, read from the flow guards:
+        ``guards`` maps a ``phase:`` flow to ``(its target's transaction,
+        phase, None)`` and a ``spawn`` flow to ``(child, None, its exit)``."""
+        tk_of, target, first_out = self.tk_of, self.target, self.first_out
+        self.guards: dict[int, tuple[int, Optional[Phase], Optional[int]]] = {}
         self.direct_children: dict[int, set[int]] = {}
-        cross = [
-            (f, source, target)
-            for f, (source, target) in enumerate(zip(sources, self.target))
-            if self.tk_of[source] != self.tk_of[target]
-        ]
-        # each child's exit: (the parent node it resumes, the phase it needs)
-        exit_of_child: dict[int, tuple[int, Optional[Phase]]] = {}
-        for f, source, target in cross:
-            target_slug = self.meta[target].slug
-            if self.meta[source].slug == "accept":
-                # exits into a rap/rae join are unguarded; the join's own
-                # outgoing flow carries the guard
-                gate = _EXIT_GATE[target_slug] if target_slug in ("execute", "declare") else None
-                exit_of_child[self.tk_of[source]] = (target, gate)
-                if gate is not None:
-                    self.splices[f] = ((self.tk_of[target], gate), None)
-            elif target_slug not in ("request", "entry"):
-                raise SimulationError(f"unrecognized cross-transaction flow {self.flows[f].id}")
-
-        for node, meta in enumerate(self.meta):
-            if meta.slug in ("rap", "rae") and meta.ordinal == 2:
-                for f in self._out(node):
-                    self.splices[f] = ((self.tk_of[node], _EXIT_GATE[meta.slug]), None)
-
-        for f, source, target in cross:
-            source_slug = self.meta[source].slug
-            if source_slug == "accept":
+        self.reposition_splits: set[int] = set()
+        spawns, reposition = [], set()
+        for f, label in [(f, flow.label) for f, flow in enumerate(self.flows) if flow.label]:
+            if label == "spawn":
+                spawns.append(f)
+                self.direct_children.setdefault(tk_of[sources[f]], set()).add(tk_of[target[f]])
+            elif label == "reposition":
+                reposition.add(f)
+                self.reposition_splits.add(sources[f])
+            elif label.startswith("phase:"):
+                if label[6:] not in _GUARD_PHASES:
+                    raise SimulationError(f"unknown guard {label} on {self.flows[f].id}")
+                self.guards[f] = (tk_of[target[f]], _GUARD_PHASES[label[6:]], None)
+        exit_of: dict[int, int] = {}  # a spawned child's one exit into its parent
+        for f in [f for f, (s, t) in enumerate(zip(sources, target)) if tk_of[s] != tk_of[t]]:
+            if self.flows[f].label == "spawn":
                 continue
-            child = self.tk_of[target]
-            self.direct_children.setdefault(self.tk_of[source], set()).add(child)
-            teleport: Optional[tuple[int, Optional[Phase]]]
-            if source_slug == "rad":
-                teleport = None  # asynchronous child: a stale re-entry just vanishes
-            elif source_slug in ("rap", "rae"):
-                join = index.get(f"{self.ids[source]}_2")
-                if join is None:
-                    raise SimulationError(f"splice join {self.ids[source]}_2 missing")
-                teleport = (join, None)
-            else:
-                teleport = exit_of_child.get(child)
-                if teleport is None or teleport[1] is None:
-                    raise SimulationError(f"child {self.tks[child]} has no guarded splice exit")
-            guard, _entry = self.splices.get(f, (None, None))
-            self.splices[f] = (guard, (child, teleport))
+            child = tk_of[sources[f]]
+            if child in exit_of or child not in self.direct_children.get(tk_of[target[f]], ()):
+                raise SimulationError(f"unrecognized cross-transaction flow {self.flows[f].id}")
+            exit_of[child] = f
+        for f in spawns:
+            child, siblings = tk_of[target[f]], self._out(sources[f])
+            # a child without an exit must leave its parent a token of its own
+            if child not in exit_of and all(self.flows[g].label == "spawn" for g in siblings):
+                raise SimulationError(f"child {self.tks[child]} has no guarded splice exit")
+            self.guards[f] = (child, None, exit_of.get(child))
+        # the zone: all that a trigger gateway reaches short of a reposition flow
+        gates = {gate for _, _, gate in self.triggers}
+        successor = list(target)
+        for f in reposition:
+            successor[f] = None  # a reposition flow leaves the zone
+        self.zone, frontier = {None, *gates}, list(gates)
+        while frontier:
+            node = frontier.pop()
+            for after in successor[first_out[node]:first_out[node + 1]]:
+                if after not in self.zone:
+                    self.zone.add(after)
+                    frontier.append(after)
+        self.zone.discard(None)
+        stray = self.zone.intersection(self.compensates.values())
+        if stray:  # e.g. a model written without its reposition guards
+            task = self.ids[min(stray)]
+            raise SimulationError(f"revocation zone reaches {task}: missing reposition guard")
+        # a node freezes while its transaction holds a lock; the zone and the
+        # gateways arming it do not, so a late-spawning executor instance can
+        # still join the protocol
+        self.unlockable = self.zone | {
+            source for source, node in zip(sources, target)
+            if node in gates and self.kinds[source] is _PAR
+        }
 
     # -- interning ----------------------------------------------------------
 
@@ -543,7 +529,7 @@ class _Simulation:
                 out.append((_DELIVER, source, target))
 
         for trigger, tk, gate in self.triggers:
-            if gate is None or gate not in tokens:
+            if gate not in tokens:
                 continue
             code = shadows[tk]
             if statuses[code].lock is None and self._allows(code, trigger):
@@ -683,7 +669,7 @@ class _Simulation:
         working.shadows[tk] = self._statuses.code(replace(status, lock=("pending",)))
         self._place_all(working, trigger)
 
-    # -- placement with splice guards --------------------------------------
+    # -- placement under flow guards --------------------------------------
 
     def _place_all(self, working: _Working, node: int) -> None:
         for f in self._out(node):
@@ -693,26 +679,18 @@ class _Simulation:
         return self.statuses[working.shadows[tk]].run.state.phase
 
     def _place(self, working: _Working, f: int) -> None:
-        target = self.target[f]
-        splice = self.splices.get(f)
-        if splice is None:
-            working.add_token(target)
-            return
-        guard, entry = splice
+        guard = self.guards.get(f)
         if guard is not None:
-            parent_tk, phase = guard
-            if self._phase(working, parent_tk) is not phase:
-                return  # stale resumption after a rollback or reposition
-        if entry is not None:
-            child, teleport = entry
-            if self._child_fresh(working, child):
-                working.add_token(target)
-            elif teleport is not None:
-                node, gate_phase = teleport
-                if gate_phase is None or self._phase(working, self.tk_of[node]) is gate_phase:
-                    working.add_token(node)
-            return
-        working.add_token(target)
+            tk, phase, exit_flow = guard
+            if phase is not None:
+                if self._phase(working, tk) is not phase:
+                    return  # stale resumption after a rollback or reposition
+            elif not self._child_fresh(working, tk):
+                # the child already started: resume past it, if it resumes
+                if exit_flow is not None:
+                    self._place(working, exit_flow)
+                return
+        working.add_token(self.target[f])
 
     def _child_fresh(self, working: _Working, child: int) -> bool:
         if working.spawned >> child & 1:
@@ -734,7 +712,7 @@ class _Simulation:
         # pool's normal tokens for the transaction, plus any not-yet-started
         # child entry left over from the cancelled attempt
         for node in self.tk_nodes[tk]:
-            if self.pool_of[node] == pool and node not in self.rev_zone:
+            if self.pool_of[node] == pool and node not in self.zone:
                 working.tokens.pop(node, None)
         for child in self.direct_children.get(tk, ()):
             if not working.spawned >> child & 1 and self._phase(working, child) is _INITIAL:
@@ -746,7 +724,7 @@ class _Simulation:
                 continue
             targets = self.msg_out.get(source, ())
             if targets and all(
-                target is not None and self.pool_of[target] == pool and target not in self.rev_zone
+                target is not None and self.pool_of[target] == pool and target not in self.zone
                 for target in targets
             ):
                 working.in_flight &= ~(1 << source)
@@ -953,9 +931,10 @@ def check_network_conformance(
     bounds: Bounds = Bounds(),
     max_states: int = 1_000_000,
 ) -> ConformanceReport:
-    """Compile ``net`` at ``level`` and check it against the matching language."""
-    from .compiler import compile_network, LEVEL_ALPHABETS
+    """Compile ``net`` at ``level`` (or its value) and check it against its language."""
+    from .compiler import DetailLevel, compile_network, LEVEL_ALPHABETS
 
+    level = DetailLevel(level)
     model = compile_network(net, level)
     return check_conformance(model, LEVEL_ALPHABETS[level], bounds, max_states)
 
@@ -1030,26 +1009,27 @@ def check_compensation_order(trace: SimTrace) -> list[str]:
                 else:
                     chain.popleft()
                 continue
-            if event.act is Act.ALLOW:
-                if state.pending is None:
-                    violations.append(f"{tk}: Allow without a pending revocation")
-                    continue
-                if chain is None:
-                    try:
-                        chain = deque(rollback_chain(state, state.pending[0]))
-                    except RevocationError:
-                        chain = deque()
-                state = apply_act(state, Act.ALLOW, event.role)
+            allow = event.act is Act.ALLOW
+            if not allow:
+                if chain:
+                    violations.append(
+                        f"{tk}: {event.act.value} happened before the rollback finished"
+                    )
+                chain = None
+            elif state.pending is None:
+                violations.append(f"{tk}: Allow without a pending revocation")
                 continue
-            if chain:
-                violations.append(
-                    f"{tk}: {event.act.value} happened before the rollback finished"
-                )
-            chain = None
             try:
-                state = apply_act(state, event.act, event.role)
+                after = apply_act(state, event.act, event.role)
             except (ActNotEnabled, RevocationError) as exc:
                 violations.append(f"{tk}: {event.act.value} not enabled ({exc})")
+                continue
+            if allow and chain is None:
+                try:
+                    chain = deque(rollback_chain(state, state.pending[0]))
+                except RevocationError:
+                    chain = deque()
+            state = after
         if chain:
             violations.append(f"{tk}: rollback chain left unfinished")
     return violations

@@ -146,6 +146,47 @@ def test_compile_is_deterministic(poc1_net):
     assert first == second
 
 
+def test_level_may_be_given_by_value(poc1_net):
+    assert compile_network(poc1_net, "happy") == compile_network(poc1_net, DetailLevel.HAPPY_FLOW)
+
+
+def test_unknown_level_is_rejected_before_compiling(poc1_net, monkeypatch):
+    def never(*args):
+        raise AssertionError("compilation started")
+
+    monkeypatch.setattr("demoflow.compiler.validate_network", never)
+    with pytest.raises(ValueError, match="bogus"):
+        compile_network(poc1_net, "bogus")
+
+
+def test_splice_and_reposition_guards(poc2_net):
+    # poc2: TK01 -RaP-> TK02 -RaE-> TK03 -RaP-> {TK04, TK05}, TK01 -RaE-> TK06
+    model = compile_network(poc2_net, DetailLevel.COMPLETE)
+    flows = [f for pool in model.pools for f in pool.flows]
+    guarded = {}
+    for flow in flows:
+        guarded.setdefault(flow.label, []).append(flow)
+    assert sorted((f.source[:4], f.target[:4]) for f in guarded["spawn"]) == [
+        ("tk01", "tk02"), ("tk01", "tk06"), ("tk02", "tk03"), ("tk03", "tk04"), ("tk03", "tk05"),
+    ]
+    # single children resume the parent directly; TK03's two join first
+    assert sorted((f.source, f.target) for f in guarded["phase:promised"]) == [
+        ("tk02_i_accept_sendtask", "tk01_e_execute_task"),
+        ("tk03_e_rap_par_2", "tk03_e_execute_task"),
+    ]
+    assert sorted((f.source, f.target) for f in guarded["phase:executed"]) == [
+        ("tk03_i_accept_sendtask", "tk02_e_declare_sendtask"),
+        ("tk06_i_accept_sendtask", "tk01_e_declare_sendtask"),
+    ]
+    # three reposition splits per role and transaction
+    assert len(guarded["reposition"]) == 6 * 6
+    assert all(
+        f.source.split("_")[2].startswith("revoke") for f in guarded["reposition"]
+    )
+    happy = compile_network(poc2_net, DetailLevel.HAPPY_FLOW)
+    assert not any(f.label == "reposition" for pool in happy.pools for f in pool.flows)
+
+
 def test_compile_rejects_invalid_network():
     cyclic = load_network(FIXTURES / "cyclic.json")
     with pytest.raises(CompileError, match="CycleDetected"):

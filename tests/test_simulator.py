@@ -10,6 +10,7 @@ import pytest
 
 from demoflow.compiler import DetailLevel, LEVEL_ALPHABETS, compile_network
 from demoflow.engine import Act, Bounds, Phase, Role, enumerate_language
+from demoflow.model import SequenceFlow, parse_node_id
 from demoflow.network import (
     Actor,
     Dependency,
@@ -27,6 +28,7 @@ from demoflow.simulator import (
     Verdict,
     _Simulation,
     _TRIGGER,
+    _Working,
     check_compensation_order,
     check_composition,
     check_conformance,
@@ -72,6 +74,19 @@ def test_network_conformance_wrapper(solo_net):
     report = check_network_conformance(solo_net, DetailLevel.COMPLETE)
     assert report.verdict is Verdict.CONFORMANT
     assert report.traces == 372
+
+
+def test_network_conformance_takes_a_level_value(solo_net, monkeypatch):
+    report = check_network_conformance(solo_net, "dissent")
+    assert report.verdict is Verdict.CONFORMANT
+    assert (report.traces, report.states) == SOLO_EXPECTED[DetailLevel.WITH_DISSENT]
+
+    def never(*args):
+        raise AssertionError("compilation started")
+
+    monkeypatch.setattr("demoflow.compiler.compile_network", never)
+    with pytest.raises(ValueError, match="bogus"):
+        check_network_conformance(solo_net, "bogus")
 
 
 def test_poc1_happy_network_is_conformant(poc1_net):
@@ -183,6 +198,20 @@ def test_compensation_order_reports_an_inverse_outside_a_revocation(solo_net):
     events = trace.events[:1] + (stray,) + trace.events[1:]
     violations = check_compensation_order(SimTrace(events, trace.outcomes))
     assert violations == ["tk01: inverse Request outside a revocation"]
+
+
+def test_compensation_order_reports_an_allow_by_the_wrong_role():
+    # the initiator decides on RevokePromise; an executor Allow is a violation
+    events = (
+        SimEvent("tk01", Act.REQUEST, Role.INITIATOR),
+        SimEvent("tk01", Act.PROMISE, Role.EXECUTOR),
+        SimEvent("tk01", Act.REVOKE_PROMISE, Role.EXECUTOR),
+        SimEvent("tk01", Act.ALLOW, Role.EXECUTOR),
+    )
+    violations = check_compensation_order(SimTrace(events, (("tk01", Phase.PROMISED),)))
+    assert violations == [
+        "tk01: Allow not enabled (executor does not decide on RevokePromise)"
+    ]
 
 
 def test_compensation_order_does_not_hide_programming_errors(solo_net, monkeypatch):
@@ -490,3 +519,161 @@ def test_poc1_complete_walks_are_pinned(poc1_net):
     lines = [trace.to_json() for trace in simulate_random(model, seed=7, runs=20)]
     payload = "".join(line + "\n" for line in lines).encode("utf-8")
     assert hashlib.sha256(payload).hexdigest() == POC1_COMPLETE_WALKS_SHA256
+
+
+# SHA-256 of the JSON lines of 200 seeded walks (seed 13) over poc2 at
+# complete, which reach its two-child RaP join and both RaE splices
+POC2_COMPLETE_WALKS_SHA256 = "7f490565c04002dbdea818f5912b396321dcca6721c4da57908fdac8128683e5"
+
+# the same for 50 walks (seed 7) over a fan of two RaD children
+FAN2_RAD_WALKS_SHA256 = {
+    DetailLevel.WITH_DISSENT: "2c3449cc9c34e3578745097c329cb2a3bdd6c17e8f1b996a07bf16e8befbf17f",
+    DetailLevel.COMPLETE: "f005040398f072508a87567e88b55ecf3baa17caed19bc6df899c08d2be04d05",
+}
+
+
+def _walks_sha256(model, seed: int, runs: int) -> str:
+    lines = [trace.to_json() for trace in simulate_random(model, seed=seed, runs=runs)]
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8")).hexdigest()
+
+
+def test_poc2_complete_walks_are_pinned(poc2_net):
+    model = compile_network(poc2_net, DetailLevel.COMPLETE)
+    assert _walks_sha256(model, seed=13, runs=200) == POC2_COMPLETE_WALKS_SHA256
+
+
+@pytest.mark.parametrize("level", list(FAN2_RAD_WALKS_SHA256), ids=lambda level: level.value)
+def test_rad_fan_walks_are_pinned(level):
+    model = compile_network(_fan_net(DependencyKind.RAD, 2), level)
+    assert _walks_sha256(model, seed=7, runs=50) == FAN2_RAD_WALKS_SHA256[level]
+
+
+# ---------------------------------------------------------------------------
+# Control comes from the flow guards, not from the plumbing words in node ids
+# ---------------------------------------------------------------------------
+
+
+def _renamed_plumbing(model):
+    """The model with every slug that names no act prefixed by ``z``, in all
+    node ids and every reference to them."""
+
+    def rename(node_id):
+        meta = parse_node_id(node_id) if node_id else None
+        if meta is None or meta.act is not None:
+            return node_id
+        parts = node_id.split("_")
+        parts[2] = "z" + parts[2]
+        return "_".join(parts)
+
+    mutant = copy.deepcopy(model)
+    for pool in mutant.pools:
+        for node in pool.nodes:
+            node.id = rename(node.id)
+            node.attached_to = rename(node.attached_to)
+            node.compensates = rename(node.compensates)
+        for link in pool.flows + pool.associations:
+            link.source, link.target = rename(link.source), rename(link.target)
+    for link in mutant.message_flows:
+        link.source, link.target = rename(link.source), rename(link.target)
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "net,level",
+    [(None, DetailLevel.COMPLETE)]
+    + [
+        (shape(kind, 2), DetailLevel.HAPPY_FLOW)
+        for shape in (_chain_net, _fan_net)
+        for kind in DependencyKind
+    ],
+    ids=["solo-complete"] + [f"{shape}2-{kind.value}" for shape in ("chain", "fan") for kind in DependencyKind],
+)
+def test_exploration_ignores_plumbing_slugs(solo_net, net, level):
+    model = compile_network(net or solo_net, level)
+    renamed = _renamed_plumbing(model)
+    assert {n.id for n in renamed.all_nodes()} != {n.id for n in model.all_nodes()}
+    expected = simulate_exhaustive(model)
+    result = simulate_exhaustive(renamed)
+    assert result.states == expected.states
+    assert result.traces == expected.traces
+
+
+def _chain2_rap(level=DetailLevel.HAPPY_FLOW):
+    return compile_network(_chain_net(DependencyKind.RAP, 2), level)
+
+
+def test_unguarded_splice_entry_is_rejected():
+    model = _without_guards(_chain2_rap(), "spawn")
+    with pytest.raises(SimulationError, match="unrecognized cross-transaction flow"):
+        simulate_exhaustive(model)
+
+
+def test_second_exit_of_a_child_is_rejected():
+    model = _chain2_rap()
+    pool = next(p for p in model.pools if any(n.id == "tk02_i_request_sendtask" for n in p.nodes))
+    pool.flows.append(SequenceFlow("sf_back", "tk02_i_request_sendtask", "tk01_e_declare_sendtask"))
+    with pytest.raises(SimulationError, match="unrecognized cross-transaction flow sf_back"):
+        simulate_exhaustive(model)
+
+
+def test_child_without_exit_from_a_sole_entry_is_rejected():
+    model = _chain2_rap()
+    for pool in model.pools:
+        pool.flows = [f for f in pool.flows if f.source != "tk02_i_accept_sendtask"]
+    with pytest.raises(SimulationError, match="child tk02 has no guarded splice exit"):
+        simulate_exhaustive(model)
+
+
+def test_unknown_phase_guard_is_rejected():
+    model = _chain2_rap()
+    (exit_flow,) = [f for p in model.pools for f in p.flows if f.label.startswith("phase:")]
+    exit_flow.label = "phase:hurried"
+    with pytest.raises(SimulationError, match="unknown guard phase:hurried"):
+        simulate_exhaustive(model)
+
+
+def _state_where(sim, done):
+    """The first state on the walk that always takes the first step where
+    ``done(sim, state)`` holds."""
+    state = sim.initial()
+    while not done(sim, state):
+        state, _ = sim.apply(state, sim.steps(state)[0])
+    return state
+
+
+def _phase_of(sim, state, tk: str) -> Phase:
+    return sim.statuses[state.shadows[sim.tks.index(tk)]].run.state.phase
+
+
+def test_spawn_and_phase_guards_steer_a_re_entry():
+    sim = _Simulation(_chain2_rap(), Bounds())
+    (entry,) = [f for f, flow in enumerate(sim.flows) if flow.label == "spawn"]
+    (exit_flow,) = [f for f, flow in enumerate(sim.flows) if flow.label == "phase:promised"]
+    resume = sim.target[exit_flow]
+    assert sim.ids[resume] == "tk01_e_execute_task"
+
+    fresh = _Working(sim.initial(), sim.ids)
+    sim._place(fresh, entry)  # a child that has not started is entered
+    assert sim.target[entry] in fresh.tokens and resume not in fresh.tokens
+
+    started = _state_where(sim, lambda sim, s: _phase_of(sim, s, "tk01") is Phase.PROMISED)
+    assert sim.target[entry] in dict(started.tokens)
+    again = _Working(started, sim.ids)
+    before = dict(again.tokens)
+    sim._place(again, entry)  # a started child is passed, back into its parent
+    assert again.tokens == {**before, resume: 1}
+
+    executed = _state_where(sim, lambda sim, s: _phase_of(sim, s, "tk01") is Phase.EXECUTED)
+    stale = _Working(executed, sim.ids)
+    before = dict(stale.tokens)
+    sim._place(stale, entry)  # the parent moved on: the resumption is stale
+    sim._place(stale, exit_flow)
+    assert stale.tokens == before
+
+
+def test_zone_without_reposition_guards_is_rejected(solo_net):
+    # a complete model written without its reposition guards would let the
+    # revocation zone swallow the normal flow
+    model = _without_guards(compile_network(solo_net, DetailLevel.COMPLETE), "reposition")
+    with pytest.raises(SimulationError, match="missing reposition guard"):
+        simulate_exhaustive(model)
