@@ -7,15 +7,19 @@ cross-pool message flows.  Node ids follow a fixed grammar,
     <tk>_<i|e>_<slug>_<kindtag>[_<ordinal>]
 
 e.g. ``tk01_i_request_sendtask`` or ``tk01_e_revokedeclare_throw_2``, where
-the slug is either one of the fourteen act slugs or a plumbing word
-(entry, response, repromise, ...).  parse_node_id recovers the transaction,
-role and act from an id, which is what lets the simulator and the coverage
-auditor treat generated and re-parsed models identically.  Control beyond
-the graph itself is carried by flow guards (see ``SequenceFlow``).
+the transaction has no underscore, the slug is either one of the fourteen
+act slugs or a plumbing word (entry, response, repromise, ...) and the ordinal
+is a decimal number.  ``NODE_ID`` is that grammar, compiled once: the
+simulator checks ids against it, and parse_node_id reads an id's fields
+through it, recovering the transaction, role and act.  That is what lets the
+simulator and the coverage auditor treat generated and re-parsed models
+identically.  Control beyond the graph itself is carried by flow guards (see
+``SequenceFlow``).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
@@ -74,24 +78,25 @@ class NodeMeta(NamedTuple):
         return ACT_SLUGS.get(self.slug)
 
 
+# The node-id grammar.  Its groups are the transaction, role tag, slug, kind
+# tag and ordinal.  A slug may hold any character, newlines included (DOTALL),
+# and underscores; an ordinal is decimal digits, so int() can read it.
+NODE_ID = re.compile(
+    r"([^_]*)_(" + "|".join(_ROLE_TAGS) + r")_(.*)_(" + "|".join(_KIND_TAGS) + r")(?:_(\d+))?",
+    re.DOTALL,
+)
+
+
 def parse_node_id(node_id: str) -> Optional[NodeMeta]:
-    """Recover (transaction, role, slug, kind) from a generated node id.
+    """Recover (transaction, role, slug, kind, ordinal) from a generated node id.
 
     Returns None for ids that do not follow the grammar (foreign models).
     """
-    parts = node_id.split("_")
-    if len(parts) < 4:
+    match = NODE_ID.fullmatch(node_id)
+    if match is None:
         return None
-    ordinal = 1
-    if parts[-1].isdigit():
-        ordinal = int(parts[-1])
-        parts = parts[:-1]
-    if len(parts) < 4:
-        return None
-    tk, role_tag, kind_tag = parts[0], parts[1], parts[-1]
-    slug = "_".join(parts[2:-1])
-    if role_tag not in _ROLE_TAGS or kind_tag not in _KIND_TAGS:
-        return None
+    tk, role_tag, slug, kind_tag, ordinal = match.groups()
+    ordinal = int(ordinal) if ordinal else 1
     return NodeMeta(tk, _ROLE_TAGS[role_tag], slug, _KIND_TAGS[kind_tag], ordinal)
 
 

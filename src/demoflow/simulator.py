@@ -26,6 +26,8 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate, compress, repeat
+from operator import attrgetter, ne
 from typing import Iterable, Optional
 
 from .engine import (
@@ -48,9 +50,9 @@ from .model import (
     ACT_SLUGS,
     BpmnModel,
     FlowNode,
+    NODE_ID,
     NodeKind,
     NodeMeta,
-    SequenceFlow,
     parse_node_id,
     slugify_tk,
 )
@@ -259,14 +261,13 @@ _INITIAL = Phase.INITIAL
 # steps sort as ("deliver" | "fire" | "trigger", node id, ...) tuples would.
 _DELIVER, _FIRE, _TRIGGER = 0, 1, 2
 
-# kinds fired by delivery or environment, or never; their need is more
-# tokens than a node ever holds
+# the need of nodes fired by delivery or environment, or never: more tokens
+# than a node ever holds
 _PASSIVE = 1 << 62
-_PASSIVE_KINDS = frozenset({
-    NodeKind.MESSAGE_CATCH, NodeKind.MESSAGE_START_EVENT,
-    NodeKind.EVENT_BASED_GATEWAY, NodeKind.COMPENSATION_BOUNDARY,
-    NodeKind.COMPENSATION_HANDLER,
-})
+
+# fields the build reads off every node and flow
+_ID, _KIND, _LABEL = attrgetter("id"), attrgetter("kind"), attrgetter("label")
+_SOURCE, _TARGET = attrgetter("source"), attrgetter("target")
 
 
 class _Simulation:
@@ -277,105 +278,122 @@ class _Simulation:
     arg)``: ``arg`` is a delivery's target node, or an exclusive gateway's
     branch in flow-id order.  Transaction statuses, emitted events and
     outcome tuples are interned to small ints; ``trace`` decodes them.
+
+    The build checks every node id against the id grammar (``NODE_ID``) and
+    reads only each node's transaction from it; every check that can reject
+    the model runs there.  Two things a short walk needs for few nodes are
+    derived on first use instead: a node's parsed id, which gives its role
+    and act (``_meta``), and an exclusive gateway's branch order
+    (``_branches``).
     """
 
     def __init__(self, model: BpmnModel, bounds: Bounds):
         # Per-node and per-flow data are flat lists: a container per node or
         # flow would live as long as the simulation and make the cyclic
         # garbage collector, which runs during short random walks, slower.
+        # A random walk builds a simulation for a few dozen steps, so the
+        # passes over all nodes and flows run in C (map, zip, compress)
+        # wherever they can.
         self.bounds = bounds
-        ids: list[str] = []
         nodes: list[FlowNode] = []
-        metas: list[NodeMeta] = []
         pools: list[str] = []
         for pool in model.pools:
-            for node in pool.nodes:
-                meta = parse_node_id(node.id)
-                if meta is None:
-                    raise SimulationError(
-                        f"node {node.id} does not follow the generated-id grammar; "
-                        "only generated models can be simulated"
-                    )
-                ids.append(node.id)
-                nodes.append(node)
-                metas.append(meta)
-                pools.append(pool.id)
+            nodes += pool.nodes
+            pools += [pool.id] * len(pool.nodes)
+        ids = list(map(_ID, nodes))
+        if not all(map(NODE_ID.fullmatch, ids)):
+            stray = next(node_id for node_id in ids if not NODE_ID.fullmatch(node_id))
+            raise SimulationError(
+                f"node {stray} does not follow the generated-id grammar; "
+                "only generated models can be simulated"
+            )
         order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.ids = [ids[k] for k in order]
-        index = {node_id: i for i, node_id in enumerate(self.ids)}
-        if len(index) < len(self.ids):
-            duplicate = next(a for a, b in zip(self.ids, self.ids[1:]) if a == b)
+        self.ids = ids = list(map(ids.__getitem__, order))
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids):
+            duplicate = next(a for a, b in zip(ids, ids[1:]) if a == b)
             raise SimulationError(f"duplicate node id {duplicate}")
-        nodes = [nodes[k] for k in order]
-        self.meta = [metas[k] for k in order]
-        self.pool_of = [pools[k] for k in order]
-        self.kinds = kinds = [node.kind for node in nodes]
-        tks = [meta.tk for meta in self.meta]
-        self.tks = sorted(set(tks))
-        tk_index = {tk: t for t, tk in enumerate(self.tks)}
-        self.tk_of = [tk_index[tk] for tk in tks]
-        self.tk_nodes: list[list[int]] = [[] for _ in self.tks]
-        for node, tk in enumerate(self.tk_of):
-            self.tk_nodes[tk].append(node)
+        self.pool_of = list(map(pools.__getitem__, order))
+        self.kinds = kinds = list(map(_KIND, map(nodes.__getitem__, order)))
+        self.meta: list[Optional[NodeMeta]] = [None] * len(ids)
+        # A transaction's ids are those from "<tk>_" up to "<tk>`" ("`" is
+        # the character after "_"), so in id order its nodes are one range.
+        blocks: dict[str, range] = {}
+        start = 0
+        while start < len(ids):
+            tk = ids[start][: ids[start].index("_")]
+            end = bisect_left(ids, tk + "`", start)
+            blocks[tk] = range(start, end)
+            start = end
+        self.tks = sorted(blocks)
+        self.tk_nodes = [blocks[tk] for tk in self.tks]
+        self.tk_of = tk_of = [0] * len(ids)
+        for tk, members in enumerate(self.tk_nodes):
+            tk_of[members.start:members.stop] = [tk] * len(members)
 
         # sequence flows, numbered by source node and in model order within
         # it: node n's outgoing flows are first_out[n] .. first_out[n + 1] - 1
-        unsorted: list[SequenceFlow] = []
-        sources: list[int] = []
-        targets: list[int] = []
-        for pool in model.pools:
-            for flow in pool.flows:
-                source, target = index.get(flow.source), index.get(flow.target)
-                if source is None or target is None:
-                    raise SimulationError(f"sequence flow {flow.id} joins an unknown node")
-                unsorted.append(flow)
-                sources.append(source)
-                targets.append(target)
-        by_source = sorted(range(len(unsorted)), key=sources.__getitem__)
-        self.flows = [unsorted[k] for k in by_source]
-        self.target = [targets[k] for k in by_source]
-        sources = [sources[k] for k in by_source]
-        self.first_out = [bisect_left(sources, node) for node in range(len(self.ids) + 1)]
-        indeg = Counter(targets)
+        flows = [flow for pool in model.pools for flow in pool.flows]
+        try:
+            sources = list(map(index.__getitem__, map(_SOURCE, flows)))
+            by_source = sorted(range(len(flows)), key=sources.__getitem__)
+            self.flows = list(map(flows.__getitem__, by_source))
+            self.target = target = list(map(index.__getitem__, map(_TARGET, self.flows)))
+        except KeyError:
+            stray = next(f for f in flows if f.source not in index or f.target not in index)
+            raise SimulationError(f"sequence flow {stray.id} joins an unknown node") from None
+        out_degree = Counter(sources)
+        sources = list(map(sources.__getitem__, by_source))
+        self.first_out = first_out = list(
+            accumulate(map(out_degree.get, range(len(ids)), repeat(0)), initial=0)
+        )
         # message targets by source; None marks a target outside the model
+        msg_sources = map(index.get, map(_SOURCE, model.message_flows))
+        msg_targets = list(map(index.get, map(_TARGET, model.message_flows)))
+        msg_in = set(msg_targets)
         self.msg_out: dict[int, list[Optional[int]]] = {}
-        msg_in: set[int] = set()
-        for mf in model.message_flows:
-            source, target = index.get(mf.source), index.get(mf.target)
+        for source, msg_target in zip(msg_sources, msg_targets):
             if source is not None:
-                self.msg_out.setdefault(source, []).append(target)
-            if target is not None:
-                msg_in.add(target)
+                self.msg_out.setdefault(source, []).append(msg_target)
 
-        self.need = [  # tokens one firing consumes; passive nodes never fire on tokens
-            _PASSIVE if kind in _PASSIVE_KINDS
-            else max(1, indeg[i]) if kind is _PAR
-            else 1
-            for i, kind in enumerate(kinds)
-        ]
-        self.starts = [i for i, kind in enumerate(kinds) if kind is _START]
-        self.ebg_pred: dict[int, int] = {
-            self.target[f]: i
-            for i, kind in enumerate(kinds) if kind is _EBG
-            for f in self._out(i)
-        }
-        self.compensates: dict[int, Optional[int]] = {
-            i: index.get(nodes[i].compensates)
-            for i, kind in enumerate(kinds) if kind is _THROW
-        }
+        # one pass over the kinds, the most common first; need is the tokens
+        # one firing consumes
+        self.need = need = [1] * len(ids)
+        self.starts: list[int] = []
+        self.ebg_pred: dict[int, int] = {}
+        self.compensates: dict[int, Optional[int]] = {}
+        self.branches: dict[int, list[int]] = {}  # filled by _branches
+        catches, pars, indeg = [], [], Counter(target)
+        for node, kind in enumerate(kinds):
+            if kind is _CATCH:
+                need[node] = _PASSIVE
+                catches.append(node)
+            elif (
+                kind is _SEND_TASK or kind is _XOR or kind is _END
+                or kind is _TERMINATE or kind is _TASK
+            ):
+                continue
+            elif kind is _THROW:
+                self.compensates[node] = index.get(nodes[order[node]].compensates)
+            elif kind is _EBG:
+                need[node] = _PASSIVE
+                for after in target[first_out[node]:first_out[node + 1]]:
+                    self.ebg_pred[after] = node
+            elif kind is _PAR:
+                need[node] = max(1, indeg[node])
+                pars.append(node)
+            elif kind is _START:
+                self.starts.append(node)
+            else:
+                need[node] = _PASSIVE
         # environment triggers, in id order: (message catch that no message
         # reaches, its transaction, the revocation zone's gateway before it)
         self.triggers = [
-            (i, self.tk_of[i], self.ebg_pred[i])
-            for i, kind in enumerate(kinds)
-            if kind is _CATCH and i not in msg_in and i in self.ebg_pred
+            (node, tk_of[node], self.ebg_pred[node])
+            for node in catches
+            if node not in msg_in and node in self.ebg_pred
         ]
-        # an exclusive gateway's outgoing flows in flow-id order
-        self.branches: dict[int, list[int]] = {
-            i: sorted(self._out(i), key=lambda f: self.flows[f].id)
-            for i, kind in enumerate(kinds) if kind is _XOR
-        }
-        self._read_guards(sources)
+        self._read_guards(sources, pars)
 
         self._statuses = _Interner()
         self._statuses.code(TkStatus())  # code 0, every transaction's start
@@ -393,16 +411,18 @@ class _Simulation:
     def _out(self, node: int) -> range:
         return range(self.first_out[node], self.first_out[node + 1])
 
-    def _read_guards(self, sources: list[int]) -> None:
+    def _read_guards(self, sources: list[int], pars: list[int]) -> None:
         """Splice and revocation-zone control, read from the flow guards:
         ``guards`` maps a ``phase:`` flow to ``(its target's transaction,
         phase, None)`` and a ``spawn`` flow to ``(child, None, its exit)``."""
-        tk_of, target, first_out = self.tk_of, self.target, self.first_out
+        tk_of, target, first_out, flows = self.tk_of, self.target, self.first_out, self.flows
+        labels = list(map(_LABEL, flows))
         self.guards: dict[int, tuple[int, Optional[Phase], Optional[int]]] = {}
         self.direct_children: dict[int, set[int]] = {}
         self.reposition_splits: set[int] = set()
         spawns, reposition = [], set()
-        for f, label in [(f, flow.label) for f, flow in enumerate(self.flows) if flow.label]:
+        for f in compress(range(len(flows)), labels):
+            label = labels[f]
             if label == "spawn":
                 spawns.append(f)
                 self.direct_children.setdefault(tk_of[sources[f]], set()).add(tk_of[target[f]])
@@ -411,20 +431,21 @@ class _Simulation:
                 self.reposition_splits.add(sources[f])
             elif label.startswith("phase:"):
                 if label[6:] not in _GUARD_PHASES:
-                    raise SimulationError(f"unknown guard {label} on {self.flows[f].id}")
+                    raise SimulationError(f"unknown guard {label} on {flows[f].id}")
                 self.guards[f] = (tk_of[target[f]], _GUARD_PHASES[label[6:]], None)
         exit_of: dict[int, int] = {}  # a spawned child's one exit into its parent
-        for f in [f for f, (s, t) in enumerate(zip(sources, target)) if tk_of[s] != tk_of[t]]:
-            if self.flows[f].label == "spawn":
+        crossing = map(ne, map(tk_of.__getitem__, sources), map(tk_of.__getitem__, target))
+        for f in compress(range(len(flows)), crossing):
+            if labels[f] == "spawn":
                 continue
             child = tk_of[sources[f]]
             if child in exit_of or child not in self.direct_children.get(tk_of[target[f]], ()):
-                raise SimulationError(f"unrecognized cross-transaction flow {self.flows[f].id}")
+                raise SimulationError(f"unrecognized cross-transaction flow {flows[f].id}")
             exit_of[child] = f
         for f in spawns:
             child, siblings = tk_of[target[f]], self._out(sources[f])
             # a child without an exit must leave its parent a token of its own
-            if child not in exit_of and all(self.flows[g].label == "spawn" for g in siblings):
+            if child not in exit_of and all(labels[g] == "spawn" for g in siblings):
                 raise SimulationError(f"child {self.tks[child]} has no guarded splice exit")
             self.guards[f] = (child, None, exit_of.get(child))
         # the zone: all that a trigger gateway reaches short of a reposition flow
@@ -448,9 +469,15 @@ class _Simulation:
         # gateways arming it do not, so a late-spawning executor instance can
         # still join the protocol
         self.unlockable = self.zone | {
-            source for source, node in zip(sources, target)
-            if node in gates and self.kinds[source] is _PAR
+            par for par in pars if not gates.isdisjoint(target[first_out[par]:first_out[par + 1]])
         }
+
+    def _meta(self, node: int) -> NodeMeta:
+        """The node's parsed id, parsed on first use."""
+        meta = self.meta[node]
+        if meta is None:
+            meta = self.meta[node] = parse_node_id(self.ids[node])
+        return meta
 
     # -- interning ----------------------------------------------------------
 
@@ -458,7 +485,7 @@ class _Simulation:
         """The code of the node's act event, or of its compensation."""
         code = self._node_events.get((node, inverse))
         if code is None:
-            meta = self.meta[node]
+            meta = self._meta(node)
             code = self._events.code(SimEvent(meta.tk, meta.act, meta.role, inverse))
             self._node_events[(node, inverse)] = code
         return code
@@ -502,12 +529,11 @@ class _Simulation:
                 continue
             if self._frozen(node, shadows):
                 continue
-            branches = self.branches.get(node)
-            if branches is None:
+            if self.kinds[node] is not _XOR:
                 out.append((_FIRE, node, 0))
                 continue
             code = shadows[self.tk_of[node]]
-            for branch, f in enumerate(branches):
+            for branch, f in enumerate(self._branches(node)):
                 if self._branch_allowed(f, code):
                     out.append((_FIRE, node, branch))
 
@@ -538,6 +564,15 @@ class _Simulation:
         out.sort()
         return out
 
+    def _branches(self, node: int) -> list[int]:
+        """An exclusive gateway's outgoing flows in flow-id order, sorted on
+        first use."""
+        branches = self.branches.get(node)
+        if branches is None:
+            flows = self.flows
+            branches = self.branches[node] = sorted(self._out(node), key=lambda f: flows[f].id)
+        return branches
+
     def _branch_allowed(self, f: int, code: int) -> bool:
         label = self.flows[f].label
         if label == "rerequest" or label == "redeclare":
@@ -553,7 +588,7 @@ class _Simulation:
         key = (code, node)
         allowed = self._allowed.get(key)
         if allowed is None:
-            meta = self.meta[node]
+            meta = self._meta(node)
             allowed = self._allowed[key] = meta.act in bounded_acts(
                 self.statuses[code].run, meta.role, self.bounds
             )
@@ -588,7 +623,7 @@ class _Simulation:
 
     def _advance(self, code: int, node: int) -> tuple[int, Optional[int]]:
         """The status after the node's act, and the act's event code."""
-        meta = self.meta[node]
+        meta = self._meta(node)
         act = meta.act
         if act is None:
             return code, None
@@ -632,7 +667,7 @@ class _Simulation:
                 events.append(self._event_code(target, True))
             self._place_all(working, node)
         elif kind is _XOR:
-            self._place(working, self.branches[node][branch])
+            self._place(working, self._branches(node)[branch])
         elif kind is _PAR:
             if node in self.reposition_splits:
                 self._reposition(working, node)

@@ -239,6 +239,33 @@ def test_analyze_rejects_unknown_act(tmp_path, solo_file, capsys):
     assert "UnknownAnnotationKey" in capsys.readouterr().err
 
 
+def test_analyze_reads_a_non_decimal_ordinal_as_a_foreign_id(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but not to int(): such an id is outside
+    # the id grammar, like any foreign id
+    model_file = tmp_path / "poc1.bpmn"
+    main(["generate", str(FIXTURES / "poc1.json"), "--level", "happy", "--out", str(model_file)])
+    xml = model_file.read_text(encoding="utf-8")
+    reports = []
+    for new_id in ("tk01_i_request_sendtask_²", "Task_1"):
+        renamed = tmp_path / "renamed.bpmn"
+        renamed.write_text(xml.replace("tk01_i_request_sendtask", new_id), encoding="utf-8")
+        report = tmp_path / "report.csv"
+        code = main(
+            [
+                "analyze",
+                str(renamed),
+                "--network",
+                str(FIXTURES / "poc1.json"),
+                "--heuristic-names",
+                "--report",
+                str(report),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        reports.append(report.read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("flag", ["--mapping", "--annotations"])
 @pytest.mark.parametrize("document", ['{"a": 1}', "[1, 2]"])
 def test_analyze_rejects_a_document_that_is_not_a_list_of_objects(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demoflow.engine import Act, Role
 from demoflow.model import (
@@ -12,6 +13,7 @@ from demoflow.model import (
     FlowNode,
     MessageFlow,
     NodeKind,
+    NodeMeta,
     Pool,
     SLUG_FOR_ACT,
     SequenceFlow,
@@ -71,11 +73,65 @@ def test_parse_underscored_slug():
         "tk01_x_request_sendtask",  # unknown role tag
         "tk01_i_request_widget",  # unknown kind tag
         "tk01_i_request_7",  # ordinal strips the kind tag away
+        "tk01_i_request_task_²",  # a digit, but not a decimal one
         "",
     ],
 )
 def test_parse_rejects_non_grammar_ids(node_id):
     assert parse_node_id(node_id) is None
+
+
+def test_parse_reads_any_decimal_digits_as_the_ordinal():
+    meta = parse_node_id("tk01_i_request_task_٣")  # ARABIC-INDIC DIGIT THREE
+    assert meta is not None and meta.kind is NodeKind.TASK and meta.ordinal == 3
+
+
+_ROLES = {"i": Role.INITIATOR, "e": Role.EXECUTOR}
+_KINDS = {kind.value: kind for kind in NodeKind}
+
+
+def _split_parse(node_id: str):
+    """The node-id parser as a split on "_": the reference for parse_node_id.
+    It raises ValueError on a suffix that str.isdigit accepts and int() does
+    not, such as "²"."""
+    parts = node_id.split("_")
+    if len(parts) < 4:
+        return None
+    ordinal = 1
+    if parts[-1].isdigit():
+        ordinal = int(parts[-1])
+        parts = parts[:-1]
+    if len(parts) < 4:
+        return None
+    tk, role_tag, kind_tag = parts[0], parts[1], parts[-1]
+    slug = "_".join(parts[2:-1])
+    if role_tag not in _ROLES or kind_tag not in _KINDS:
+        return None
+    return NodeMeta(tk, _ROLES[role_tag], slug, _KINDS[kind_tag], ordinal)
+
+
+_ID_FRAGMENTS = ["_", "i", "e", "tk01", "2", "10", "²", "٣", "\n", ""] + list(_KINDS) + list(ACT_SLUGS)
+_piece = st.lists(st.sampled_from(_ID_FRAGMENTS), max_size=3).map("".join)
+# ids shaped like the grammar, with any field or suffix swapped for fragments,
+# and ids made of fragments alone
+_node_ids = st.builds(
+    "{}_{}_{}_{}{}".format,
+    _piece,
+    st.sampled_from(["i", "e"]) | _piece,
+    _piece,
+    st.sampled_from(list(_KINDS)) | _piece,
+    st.sampled_from(["", "_2", "_10", "_²", "_٣", "_\n"]) | _piece,
+) | st.lists(st.sampled_from(_ID_FRAGMENTS), max_size=12).map("".join)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_node_ids)
+def test_parse_matches_the_split_reference(node_id):
+    try:
+        expected = _split_parse(node_id)
+    except ValueError:
+        expected = None  # outside the grammar: the reference crashes on it
+    assert parse_node_id(node_id) == expected
 
 
 def test_every_act_slug_round_trips():

@@ -10,7 +10,7 @@ import pytest
 
 from demoflow.compiler import DetailLevel, LEVEL_ALPHABETS, compile_network
 from demoflow.engine import Act, Bounds, Phase, Role, enumerate_language
-from demoflow.model import SequenceFlow, parse_node_id
+from demoflow.model import FlowNode, NodeKind, SequenceFlow, parse_node_id
 from demoflow.network import (
     Actor,
     Dependency,
@@ -532,9 +532,13 @@ FAN2_RAD_WALKS_SHA256 = {
 }
 
 
-def _walks_sha256(model, seed: int, runs: int) -> str:
-    lines = [trace.to_json() for trace in simulate_random(model, seed=seed, runs=runs)]
+def _traces_sha256(traces) -> str:
+    lines = [trace.to_json() for trace in traces]
     return hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8")).hexdigest()
+
+
+def _walks_sha256(model, seed: int, runs: int) -> str:
+    return _traces_sha256(simulate_random(model, seed=seed, runs=runs))
 
 
 def test_poc2_complete_walks_are_pinned(poc2_net):
@@ -548,9 +552,64 @@ def test_rad_fan_walks_are_pinned(level):
     assert _walks_sha256(model, seed=7, runs=50) == FAN2_RAD_WALKS_SHA256[level]
 
 
+def _tree_net(edges) -> TransactionNetwork:
+    """TK01 and the children that ``edges`` adds as (parent, child, kind);
+    each child is initiated by its parent's executor."""
+    executor = {1: "A02"}
+    tks = [_tk(1, "A01", "A02")]
+    deps = []
+    for parent, child, kind in edges:
+        executor[child] = f"A{child + 1:02d}"
+        tks.append(_tk(child, executor[parent], executor[child]))
+        deps.append(Dependency(parent=f"TK{parent:02d}", child=f"TK{child:02d}", kind=kind))
+    actors = [_actor(i) for i in range(1, len(tks) + 2)]
+    return TransactionNetwork(tuple(actors), tuple(tks), tuple(deps))
+
+
+# six transactions, two levels deep, every dependency kind
+MIXED_TREE = _tree_net([
+    (1, 2, DependencyKind.RAP),
+    (1, 3, DependencyKind.RAE),
+    (1, 4, DependencyKind.RAD),
+    (2, 5, DependencyKind.RAD),
+    (3, 6, DependencyKind.RAP),
+])
+
+# SHA-256 of the JSON lines of 200 seeded walks (seed 5) over MIXED_TREE at complete
+MIXED_TREE_COMPLETE_WALKS_SHA256 = "56cfa9e3604e681f18bb2033536fdd2498dfe66d322672f66e38e932d0d75b41"
+
+
+def test_mixed_tree_complete_walks_are_pinned():
+    assert not validate_network(MIXED_TREE)
+    traces = simulate_random(compile_network(MIXED_TREE, DetailLevel.COMPLETE), seed=5, runs=200)
+    # the pin reaches past the root: some walks play three or more
+    # transactions, and every transaction is played by some walk
+    assert max(len({event.tk for event in trace.events}) for trace in traces) >= 3
+    assert {event.tk for trace in traces for event in trace.events} == {
+        f"tk{n:02d}" for n in range(1, 7)
+    }
+    assert _traces_sha256(traces) == MIXED_TREE_COMPLETE_WALKS_SHA256
+
+
 # ---------------------------------------------------------------------------
 # Control comes from the flow guards, not from the plumbing words in node ids
 # ---------------------------------------------------------------------------
+
+
+def _with_ids_renamed(model, rename):
+    """The model with ``rename`` applied to every node id and every
+    reference to one."""
+    mutant = copy.deepcopy(model)
+    for pool in mutant.pools:
+        for node in pool.nodes:
+            node.id = rename(node.id)
+            node.attached_to = rename(node.attached_to)
+            node.compensates = rename(node.compensates)
+        for link in pool.flows + pool.associations:
+            link.source, link.target = rename(link.source), rename(link.target)
+    for link in mutant.message_flows:
+        link.source, link.target = rename(link.source), rename(link.target)
+    return mutant
 
 
 def _renamed_plumbing(model):
@@ -565,17 +624,7 @@ def _renamed_plumbing(model):
         parts[2] = "z" + parts[2]
         return "_".join(parts)
 
-    mutant = copy.deepcopy(model)
-    for pool in mutant.pools:
-        for node in pool.nodes:
-            node.id = rename(node.id)
-            node.attached_to = rename(node.attached_to)
-            node.compensates = rename(node.compensates)
-        for link in pool.flows + pool.associations:
-            link.source, link.target = rename(link.source), rename(link.target)
-    for link in mutant.message_flows:
-        link.source, link.target = rename(link.source), rename(link.target)
-    return mutant
+    return _with_ids_renamed(model, rename)
 
 
 @pytest.mark.parametrize(
@@ -596,6 +645,73 @@ def test_exploration_ignores_plumbing_slugs(solo_net, net, level):
     result = simulate_exhaustive(renamed)
     assert result.states == expected.states
     assert result.traces == expected.traces
+
+
+# ---------------------------------------------------------------------------
+# Models the build rejects
+# ---------------------------------------------------------------------------
+
+
+def _renamed(model, old: str, new: str):
+    """The model with node ``old`` renamed ``new`` in every reference."""
+    return _with_ids_renamed(model, lambda node_id: new if node_id == old else node_id)
+
+
+def _with_copied_node(model, node_id: str):
+    mutant = copy.deepcopy(model)
+    pool = mutant.pools[-1]
+    (node,) = [n for p in mutant.pools for n in p.nodes if n.id == node_id]
+    pool.nodes.append(copy.copy(node))
+    return mutant
+
+
+def _with_dangling_flows(model):
+    # sf_x comes first in model order, sf_y from the node first by id
+    mutant = copy.deepcopy(model)
+    mutant.pools[0].flows.append(SequenceFlow("sf_x", "tk01_i_done_end", "tk99_i_nowhere_task"))
+    mutant.pools[1].flows.append(SequenceFlow("sf_y", "tk01_i_accept_sendtask", "tk99_i_none_task"))
+    return mutant
+
+
+def _two_foreign_nodes(model):
+    # the first foreign node in model order is named, not the first by id
+    first, second = [n.id for n in model.pools[0].nodes][1:3]
+    return _renamed(_renamed(model, first, "Task_2"), second, "Task_1")
+
+
+REJECTED_MODELS = {
+    "foreign-node": (
+        lambda m: _renamed(m, "tk01_i_request_sendtask", "Task_1"),
+        "node Task_1 does not follow the generated-id grammar; "
+        "only generated models can be simulated",
+    ),
+    "first-foreign-node": (
+        _two_foreign_nodes,
+        "node Task_2 does not follow the generated-id grammar",
+    ),
+    "non-decimal-ordinal": (
+        lambda m: _renamed(m, "tk01_i_request_sendtask", "tk01_i_request_sendtask_²"),
+        "node tk01_i_request_sendtask_² does not follow the generated-id grammar",
+    ),
+    "copied-node": (
+        lambda m: _with_copied_node(m, "tk01_i_declare_catch"),
+        "duplicate node id tk01_i_declare_catch",
+    ),
+    "flow-to-missing-node": (
+        _with_dangling_flows,
+        "sequence flow sf_x joins an unknown node",
+    ),
+}
+
+
+@pytest.mark.parametrize("simulate", [simulate_random, simulate_exhaustive])
+@pytest.mark.parametrize("case", list(REJECTED_MODELS))
+def test_build_rejects_the_model(poc1_net, case, simulate):
+    edit, message = REJECTED_MODELS[case]
+    model = edit(compile_network(poc1_net, DetailLevel.HAPPY_FLOW))
+    with pytest.raises(SimulationError) as excinfo:
+        simulate(model)
+    assert str(excinfo.value).startswith(message)
 
 
 def _chain2_rap(level=DetailLevel.HAPPY_FLOW):
