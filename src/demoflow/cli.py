@@ -36,9 +36,6 @@ from .simulator import (
 )
 from .xmlio import parse_model, serialize_model
 
-_LEVELS = {level.value: level for level in DetailLevel}
-
-
 def _fail(violations) -> bool:
     """Print violations to stderr; return True when any is an error."""
     failed = False
@@ -67,7 +64,7 @@ def cmd_generate(args) -> int:
     net = load_network(args.network)
     if _fail(validate_network(net)):
         return 1
-    model = compile_network(net, _LEVELS[args.level])
+    model = compile_network(net, args.level)
     Path(args.out).write_bytes(serialize_model(model, layout=args.layout_grid))
     return 0
 
@@ -103,7 +100,7 @@ def cmd_simulate(args) -> int:
     net = load_network(args.network)
     if _fail(validate_network(net)):
         return 1
-    model = compile_network(net, _LEVELS[args.level])
+    model = compile_network(net, args.level)
     if args.random:
         traces = simulate_random(model, _bounds(args), seed=args.seed, runs=args.runs)
         lines = [trace.to_json() for trace in traces]
@@ -129,7 +126,7 @@ def cmd_conformance(args) -> int:
     if _fail(validate_network(net)):
         return 1
     report = check_network_conformance(
-        net, _LEVELS[args.level], _bounds(args), max_states=args.max_states
+        net, args.level, _bounds(args), max_states=args.max_states
     )
     print(report.summary(), file=sys.stderr)
     return 0 if report.verdict is Verdict.CONFORMANT else 1

@@ -11,7 +11,11 @@ Three detail levels:
               counterparty revocation messages and environment triggers,
               allow/refuse decisions, compensation boundary events and
               handlers on the five core-act tasks, and inverse-order
-              compensation throws
+              compensation throws.  Both pools' zones are derived from the
+              engine's revocation tables: who revokes (REVOKER) and what
+              is presupposed (REVOCATION_TARGET), what is undone and by
+              whom (rollback_chain, PERFORMER), and where the transaction
+              lands (LANDING_PHASE)
 
 Transactions share pools by actor: a child transaction's initiator fragment
 is spliced into its parent's executor flow (after the promise for RaP, after
@@ -29,9 +33,17 @@ from typing import Optional
 from .engine import (
     Act,
     COMPLETE_ALPHABET,
+    CORE_ACTS,
     DISSENT_ALPHABET,
     HAPPY_ALPHABET,
+    LANDING_PHASE,
+    PERFORMER,
+    Phase,
+    REVOCATION_TARGET,
+    REVOKER,
     Role,
+    TransactionState,
+    rollback_chain,
 )
 from .model import (
     Association,
@@ -75,13 +87,14 @@ class CompileError(ValueError):
 
 INITIAL_GATEWAY_NAME = "INITIAL GATEWAY"
 
-# Which tasks the executor compensates when a revocation is allowed, in
-# rollback order (the initiator undoes its accept, and a revoked request last).
-_E_COMP_ACTS = {
-    Act.REVOKE_REQUEST: (Act.DECLARE, Act.EXECUTE, Act.PROMISE),
-    Act.REVOKE_ACCEPT: (),
-    Act.REVOKE_PROMISE: (Act.DECLARE, Act.EXECUTE, Act.PROMISE),
-    Act.REVOKE_DECLARE: (Act.DECLARE, Act.EXECUTE),
+# Every act performed: the state whose rollback chains the zone compensates.
+_FULLY_PERFORMED = TransactionState(Phase.ACCEPTED, CORE_ACTS)
+
+# The message repositioning the transaction, by the phase a revocation lands in.
+_REPOSITION_SLUG = {
+    Phase.REJECTED: "rereject",
+    Phase.DECLINED: "redecline",
+    Phase.PROMISED: "repromise",
 }
 
 _EPISODE_ORDER = (
@@ -101,7 +114,8 @@ class _Fragment:
     nodes: list[FlowNode] = field(default_factory=list)
     flows: list[SequenceFlow] = field(default_factory=list)
     associations: list[Association] = field(default_factory=list)
-    marks: dict[str, str] = field(default_factory=dict)
+    marks: dict[str | Phase, str] = field(default_factory=dict)
+    last: str = ""  # where the revocation episode being built has got to
     _counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @property
@@ -173,7 +187,7 @@ def _build_initiator(tk: Transaction, level: DetailLevel) -> _Fragment:
         done = frag.add("done", NodeKind.END_EVENT, name=f"{tk.name} done")
         for src, tgt in ((start, sreq), (sreq, cprom), (cprom, cdecl), (cdecl, sacc), (sacc, done)):
             frag.connect(src, tgt)
-        marks.update(accept=sacc, done=done, declare_catch=cdecl, entry=sreq)
+        marks.update(accept=sacc, done=done, entry=sreq)
         return frag
 
     response = frag.add("response", NodeKind.EVENT_BASED_GATEWAY)
@@ -211,108 +225,10 @@ def _build_initiator(tk: Transaction, level: DetailLevel) -> _Fragment:
     frag.connect(declined, sstop, label="stop")
     frag.connect(sstop, stopped)
 
-    marks.update(
-        accept=sacc, done=done, declare_catch=cdecl, retry=retry, declined=declined, entry=sreq
-    )
-    if level is DetailLevel.WITH_DISSENT:
-        return frag
-
-    _add_initiator_revocation_zone(frag, tk)
+    marks.update(accept=sacc, done=done, entry=sreq)
+    # where this side waits in each phase an allowed revocation lands in
+    marks.update({Phase.PROMISED: cdecl, Phase.REJECTED: retry, Phase.DECLINED: declined})
     return frag
-
-
-def _add_initiator_revocation_zone(frag: _Fragment, tk: Transaction) -> None:
-    marks = frag.marks
-    gateway = frag.add("entry", NodeKind.PARALLEL_GATEWAY, name=INITIAL_GATEWAY_NAME)
-    revgate = frag.add("revoke", NodeKind.EVENT_BASED_GATEWAY)
-    # re-route start -> request through the arming gateway
-    old_target = frag.disconnect(marks["start"])
-    frag.connect(marks["start"], gateway)
-    frag.connect(gateway, old_target)
-    frag.connect(gateway, revgate)
-    marks["entry"] = gateway
-    marks["revgate"] = revgate
-
-    frag.compensable(marks["request"], Act.REQUEST)
-    frag.compensable(marks["accept"], Act.ACCEPT)
-
-    for revocation in _EPISODE_ORDER:
-        slug = SLUG_FOR_ACT[revocation]
-        if revocation in (Act.REVOKE_REQUEST, Act.REVOKE_ACCEPT):
-            # this side triggers the revocation; the executor decides
-            trigger = frag.add(
-                slug, NodeKind.MESSAGE_CATCH, name=f"Consider {revocation.value} {tk.name}"
-            )
-            send = frag.add(slug, NodeKind.SEND_TASK, name=_send_name(revocation, tk))
-            await_gate = frag.add(slug, NodeKind.EVENT_BASED_GATEWAY)
-            callow = frag.add("allow", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.ALLOW, tk))
-            crefuse = frag.add("refuse", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.REFUSE, tk))
-            frag.connect(revgate, trigger)
-            frag.connect(trigger, send)
-            frag.connect(send, await_gate)
-            frag.connect(await_gate, callow)
-            frag.connect(await_gate, crefuse)
-            frag.connect(crefuse, revgate)
-            undo_accept = frag.add(
-                slug, NodeKind.COMPENSATION_THROW,
-                name=f"Compensate {Act.ACCEPT.value}", compensates=marks["accept"],
-            )
-            frag.connect(callow, undo_accept)
-            if revocation is Act.REVOKE_REQUEST:
-                ackgo = frag.add("ackgo", NodeKind.SEND_TASK, name=f"Start joint rollback {tk.name}")
-                ackdone = frag.add(
-                    "ackdone", NodeKind.MESSAGE_CATCH, name=f"Receive joint rollback {tk.name}"
-                )
-                undo_request = frag.add(
-                    slug, NodeKind.COMPENSATION_THROW,
-                    name=f"Compensate {Act.REQUEST.value}", compensates=marks["request"],
-                )
-                terminated = frag.add(
-                    "terminated", NodeKind.TERMINATE_END_EVENT, name=f"{tk.name} terminated"
-                )
-                frag.connect(undo_accept, ackgo)
-                frag.connect(ackgo, ackdone)
-                frag.connect(ackdone, undo_request)
-                frag.connect(undo_request, terminated)
-            else:
-                reposition_send = frag.add(
-                    "rereject", NodeKind.SEND_TASK, name=f"Reposition {tk.name}"
-                )
-                split = frag.add(slug, NodeKind.PARALLEL_GATEWAY)
-                frag.connect(undo_accept, reposition_send)
-                frag.connect(reposition_send, split)
-                frag.connect(split, revgate)
-                frag.connect(split, marks["retry"], label="reposition")
-        else:
-            # the executor triggered this revocation; this side decides
-            catch = frag.add(slug, NodeKind.MESSAGE_CATCH, name=_catch_name(revocation, tk))
-            decide = frag.add(slug, NodeKind.EXCLUSIVE_GATEWAY)
-            frag.connect(revgate, catch)
-            frag.connect(catch, decide)
-            target_slug = SLUG_FOR_ACT[
-                {Act.REVOKE_PROMISE: Act.PROMISE, Act.REVOKE_DECLARE: Act.DECLARE}[revocation]
-            ]
-            undo_accept = frag.add(
-                slug, NodeKind.COMPENSATION_THROW,
-                name=f"Compensate {Act.ACCEPT.value}", compensates=marks["accept"],
-            )
-            sallow = frag.add("allow", NodeKind.SEND_TASK, name=_send_name(Act.ALLOW, tk))
-            reposition_catch = frag.add(
-                "redecline" if revocation is Act.REVOKE_PROMISE else "repromise",
-                NodeKind.MESSAGE_CATCH,
-                name=f"Receive reposition {tk.name}",
-            )
-            split = frag.add(slug, NodeKind.PARALLEL_GATEWAY)
-            srefuse = frag.add("refuse", NodeKind.SEND_TASK, name=_send_name(Act.REFUSE, tk))
-            frag.connect(decide, undo_accept, label=f"performed:{target_slug}")
-            frag.connect(undo_accept, sallow)
-            frag.connect(sallow, reposition_catch)
-            frag.connect(reposition_catch, split)
-            frag.connect(split, revgate)
-            landing = marks["declined"] if revocation is Act.REVOKE_PROMISE else marks["declare_catch"]
-            frag.connect(split, landing, label="reposition")
-            frag.connect(decide, srefuse, label="refuse")
-            frag.connect(srefuse, revgate)
 
 
 def _build_executor(tk: Transaction, level: DetailLevel) -> _Fragment:
@@ -322,7 +238,7 @@ def _build_executor(tk: Transaction, level: DetailLevel) -> _Fragment:
     mstart = frag.add(
         "request", NodeKind.MESSAGE_START_EVENT, name=_catch_name(Act.REQUEST, tk)
     )
-    marks["mstart"] = mstart
+    marks["start"] = mstart
 
     if level is DetailLevel.HAPPY_FLOW:
         sprom = frag.add("promise", NodeKind.SEND_TASK, name=_send_name(Act.PROMISE, tk))
@@ -371,110 +287,126 @@ def _build_executor(tk: Transaction, level: DetailLevel) -> _Fragment:
     frag.connect(creq2, response)
     frag.connect(cstop, stopped2)
 
-    marks.update(
-        promise=sprom, execute=texec, declare=sdecl, rejected=rejected, retry=retry,
-        response=response,
-    )
-    if level is DetailLevel.WITH_DISSENT:
-        return frag
-
-    _add_executor_revocation_zone(frag, tk)
+    marks.update(promise=sprom, execute=texec, declare=sdecl)
+    marks.update({Phase.PROMISED: texec, Phase.REJECTED: rejected, Phase.DECLINED: retry})
     return frag
 
 
-def _add_executor_revocation_zone(frag: _Fragment, tk: Transaction) -> None:
-    marks = frag.marks
-    gateway = frag.add("entry", NodeKind.PARALLEL_GATEWAY, name=INITIAL_GATEWAY_NAME)
-    revgate = frag.add("revoke", NodeKind.EVENT_BASED_GATEWAY)
-    old_target = frag.disconnect(marks["mstart"])
-    frag.connect(marks["mstart"], gateway)
-    frag.connect(gateway, old_target)
-    frag.connect(gateway, revgate)
-    marks["revgate"] = revgate
+def _add_revocation_zones(frags: dict[Role, _Fragment], tk: Transaction) -> list[MessageFlow]:
+    """Build the revocation zone into both sides of ``tk``; returns its message flows.
 
-    frag.compensable(marks["promise"], Act.PROMISE)
-    frag.compensable(marks["execute"], Act.EXECUTE)
-    frag.compensable(marks["declare"], Act.DECLARE)
-    comp_target = {
-        Act.PROMISE: marks["promise"], Act.EXECUTE: marks["execute"], Act.DECLARE: marks["declare"],
-    }
-
-    def add_throws(slug: str, acts) -> tuple[str, str]:
-        first = last = ""
-        for act in acts:
-            throw = frag.add(
-                slug, NodeKind.COMPENSATION_THROW,
-                name=f"Compensate {act.value}", compensates=comp_target[act],
-            )
-            if not first:
-                first = throw
-            else:
-                frag.connect(last, throw)
-            last = throw
-        return first, last
-
+    Each side's zone is armed by an entry parallel gateway next to the start
+    and waits at an event-based gateway; the core-act tasks a side performs
+    get compensation handlers.  The episodes follow the engine's revocation
+    tables (see ``_add_episode``).
+    """
+    messages: list[MessageFlow] = []
+    for role, frag in frags.items():
+        gateway = frag.add("entry", NodeKind.PARALLEL_GATEWAY, name=INITIAL_GATEWAY_NAME)
+        revgate = frag.marks["revoke"] = frag.add("revoke", NodeKind.EVENT_BASED_GATEWAY)
+        # re-route the start through the arming gateway
+        start = frag.marks["start"]
+        old_target = frag.disconnect(start)
+        frag.connect(start, gateway)
+        frag.connect(gateway, old_target)
+        frag.connect(gateway, revgate)
+        frag.marks["entry"] = gateway
+        for act in CORE_ACTS:
+            if PERFORMER[act] is role:
+                frag.compensable(frag.marks[SLUG_FOR_ACT[act]], act)
     for revocation in _EPISODE_ORDER:
-        slug = SLUG_FOR_ACT[revocation]
-        if revocation in (Act.REVOKE_REQUEST, Act.REVOKE_ACCEPT):
-            # the initiator triggered this revocation; this side decides
-            catch = frag.add(slug, NodeKind.MESSAGE_CATCH, name=_catch_name(revocation, tk))
-            decide = frag.add(slug, NodeKind.EXCLUSIVE_GATEWAY)
-            sallow = frag.add("allow", NodeKind.SEND_TASK, name=_send_name(Act.ALLOW, tk))
-            srefuse = frag.add("refuse", NodeKind.SEND_TASK, name=_send_name(Act.REFUSE, tk))
-            frag.connect(revgate, catch)
-            frag.connect(catch, decide)
-            frag.connect(decide, srefuse, label="refuse")
-            frag.connect(srefuse, revgate)
-            if revocation is Act.REVOKE_REQUEST:
-                frag.connect(decide, sallow, label="performed:request")
-                ackgo = frag.add("ackgo", NodeKind.MESSAGE_CATCH, name=f"Receive joint rollback {tk.name}")
-                first, last = add_throws(slug, _E_COMP_ACTS[revocation])
-                ackdone = frag.add("ackdone", NodeKind.SEND_TASK, name=f"Finish joint rollback {tk.name}")
-                terminated = frag.add(
-                    "terminated", NodeKind.TERMINATE_END_EVENT, name=f"{tk.name} terminated"
+        revoker = REVOKER[revocation]
+        _add_episode(frags[revoker], frags[revoker.other], tk, revocation, messages)
+    return messages
+
+
+def _add_episode(
+    revoker: _Fragment,
+    decider: _Fragment,
+    tk: Transaction,
+    revocation: Act,
+    messages: list[MessageFlow],
+) -> None:
+    """One revocation episode on both sides, as the engine states it.
+
+    The ``REVOKER`` asks on an environment trigger and the other role
+    decides.  Allowing walks ``rollback_chain`` of a fully performed
+    transaction with the decider holding the turn: each side compensates its
+    own acts (``PERFORMER``), and each change of turn is a message, Allow
+    first.  The episode ends in termination or, for any other
+    ``LANDING_PHASE``, in a reposition message from the side holding the
+    turn and a split on each side back to the zone and to where it waits in
+    that phase.  A send task and its catch are made together, with their
+    message flow.
+    """
+    slug = SLUG_FOR_ACT[revocation]
+    allowed = f"performed:{SLUG_FOR_ACT[REVOCATION_TARGET[revocation]]}"
+
+    def message(
+        sender: _Fragment, receiver: _Fragment, msg_slug: str, send_name: str, catch_name: str
+    ) -> tuple[str, str]:
+        send = sender.add(msg_slug, NodeKind.SEND_TASK, name=send_name)
+        catch = receiver.add(msg_slug, NodeKind.MESSAGE_CATCH, name=catch_name)
+        messages.append(MessageFlow(f"mf_{send}__{catch}", send, catch))
+        return send, catch
+
+    def extend(frag: _Fragment, node: str) -> None:
+        # the one step forward out of the decision is the allow branch
+        frag.connect(frag.last, node, label=allowed if frag.last == decide else "")
+        frag.last = node
+
+    def pass_turn(sender: _Fragment, receiver: _Fragment, *names: str) -> None:
+        send, catch = message(sender, receiver, *names)
+        extend(sender, send)
+        extend(receiver, catch)
+
+    trigger = revoker.add(slug, NodeKind.MESSAGE_CATCH, name=f"Consider {revocation.value} {tk.name}")
+    send, catch = message(revoker, decider, slug, _send_name(revocation, tk), _catch_name(revocation, tk))
+    wait = revoker.add(slug, NodeKind.EVENT_BASED_GATEWAY)
+    decide = decider.add(slug, NodeKind.EXCLUSIVE_GATEWAY)
+    revoker.last, decider.last = revoker.marks["revoke"], decider.marks["revoke"]
+    for node in (trigger, send, wait):
+        extend(revoker, node)
+    for node in (catch, decide):
+        extend(decider, node)
+
+    allow = ("allow", _send_name(Act.ALLOW, tk), _catch_name(Act.ALLOW, tk))
+    handoffs = iter((
+        allow,
+        ("ackgo", f"Start joint rollback {tk.name}", f"Receive joint rollback {tk.name}"),
+        ("ackdone", f"Finish joint rollback {tk.name}", f"Receive joint rollback {tk.name}"),
+    ))
+    turn, other = decider, revoker
+    for act in rollback_chain(_FULLY_PERFORMED, revocation):
+        if PERFORMER[act] is not turn.role:
+            handoff = next(handoffs)
+            pass_turn(turn, other, *handoff)
+            if handoff is allow:
+                # the refusal branches off beside the Allow and back to the zone
+                srefuse, crefuse = message(
+                    decider, revoker, "refuse", _send_name(Act.REFUSE, tk), _catch_name(Act.REFUSE, tk)
                 )
-                frag.connect(sallow, ackgo)
-                frag.connect(ackgo, first)
-                frag.connect(last, ackdone)
-                frag.connect(ackdone, terminated)
-            else:
-                frag.connect(decide, sallow, label="performed:accept")
-                reposition_catch = frag.add(
-                    "rereject", NodeKind.MESSAGE_CATCH, name=f"Receive reposition {tk.name}"
-                )
-                split = frag.add(slug, NodeKind.PARALLEL_GATEWAY)
-                frag.connect(sallow, reposition_catch)
-                frag.connect(reposition_catch, split)
-                frag.connect(split, revgate)
-                frag.connect(split, marks["rejected"], label="reposition")
-        else:
-            # this side triggers the revocation; the initiator decides
-            trigger = frag.add(
-                slug, NodeKind.MESSAGE_CATCH, name=f"Consider {revocation.value} {tk.name}"
-            )
-            send = frag.add(slug, NodeKind.SEND_TASK, name=_send_name(revocation, tk))
-            await_gate = frag.add(slug, NodeKind.EVENT_BASED_GATEWAY)
-            callow = frag.add("allow", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.ALLOW, tk))
-            crefuse = frag.add("refuse", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.REFUSE, tk))
-            frag.connect(revgate, trigger)
-            frag.connect(trigger, send)
-            frag.connect(send, await_gate)
-            frag.connect(await_gate, callow)
-            frag.connect(await_gate, crefuse)
-            frag.connect(crefuse, revgate)
-            first, last = add_throws(slug, _E_COMP_ACTS[revocation])
-            reposition_send = frag.add(
-                "redecline" if revocation is Act.REVOKE_PROMISE else "repromise",
-                NodeKind.SEND_TASK,
-                name=f"Reposition {tk.name}",
-            )
-            split = frag.add(slug, NodeKind.PARALLEL_GATEWAY)
-            frag.connect(callow, first)
-            frag.connect(last, reposition_send)
-            frag.connect(reposition_send, split)
-            frag.connect(split, revgate)
-            landing = marks["retry"] if revocation is Act.REVOKE_PROMISE else marks["execute"]
-            frag.connect(split, landing, label="reposition")
+                decider.connect(decide, srefuse, label="refuse")
+                decider.connect(srefuse, decider.marks["revoke"])
+                revoker.connect(wait, crefuse)
+                revoker.connect(crefuse, revoker.marks["revoke"])
+            turn, other = other, turn
+        extend(turn, turn.add(
+            slug, NodeKind.COMPENSATION_THROW,
+            name=f"Compensate {act.value}", compensates=turn.marks[SLUG_FOR_ACT[act]],
+        ))
+
+    landing = LANDING_PHASE[revocation]
+    if landing is Phase.TERMINATED:
+        for frag in (turn, other):
+            extend(frag, frag.add("terminated", NodeKind.TERMINATE_END_EVENT, name=f"{tk.name} terminated"))
+        return
+    pass_turn(turn, other, _REPOSITION_SLUG[landing], f"Reposition {tk.name}", f"Receive reposition {tk.name}")
+    for frag in (turn, other):
+        split = frag.add(slug, NodeKind.PARALLEL_GATEWAY)
+        extend(frag, split)
+        frag.connect(split, frag.marks["revoke"])
+        frag.connect(split, frag.marks[landing], label="reposition")
 
 
 def _message_flows(tk: Transaction, level: DetailLevel) -> list[MessageFlow]:
@@ -498,31 +430,6 @@ def _message_flows(tk: Transaction, level: DetailLevel) -> list[MessageFlow]:
         mf(f"{t}_i_reject_sendtask", f"{t}_e_reject_catch"),
         mf(f"{t}_i_stop_sendtask", f"{t}_e_stop_catch"),
         mf(f"{t}_e_stop_sendtask", f"{t}_i_stop_catch"),
-    ]
-    if level is DetailLevel.WITH_DISSENT:
-        return flows
-    flows += [
-        # revoke request: initiator asks, executor decides, two-step rollback handshake
-        mf(f"{t}_i_revokerequest_sendtask", f"{t}_e_revokerequest_catch"),
-        mf(f"{t}_e_allow_sendtask", f"{t}_i_allow_catch"),
-        mf(f"{t}_e_refuse_sendtask", f"{t}_i_refuse_catch"),
-        mf(f"{t}_i_ackgo_sendtask", f"{t}_e_ackgo_catch"),
-        mf(f"{t}_e_ackdone_sendtask", f"{t}_i_ackdone_catch"),
-        # revoke accept: initiator asks, executor decides, lands in the reject loop
-        mf(f"{t}_i_revokeaccept_sendtask", f"{t}_e_revokeaccept_catch"),
-        mf(f"{t}_e_allow_sendtask_2", f"{t}_i_allow_catch_2"),
-        mf(f"{t}_e_refuse_sendtask_2", f"{t}_i_refuse_catch_2"),
-        mf(f"{t}_i_rereject_sendtask", f"{t}_e_rereject_catch"),
-        # revoke promise: executor asks, initiator decides, lands in the decline loop
-        mf(f"{t}_e_revokepromise_sendtask", f"{t}_i_revokepromise_catch"),
-        mf(f"{t}_i_allow_sendtask", f"{t}_e_allow_catch"),
-        mf(f"{t}_i_refuse_sendtask", f"{t}_e_refuse_catch"),
-        mf(f"{t}_e_redecline_sendtask", f"{t}_i_redecline_catch"),
-        # revoke declare: executor asks, initiator decides, resumes before execution
-        mf(f"{t}_e_revokedeclare_sendtask", f"{t}_i_revokedeclare_catch"),
-        mf(f"{t}_i_allow_sendtask_2", f"{t}_e_allow_catch_2"),
-        mf(f"{t}_i_refuse_sendtask_2", f"{t}_e_refuse_catch_2"),
-        mf(f"{t}_e_repromise_sendtask", f"{t}_i_repromise_catch"),
     ]
     return flows
 
@@ -577,10 +484,15 @@ def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnMo
     roots = {t.id for t in net.roots()}
 
     fragments: dict[tuple[str, Role], _Fragment] = {}
+    message_flows: list[MessageFlow] = []
     for tk_id in order:
         tk = net.transaction(tk_id)
-        fragments[(tk_id, Role.INITIATOR)] = _build_initiator(tk, level)
-        fragments[(tk_id, Role.EXECUTOR)] = _build_executor(tk, level)
+        frags = {Role.INITIATOR: _build_initiator(tk, level), Role.EXECUTOR: _build_executor(tk, level)}
+        message_flows += _message_flows(tk, level)
+        if level is DetailLevel.COMPLETE:
+            message_flows += _add_revocation_zones(frags, tk)
+        for role, frag in frags.items():
+            fragments[(tk_id, role)] = frag
 
     # non-root initiator fragments lose their start event; splicing takes over
     for tk_id in order:
@@ -627,10 +539,6 @@ def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnMo
             pool.nodes.extend(frag.nodes)
             pool.flows.extend(frag.flows)
             pool.associations.extend(frag.associations)
-
-    message_flows: list[MessageFlow] = []
-    for tk_id in order:
-        message_flows.extend(_message_flows(net.transaction(tk_id), level))
 
     return BpmnModel(
         id=f"collab_{level.value}",

@@ -134,6 +134,9 @@ _TRANSITIONS: dict[tuple[Phase, Act, Role], Phase] = {
     (Phase.REJECTED, Act.STOP, Role.EXECUTOR): Phase.STOPPED,
 }
 
+# Who performs each core act (and so who rolls it back).
+PERFORMER: dict[Act, Role] = {act: role for (_, act, role) in _TRANSITIONS if act in CORE_ACTS}
+
 # Phases where the transaction is over for good: no acts of any kind.
 DEAD_PHASES = frozenset({Phase.STOPPED, Phase.TERMINATED})
 

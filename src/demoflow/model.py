@@ -9,11 +9,11 @@ cross-pool message flows.  Node ids follow a fixed grammar,
 e.g. ``tk01_i_request_sendtask`` or ``tk01_e_revokedeclare_throw_2``, where
 the transaction has no underscore, the slug is either one of the fourteen
 act slugs or a plumbing word (entry, response, repromise, ...) and the ordinal
-is a decimal number.  ``NODE_ID`` is that grammar, compiled once: the
-simulator checks ids against it, and parse_node_id reads an id's fields
-through it, recovering the transaction, role and act.  That is what lets the
-simulator and the coverage auditor treat generated and re-parsed models
-identically.  Control beyond the graph itself is carried by flow guards (see
+is a decimal number of at most nine digits.  ``NODE_ID`` is that grammar,
+compiled once: the simulator checks ids against it, and parse_node_id reads
+an id's fields through it, recovering the transaction, role and act.  That
+is what lets the simulator and the coverage auditor treat generated and
+re-parsed models identically.  Control beyond the graph itself is carried by flow guards (see
 ``SequenceFlow``).
 """
 
@@ -80,9 +80,10 @@ class NodeMeta(NamedTuple):
 
 # The node-id grammar.  Its groups are the transaction, role tag, slug, kind
 # tag and ordinal.  A slug may hold any character, newlines included (DOTALL),
-# and underscores; an ordinal is decimal digits, so int() can read it.
+# and underscores; an ordinal is one to nine decimal digits, so int() can read
+# it whatever the interpreter's limit on digits in an integer string.
 NODE_ID = re.compile(
-    r"([^_]*)_(" + "|".join(_ROLE_TAGS) + r")_(.*)_(" + "|".join(_KIND_TAGS) + r")(?:_(\d+))?",
+    r"([^_]*)_(" + "|".join(_ROLE_TAGS) + r")_(.*)_(" + "|".join(_KIND_TAGS) + r")(?:_(\d{1,9}))?",
     re.DOTALL,
 )
 
@@ -157,9 +158,6 @@ class Pool:
     nodes: list[FlowNode] = field(default_factory=list)
     flows: list[SequenceFlow] = field(default_factory=list)
     associations: list[Association] = field(default_factory=list)
-
-    def node_ids(self) -> set[str]:
-        return {n.id for n in self.nodes}
 
 
 @dataclass

@@ -240,13 +240,13 @@ def test_analyze_rejects_unknown_act(tmp_path, solo_file, capsys):
 
 
 def test_analyze_reads_a_non_decimal_ordinal_as_a_foreign_id(tmp_path, capsys):
-    # "²" is a digit to str.isdigit but not to int(): such an id is outside
-    # the id grammar, like any foreign id
+    # "²" is a digit to str.isdigit but not to int(), and int() refuses
+    # 5,000 digits: such ids are outside the id grammar, like any foreign id
     model_file = tmp_path / "poc1.bpmn"
     main(["generate", str(FIXTURES / "poc1.json"), "--level", "happy", "--out", str(model_file)])
     xml = model_file.read_text(encoding="utf-8")
     reports = []
-    for new_id in ("tk01_i_request_sendtask_²", "Task_1"):
+    for new_id in ("tk01_i_request_sendtask_²", "tk01_i_request_sendtask_" + "1" * 5000, "Task_1"):
         renamed = tmp_path / "renamed.bpmn"
         renamed.write_text(xml.replace("tk01_i_request_sendtask", new_id), encoding="utf-8")
         report = tmp_path / "report.csv"
@@ -263,7 +263,7 @@ def test_analyze_reads_a_non_decimal_ordinal_as_a_foreign_id(tmp_path, capsys):
         )
         assert code == 0, capsys.readouterr().err
         reports.append(report.read_text(encoding="utf-8"))
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize("flag", ["--mapping", "--annotations"])

@@ -22,8 +22,15 @@ from demoflow.engine import (
     CORE_ACTS,
     DISSENT_ALPHABET,
     HAPPY_ALPHABET,
+    Phase,
+    REVOCATIONS,
+    REVOCATION_TARGET,
+    REVOKER,
+    Role,
+    TransactionState,
+    rollback_chain,
 )
-from demoflow.model import NodeKind, lint_model
+from demoflow.model import ROLE_TAG, SLUG_FOR_ACT, NodeKind, lint_model, parse_node_id
 from demoflow.network import load_network
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -222,6 +229,80 @@ def test_complete_solo_kind_census(solo_net):
         NodeKind.COMPENSATION_HANDLER: 5,
         NodeKind.COMPENSATION_THROW: 13,
     }
+
+
+def _allowed_rollback(model, revocation: Act, first: Role) -> list[Act]:
+    """The acts compensated on the allow path of ``revocation``, in the order
+    the two sides' throws fire.  Both sides run from the decision: the
+    decider down its ``performed:`` branch, the revoker from its wait for
+    the answer.  A side runs, ``first`` before the other, until it waits for
+    a message not yet sent, and stops at its reposition split or its
+    terminate event."""
+    nodes = model.node_index()
+    outs: dict[str, list[tuple[str, str]]] = {}
+    for pool in model.pools:
+        for flow in pool.flows:
+            outs.setdefault(flow.source, []).append((flow.target, flow.label))
+    delivers = {flow.source: flow.target for flow in model.message_flows}
+    slug = SLUG_FOR_ACT[revocation]
+    decider = REVOKER[revocation].other
+    allowed = f"performed:{SLUG_FOR_ACT[REVOCATION_TARGET[revocation]]}"
+    (start,) = [t for t, label in outs[f"tk01_{ROLE_TAG[decider]}_{slug}_xor"] if label == allowed]
+    at = {decider: start, decider.other: f"tk01_{ROLE_TAG[decider.other]}_{slug}_ebg"}
+    sent: set[str] = set()
+    undone: list[Act] = []
+
+    def enter(node: str) -> None:
+        kind = nodes[node].kind
+        if kind is NodeKind.COMPENSATION_THROW:
+            undone.append(parse_node_id(nodes[node].compensates).act)
+        elif kind is NodeKind.SEND_TASK:
+            sent.add(delivers[node])
+
+    def next_node(node: str):
+        kind = nodes[node].kind
+        if kind in (NodeKind.PARALLEL_GATEWAY, NodeKind.TERMINATE_END_EVENT):
+            return None
+        if kind is NodeKind.EVENT_BASED_GATEWAY:
+            (after,) = [t for t, _ in outs[node] if t in sent] or [None]
+            return after
+        ((after, _),) = outs[node]
+        return after if nodes[after].kind is not NodeKind.MESSAGE_CATCH or after in sent else None
+
+    enter(start)
+    moved = True
+    while moved:
+        moved = False
+        for role in (first, first.other):
+            while (after := next_node(at[role])) is not None:
+                enter(after)
+                at[role] = after
+                moved = True
+    ends = {nodes[node].kind for node in at.values()}
+    assert ends <= {NodeKind.PARALLEL_GATEWAY, NodeKind.TERMINATE_END_EVENT}, at
+    return undone
+
+
+@pytest.mark.parametrize("revocation", REVOCATIONS)
+def test_allow_path_compensates_the_engine_rollback_chain(solo_net, revocation):
+    model = compile_network(solo_net, DetailLevel.COMPLETE)
+    performed = TransactionState(Phase.ACCEPTED, CORE_ACTS)
+    # the same throws fire whichever side runs first: a side compensates
+    # only while it holds the turn
+    for first in Role:
+        assert _allowed_rollback(model, revocation, first) == list(rollback_chain(performed, revocation))
+
+
+def test_zone_message_flows_join_a_send_task_to_a_catch_across_pools(solo_net):
+    model = compile_network(solo_net, DetailLevel.COMPLETE)
+    dissent = {f.id for f in compile_network(solo_net, DetailLevel.WITH_DISSENT).message_flows}
+    zone = [f for f in model.message_flows if f.id not in dissent]
+    assert len(zone) == SOLO_SIZES[DetailLevel.COMPLETE][2] - SOLO_SIZES[DetailLevel.WITH_DISSENT][2]
+    nodes, pool_of = model.node_index(), model.pool_of()
+    for flow in zone:
+        assert nodes[flow.source].kind is NodeKind.SEND_TASK, flow.id
+        assert nodes[flow.target].kind is NodeKind.MESSAGE_CATCH, flow.id
+        assert pool_of[flow.source] != pool_of[flow.target], flow.id
 
 
 def _delete_flow(model, pool_index, flow_index):

@@ -74,6 +74,8 @@ def test_parse_underscored_slug():
         "tk01_i_request_widget",  # unknown kind tag
         "tk01_i_request_7",  # ordinal strips the kind tag away
         "tk01_i_request_task_²",  # a digit, but not a decimal one
+        "tk01_i_request_task_1234567890",  # an ordinal of more than nine digits
+        pytest.param("tk01_i_request_task_" + "1" * 5000, id="5000-digit-ordinal"),
         "",
     ],
 )
@@ -84,6 +86,8 @@ def test_parse_rejects_non_grammar_ids(node_id):
 def test_parse_reads_any_decimal_digits_as_the_ordinal():
     meta = parse_node_id("tk01_i_request_task_٣")  # ARABIC-INDIC DIGIT THREE
     assert meta is not None and meta.kind is NodeKind.TASK and meta.ordinal == 3
+    meta = parse_node_id("tk01_i_request_task_123456789")
+    assert meta is not None and meta.ordinal == 123456789
 
 
 _ROLES = {"i": Role.INITIATOR, "e": Role.EXECUTOR}
@@ -93,12 +97,12 @@ _KINDS = {kind.value: kind for kind in NodeKind}
 def _split_parse(node_id: str):
     """The node-id parser as a split on "_": the reference for parse_node_id.
     It raises ValueError on a suffix that str.isdigit accepts and int() does
-    not, such as "²"."""
+    not, such as "²".  An ordinal has at most nine digits."""
     parts = node_id.split("_")
     if len(parts) < 4:
         return None
     ordinal = 1
-    if parts[-1].isdigit():
+    if parts[-1].isdigit() and len(parts[-1]) <= 9:
         ordinal = int(parts[-1])
         parts = parts[:-1]
     if len(parts) < 4:
@@ -110,7 +114,7 @@ def _split_parse(node_id: str):
     return NodeMeta(tk, _ROLES[role_tag], slug, _KINDS[kind_tag], ordinal)
 
 
-_ID_FRAGMENTS = ["_", "i", "e", "tk01", "2", "10", "²", "٣", "\n", ""] + list(_KINDS) + list(ACT_SLUGS)
+_ID_FRAGMENTS = ["_", "i", "e", "tk01", "2", "10", "1234", "²", "٣", "\n", ""] + list(_KINDS) + list(ACT_SLUGS)
 _piece = st.lists(st.sampled_from(_ID_FRAGMENTS), max_size=3).map("".join)
 # ids shaped like the grammar, with any field or suffix swapped for fragments,
 # and ids made of fragments alone
@@ -120,7 +124,8 @@ _node_ids = st.builds(
     st.sampled_from(["i", "e"]) | _piece,
     _piece,
     st.sampled_from(list(_KINDS)) | _piece,
-    st.sampled_from(["", "_2", "_10", "_²", "_٣", "_\n"]) | _piece,
+    st.sampled_from(["", "_2", "_10", "_123456789", "_1234567890", "_" + "1" * 5000, "_²", "_٣", "_\n"])
+    | _piece,
 ) | st.lists(st.sampled_from(_ID_FRAGMENTS), max_size=12).map("".join)
 
 

@@ -693,6 +693,10 @@ REJECTED_MODELS = {
         lambda m: _renamed(m, "tk01_i_request_sendtask", "tk01_i_request_sendtask_²"),
         "node tk01_i_request_sendtask_² does not follow the generated-id grammar",
     ),
+    "over-long-ordinal": (
+        lambda m: _renamed(m, "tk01_i_request_sendtask", "tk01_i_request_sendtask_" + "1" * 5000),
+        "node tk01_i_request_sendtask_" + "1" * 5000 + " does not follow the generated-id grammar",
+    ),
     "copied-node": (
         lambda m: _with_copied_node(m, "tk01_i_declare_catch"),
         "duplicate node id tk01_i_declare_catch",

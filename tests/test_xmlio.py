@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from demoflow.compiler import DetailLevel, compile_network
@@ -40,6 +42,47 @@ def test_round_trip_byte_identity(net_fixture, level, request):
     assert len(first) == BYTE_SIZES[(net_fixture, level)]
     reparsed = parse_model(first)
     assert serialize_model(reparsed) == first
+
+
+# SHA-256 of each bundled network's XML at each level, without and with the
+# diagram layout: the compiler's output is pinned byte for byte, not just by
+# size.
+XML_SHA256 = {
+    ("poc1_net", DetailLevel.HAPPY_FLOW): (
+        "d74ce95f7ee92168045a3e6e1be8ef25d0b444ec89e41ac317b8d4861ea170c2",
+        "3ce6f401c61c24bd8c0a8e5d137337a1639b5c1651ec289c6a310721f1519b6c",
+    ),
+    ("poc1_net", DetailLevel.WITH_DISSENT): (
+        "27ae4e7ac354eb9bba33b1c189b6de66d958f307747928a219b38c2520bc0723",
+        "8be1f8db4630acdd79b494cae3ac105380c896691eb85d9779fc0af8db513242",
+    ),
+    ("poc1_net", DetailLevel.COMPLETE): (
+        "d068669a92ce02509190a21301af8d3527d1b15065667f9a507625ef0d492b15",
+        "0af1f15338829c11831c92091de6c3d11a47adc77c6b9dc6e68f1d79481e425d",
+    ),
+    ("poc2_net", DetailLevel.HAPPY_FLOW): (
+        "2c2b38820321f65c97c7b8eac15ba56f1b4e67cbc3710b7587194f1ba373183e",
+        "9f4ca9756b848c9bdb259b3a5c5461850d450e48882b4c189c1a1a55056068de",
+    ),
+    ("poc2_net", DetailLevel.WITH_DISSENT): (
+        "4c541009093063dee414b9a4b959174eda42b57091767612ea19218a55295998",
+        "81249c441f867a76abc823b7091caf107c5f25d19ce7fca947f42f0cc18bd447",
+    ),
+    ("poc2_net", DetailLevel.COMPLETE): (
+        "dc882ad2c95c387143f89efb623f892f8d7ee86a6e82a3672e3bc3cf828a32a3",
+        "efde22a37aa883be4c34d5edd800132709a3f56d241264379b05ccbdf9e713ae",
+    ),
+}
+
+
+@pytest.mark.parametrize("net_fixture", ["poc1_net", "poc2_net"])
+@pytest.mark.parametrize("level", LEVELS)
+def test_compiled_xml_is_pinned(net_fixture, level, request):
+    model = compile_network(request.getfixturevalue(net_fixture), level)
+    digests = tuple(
+        hashlib.sha256(serialize_model(model, layout=layout)).hexdigest() for layout in (False, True)
+    )
+    assert digests == XML_SHA256[(net_fixture, level)]
 
 
 @pytest.mark.parametrize("level", LEVELS)
