@@ -7,9 +7,12 @@ node that fires is simultaneously applied to its transaction's shadow run in
 the engine's bounded step (``bounded_acts``, ``bounded_apply``), which also
 decides which revocation triggers and loop branches are open; a model that
 lets an act happen out of order or past its loop bound fails loudly.
-Exhaustive exploration produces the full set of bounded traces, which
-conformance checking compares — per transaction, projected onto the fourteen
-acts — with the engine's enumerated language.
+Exhaustive exploration is one depth-first search with a memo of suffix sets,
+kept in lanes.  ``simulate`` uses a single lane and builds the full set of
+bounded interleaved traces; conformance checking uses one lane per
+transaction, which holds only that transaction's projected events and final
+phase, and compares each lane, reduced to the fourteen acts, with the
+engine's enumerated language.
 
 Node ids give each node's transaction, role and act; control beyond the
 graph (splice entries and exits, stale resumptions, the revocation zone and
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, compress, repeat
 from operator import attrgetter, ne
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .engine import (
     Act,
@@ -788,22 +791,62 @@ class _Simulation:
 # ---------------------------------------------------------------------------
 
 
-def simulate_exhaustive(
-    model: BpmnModel, bounds: Bounds = Bounds(), max_states: int = 1_000_000
-) -> ExhaustiveResult:
-    """Explore every interleaving; return the deduplicated recorded traces.
+def _explore(
+    sim: _Simulation,
+    max_states: int,
+    lane_of: Callable[[int], int],
+    leaves: Callable[[_State], tuple[int, ...]],
+) -> tuple[tuple[frozenset, ...], int]:
+    """Explore every interleaving, depth first with a memo: the root's suffix
+    sets, one per lane, and the number of states explored.
 
-    A trace is recorded at every quiescent state — one where nothing can
-    happen except an environment-triggered revocation — so an accepted run
-    and its post-acceptance revocation extensions are all members.
-
-    The memo keeps each state's suffix traces as (event codes, outcome code)
-    pairs; only the root's are decoded.
+    A lane is a frozenset of ``(event codes, outcome code)`` suffixes.  A step
+    adds each event it emits only to the lane that ``lane_of`` gives its code,
+    and shares the other lanes' sets unchanged, so each lane holds the
+    projection of every suffix onto its own events.  At a quiescent state
+    each lane records an empty suffix with the lane's outcome code from
+    ``leaves``.  Lane sets and lane tuples are hash-consed, and the result of
+    prefixing each ``(emitted, child lanes)`` pair is cached, so equal suffix
+    sets are built once and merged by identity.
     """
-    sim = _Simulation(model, bounds)
-    root = sim.initial()
+    sets: dict[frozenset, frozenset] = {}
+    tuples: dict[tuple, tuple] = {}
+    # prefix results by (emitted, id of a lane tuple); the hash-consing
+    # tables keep every lane tuple, so its id stays unique
+    prefixed: dict[tuple[tuple[int, ...], int], tuple] = {}
 
-    memo: dict[_State, frozenset[tuple[tuple[int, ...], int]]] = {}
+    def prefix(emitted: tuple[int, ...], lanes: tuple) -> tuple:
+        key = (emitted, id(lanes))
+        result = prefixed.get(key)
+        if result is None:
+            split: dict[int, list[int]] = {}
+            for code in emitted:
+                split.setdefault(lane_of(code), []).append(code)
+            result = list(lanes)
+            for lane, codes in split.items():
+                events = tuple(codes)
+                suffixes = frozenset(
+                    (events + suffix, outcome) for suffix, outcome in lanes[lane]
+                )
+                result[lane] = sets.setdefault(suffixes, suffixes)
+            result = tuple(result)
+            result = prefixed[key] = tuples.setdefault(result, result)
+        return result
+
+    def leaf(state: _State) -> tuple:
+        singletons = (frozenset({((), outcome)}) for outcome in leaves(state))
+        lanes = tuple(sets.setdefault(suffixes, suffixes) for suffixes in singletons)
+        return tuples.setdefault(lanes, lanes)
+
+    def merge(column: tuple[frozenset, ...]) -> frozenset:
+        distinct = {id(suffixes): suffixes for suffixes in column}
+        if len(distinct) == 1:
+            return column[0]
+        union = frozenset().union(*distinct.values())
+        return sets.setdefault(union, union)
+
+    root = sim.initial()
+    memo: dict[_State, tuple] = {}
     onstack: set[_State] = set()
     stack: list[list] = []
 
@@ -816,7 +859,8 @@ def simulate_exhaustive(
         quiescent = all(step[0] == _TRIGGER for step in steps)
         successors = [sim.apply(state, step) for step in steps]
         onstack.add(state)
-        stack.append([state, successors, quiescent, 0, set()])
+        # the last field collects the distinct suffix lane tuples by identity
+        stack.append([state, successors, quiescent, 0, {}])
 
     open_frame(root)
     while stack:
@@ -824,13 +868,11 @@ def simulate_exhaustive(
         state, successors, quiescent, index, collected = frame
         if index < len(successors):
             child, emitted = successors[index]
-            if child in memo:
+            lanes = memo.get(child)
+            if lanes is not None:
                 if emitted:
-                    collected.update(
-                        (emitted + suffix, outcome) for suffix, outcome in memo[child]
-                    )
-                else:
-                    collected.update(memo[child])
+                    lanes = prefix(emitted, lanes)
+                collected[id(lanes)] = lanes
                 frame[3] += 1
             elif child in onstack:
                 raise SimulationError("simulation state graph has a cycle")
@@ -838,13 +880,40 @@ def simulate_exhaustive(
                 open_frame(child)
             continue
         if quiescent:
-            collected.add(((), sim.outcome_code(state)))
-        memo[state] = frozenset(collected)
+            lanes = leaf(state)
+            collected[id(lanes)] = lanes
+        if len(collected) == 1:
+            (lanes,) = collected.values()
+        else:
+            lanes = tuple(map(merge, zip(*collected.values())))
+            lanes = tuples.setdefault(lanes, lanes)
+        memo[state] = lanes
         onstack.discard(state)
         stack.pop()
 
-    traces = frozenset(sim.trace(events, outcome) for events, outcome in memo[root])
-    return ExhaustiveResult(traces=traces, states=len(memo))
+    return memo[root], len(memo)
+
+
+def simulate_exhaustive(
+    model: BpmnModel, bounds: Bounds = Bounds(), max_states: int = 1_000_000
+) -> ExhaustiveResult:
+    """Explore every interleaving; return the deduplicated recorded traces.
+
+    A trace is recorded at every quiescent state — one where nothing can
+    happen except an environment-triggered revocation — so an accepted run
+    and its post-acceptance revocation extensions are all members.
+
+    Only this function builds full interleaved traces: it explores with one
+    lane, whose suffixes keep every event and the run's outcome code, and
+    decodes the root's.  ``check_conformance`` explores per-transaction
+    projections instead.
+    """
+    sim = _Simulation(model, bounds)
+    (suffixes,), states = _explore(
+        sim, max_states, lambda code: 0, lambda state: (sim.outcome_code(state),)
+    )
+    traces = frozenset(sim.trace(events, outcome) for events, outcome in suffixes)
+    return ExhaustiveResult(traces=traces, states=states)
 
 
 def simulate_random(
@@ -899,9 +968,15 @@ class ConformanceReport:
     unexpected: dict[str, frozenset]  # produced behaviour outside the language
     compensation_violations: list[str]
     states: int
+    # distinct (transaction, projection) pairs the model produced, where a
+    # projection is the transaction's events, compensations included, and
+    # its final phase; for one transaction, the number of traces
     traces: int
 
     def summary(self) -> str:
+        """The verdict, the ``traces`` count (distinct per-transaction
+        projections) and the states, then each missing and unexpected
+        projection and each compensation violation."""
         lines = [f"{self.verdict.value}: {self.traces} traces over {self.states} states"]
         for label, projections in (("missing", self.missing), ("unexpected", self.unexpected)):
             for tk in sorted(projections):
@@ -913,50 +988,76 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
+_PHASES = tuple(Phase)
+
+
 def check_conformance(
     model: BpmnModel,
     alphabet: frozenset,
     bounds: Bounds = Bounds(),
     max_states: int = 1_000_000,
 ) -> ConformanceReport:
-    """Compare the model's exhaustive trace set with the engine's language.
+    """Compare the model's per-transaction projections with the engine's
+    language.
 
-    Each transaction's traces are projected onto the fourteen acts and
-    set-compared with ``enumerate_language``; compensation events are checked
-    separately for correct inverse order.  Transactions a run never reached
-    (empty projection, Initial phase) are not counted against it.
+    Exploration keeps one lane per transaction: the projection of every
+    suffix onto the transaction's events, with its phase where the run
+    stops.  Projection distributes over concatenation, so this is the set
+    of projections of the full traces, which are never built.  Each
+    transaction's projections, reduced to the fourteen acts, are
+    set-compared with ``enumerate_language``, and each distinct projection
+    is checked once for compensation order.  Transactions a run never
+    reached (empty projection, Initial phase) are not counted against it.
     """
-    result = simulate_exhaustive(model, bounds, max_states)
-    expected = enumerate_language(alphabet, bounds)
+    sim = _Simulation(model, bounds)
 
-    produced: dict[str, set] = {}
-    compensation_violations: list[str] = []
-    for trace in result.traces:
-        for tk, phase in trace.outcomes:
-            projection = trace.acts_for(tk)
-            if not projection and phase is Phase.INITIAL:
-                continue
-            produced.setdefault(tk, set()).add((projection, phase))
-        for violation in check_compensation_order(trace):
-            if violation not in compensation_violations:
-                compensation_violations.append(violation)
+    def lane_of(code: int) -> int:
+        return sim.tks.index(sim.events[code].tk)
+
+    def phases(state: _State) -> tuple[int, ...]:
+        # each transaction's phase, as its index in _PHASES
+        return tuple(_PHASES.index(phase) for _, phase in sim.outcomes(state))
+
+    lanes, states = _explore(sim, max_states, lane_of, phases)
+    expected = enumerate_language(alphabet, bounds)
 
     missing: dict[str, frozenset] = {}
     unexpected: dict[str, frozenset] = {}
-    for tk, got in sorted(produced.items()):
+    violations: dict[str, None] = {}  # in first-seen order
+    count = 0
+    for tk, suffixes in zip(sim.tks, lanes):
+        projections = []
+        for codes, phase_code in suffixes:
+            events = tuple(map(sim.events.__getitem__, codes))
+            acts = tuple(e.act for e in events if not e.inverse)
+            projections.append((acts, _PHASES[phase_code], events))
+        # in _projection_order, then by the compensations and roles
+        projections.sort(
+            key=lambda p: (
+                _projection_order(p[:2]),
+                tuple((e.label(), e.role.value) for e in p[2]),
+            )
+        )
+        got = set()
+        for acts, phase, events in projections:
+            found = check_compensation_order(SimTrace(events, ((tk, phase),)))
+            violations.update(dict.fromkeys(found))
+            if acts or phase is not Phase.INITIAL:
+                got.add((acts, phase))
+                count += 1
         if got - expected:
             unexpected[tk] = frozenset(got - expected)
-        if expected - got:
+        if got and expected - got:
             missing[tk] = frozenset(expected - got)
 
-    conformant = not missing and not unexpected and not compensation_violations
+    conformant = not missing and not unexpected and not violations
     return ConformanceReport(
         verdict=Verdict.CONFORMANT if conformant else Verdict.NONCONFORMANT,
         missing=missing,
         unexpected=unexpected,
-        compensation_violations=compensation_violations,
-        states=result.states,
-        traces=len(result.traces),
+        compensation_violations=list(violations),
+        states=states,
+        traces=count,
     )
 
 

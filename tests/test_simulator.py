@@ -7,6 +7,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from demoflow.compiler import DetailLevel, LEVEL_ALPHABETS, compile_network
 from demoflow.engine import Act, Bounds, Phase, Role, enumerate_language
@@ -92,7 +93,7 @@ def test_network_conformance_takes_a_level_value(solo_net, monkeypatch):
 def test_poc1_happy_network_is_conformant(poc1_net):
     report = check_network_conformance(poc1_net, DetailLevel.HAPPY_FLOW)
     assert report.verdict is Verdict.CONFORMANT
-    assert (report.traces, report.states) == (1, 615)
+    assert (report.traces, report.states) == (4, 615)
 
 
 def test_projections_match_engine_language_exactly(solo_net):
@@ -589,6 +590,141 @@ def test_mixed_tree_complete_walks_are_pinned():
         f"tk{n:02d}" for n in range(1, 7)
     }
     assert _traces_sha256(traces) == MIXED_TREE_COMPLETE_WALKS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Per-transaction conformance against the full-trace reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_conformance(model, alphabet, bounds=Bounds()):
+    """What ``check_conformance`` must find, computed from every full
+    interleaved trace one at a time: (missing, unexpected, the set of
+    compensation violations, states, distinct (transaction, projection)
+    pairs)."""
+    result = simulate_exhaustive(model, bounds)
+    expected = enumerate_language(alphabet, bounds)
+    produced: dict[str, set] = {}
+    projections = set()
+    violations = set()
+    for trace in result.traces:
+        for tk, phase in trace.outcomes:
+            acts = trace.acts_for(tk)
+            if not acts and phase is Phase.INITIAL:
+                continue
+            produced.setdefault(tk, set()).add((acts, phase))
+            projections.add((tk, tuple(e for e in trace.events if e.tk == tk), phase))
+        violations.update(check_compensation_order(trace))
+    missing = {tk: frozenset(expected - got) for tk, got in produced.items() if expected - got}
+    unexpected = {tk: frozenset(got - expected) for tk, got in produced.items() if got - expected}
+    return missing, unexpected, violations, result.states, len(projections)
+
+
+def _assert_matches_reference(model, alphabet, bounds=Bounds()) -> None:
+    report = check_conformance(model, alphabet, bounds)
+    missing, unexpected, violations, states, projections = _reference_conformance(
+        model, alphabet, bounds
+    )
+    assert report.missing == missing
+    assert report.unexpected == unexpected
+    assert set(report.compensation_violations) == violations
+    assert len(report.compensation_violations) == len(violations)
+    assert (report.traces, report.states) == (projections, states)
+    conformant = not (missing or unexpected or violations)
+    assert report.verdict is (Verdict.CONFORMANT if conformant else Verdict.NONCONFORMANT)
+
+
+def _with_misordered_compensations(model):
+    """The model with the compensation targets of three pairs of throw
+    events swapped, so some rollbacks undo acts in the wrong order."""
+    mutant = copy.deepcopy(model)
+    nodes = {node.id: node for node in mutant.all_nodes()}
+    for first, second in [
+        ("tk01_e_revokedeclare_throw", "tk01_e_revokedeclare_throw_2"),
+        ("tk01_e_revokepromise_throw", "tk01_e_revokepromise_throw_3"),
+        ("tk01_i_revokerequest_throw", "tk01_i_revokerequest_throw_2"),
+    ]:
+        a, b = nodes[first], nodes[second]
+        a.compensates, b.compensates = b.compensates, a.compensates
+    return mutant
+
+
+# name -> (network, or the name of a fixture network, level, edit of the model)
+REFERENCE_CASES = {
+    **{f"solo-{level.value}": ("solo", level, None) for level in DetailLevel},
+    "poc1-happy": ("poc1", DetailLevel.HAPPY_FLOW, None),
+    "poc2-happy": ("poc2", DetailLevel.HAPPY_FLOW, None),
+    **{name: (net, DetailLevel.HAPPY_FLOW, None) for name, (net, _, _) in COMPOSITIONS.items()},
+    # NonConformant (ROADMAP item 3)
+    "chain2-rap-dissent": (_chain_net(DependencyKind.RAP, 2), DetailLevel.WITH_DISSENT, None),
+    "chain2-rae-dissent": (_chain_net(DependencyKind.RAE, 2), DetailLevel.WITH_DISSENT, None),
+    # NonConformant by its compensation violations alone
+    "solo-complete-misordered": ("solo", DetailLevel.COMPLETE, _with_misordered_compensations),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_conformance_matches_the_full_trace_reference(request, case):
+    net, level, edit = REFERENCE_CASES[case]
+    if isinstance(net, str):
+        net = request.getfixturevalue(f"{net}_net")
+    model = compile_network(net, level)
+    _assert_matches_reference(edit(model) if edit else model, LEVEL_ALPHABETS[level])
+
+
+@st.composite
+def _small_trees(draw):
+    """A network of one to three transactions, each child hanging off an
+    earlier transaction by any dependency kind."""
+    edges = [
+        (draw(st.integers(1, child - 1)), child, draw(st.sampled_from(list(DependencyKind))))
+        for child in range(2, draw(st.integers(1, 3)) + 1)
+    ]
+    return _tree_net(edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(net=_small_trees(), level=st.sampled_from([DetailLevel.HAPPY_FLOW, DetailLevel.WITH_DISSENT]))
+def test_generated_networks_match_the_full_trace_reference(net, level):
+    bounds = Bounds()
+    if level is DetailLevel.WITH_DISSENT:
+        # Without the decline and reject loops the full-trace reference stays
+        # small, except on a fan of two RaD children: their interleavings
+        # make 216,329 full traces, about 18 s for the reference alone.
+        bounds = Bounds(rerequest=0, redeclare=0)
+        kinds = [dep.kind for dep in net.dependencies if dep.parent == "TK01"]
+        assume(kinds.count(DependencyKind.RAD) < 2)
+    _assert_matches_reference(compile_network(net, level), LEVEL_ALPHABETS[level], bounds)
+
+
+def test_compensation_violations_are_listed_in_a_fixed_order(solo_net):
+    # by transaction, then by projection, whatever order sets iterate in
+    model = _with_misordered_compensations(compile_network(solo_net, DetailLevel.COMPLETE))
+    report = check_conformance(model, LEVEL_ALPHABETS[DetailLevel.COMPLETE])
+    assert report.compensation_violations == [
+        "tk01: expected Declare undone next, got Execute",
+        "tk01: Execute happened before the rollback finished",
+        "tk01: expected Declare undone next, got Promise",
+        "tk01: Stop happened before the rollback finished",
+        "tk01: expected Accept undone next, got Request",
+        "tk01: expected Accept undone next, got Declare",
+        "tk01: expected Accept undone next, got Execute",
+        "tk01: expected Accept undone next, got Promise",
+        "tk01: rollback chain left unfinished",
+        "tk01: expected Declare undone next, got Request",
+        "tk01: expected Execute undone next, got Promise",
+        "tk01: expected Execute undone next, got Request",
+        "tk01: expected Promise undone next, got Request",
+        "tk01: Request happened before the rollback finished",
+    ]
+
+
+def test_frontier_fan3_rap_happy_is_conformant():
+    # the full-trace memo held 756,756 interleaved traces here (about 420 s
+    # and 2.6 GB); the per-transaction lanes hold one projection each
+    report = check_network_conformance(_fan_net(DependencyKind.RAP, 3), DetailLevel.HAPPY_FLOW)
+    assert report.verdict is Verdict.CONFORMANT
+    assert (report.traces, report.states) == (4, 4751)
 
 
 # ---------------------------------------------------------------------------
