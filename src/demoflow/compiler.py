@@ -1,11 +1,17 @@
 """Compile a transaction network into a BPMN collaboration.
 
-Three detail levels:
+Three detail levels.  At happy and dissent both sides of a transaction are
+projections of the engine's transition table (_TRANSITIONS) over the level's
+act alphabet (LEVEL_ALPHABETS), derived once per level: a node for each act
+a side performs, a catch for each act it receives, a gateway where a phase
+offers a choice, and a message flow from each send task to each catch of its
+act.
 
     happy     request -> promise -> execute -> declare -> accept, two pools
-              per transaction, four message flows
-    dissent   adds the decline branch (with re-request / stop) and the
-              reject branch (with re-declare / stop)
+              per transaction
+    dissent   the same projection with decline, reject and stop: the
+              decline branch (with re-request / stop) and the reject branch
+              (with re-declare / stop)
     complete  adds, per transaction and pool, a revocation zone armed by an
               entry parallel gateway: an event-based gateway awaiting
               counterparty revocation messages and environment triggers,
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import (
     Act,
@@ -43,6 +49,7 @@ from .engine import (
     REVOKER,
     Role,
     TransactionState,
+    _TRANSITIONS,
     rollback_chain,
 )
 from .model import (
@@ -116,11 +123,11 @@ class _Fragment:
     associations: list[Association] = field(default_factory=list)
     marks: dict[str | Phase, str] = field(default_factory=dict)
     last: str = ""  # where the revocation episode being built has got to
+    prefix: str = field(init=False)  # of every node id
     _counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    @property
-    def prefix(self) -> str:
-        return f"{self.tk_slug}_{ROLE_TAG[self.role]}"
+    def __post_init__(self) -> None:
+        self.prefix = f"{self.tk_slug}_{ROLE_TAG[self.role]}"
 
     def add(
         self,
@@ -130,10 +137,11 @@ class _Fragment:
         attached_to: Optional[str] = None,
         compensates: Optional[str] = None,
     ) -> str:
-        key = (slug, kind.value)
+        tag = kind.value
+        key = (slug, tag)
         ordinal = self._counts.get(key, 0) + 1
         self._counts[key] = ordinal
-        node_id = f"{self.prefix}_{slug}_{kind.value}"
+        node_id = f"{self.prefix}_{slug}_{tag}"
         if ordinal > 1:
             node_id += f"_{ordinal}"
         self.nodes.append(
@@ -172,124 +180,141 @@ def _catch_name(act: Act, tk: Transaction) -> str:
     return f"Receive {act.value} {tk.name}"
 
 
-def _build_initiator(tk: Transaction, level: DetailLevel) -> _Fragment:
-    frag = _Fragment(slugify_tk(tk.id), Role.INITIATOR)
-    marks = frag.marks
+# The slug of a side's gateway in a phase with several moves: (where this side
+# chooses, where it waits for the other side's choice).
+_CHOICE_SLUGS = {
+    Phase.REQUESTED: ("response", "response"),
+    Phase.DECLARED: ("verdict", "verdict"),
+    Phase.REJECTED: ("rejected", "retry"),
+    Phase.DECLINED: ("declined", "retry"),
+}
 
-    start = frag.add("entry", NodeKind.START_EVENT, name=f"Start {tk.name}")
-    sreq = frag.add("request", NodeKind.SEND_TASK, name=_send_name(Act.REQUEST, tk))
-    marks["start"], marks["request"] = start, sreq
+# The slug of the end event in each phase with no moves.
+_OUTCOME_SLUGS = {Phase.ACCEPTED: "done", Phase.STOPPED: "stopped"}
 
-    if level is DetailLevel.HAPPY_FLOW:
-        cprom = frag.add("promise", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.PROMISE, tk))
-        cdecl = frag.add("declare", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.DECLARE, tk))
-        sacc = frag.add("accept", NodeKind.SEND_TASK, name=_send_name(Act.ACCEPT, tk))
-        done = frag.add("done", NodeKind.END_EVENT, name=f"{tk.name} done")
-        for src, tgt in ((start, sreq), (sreq, cprom), (cprom, cdecl), (cdecl, sacc), (sacc, done)):
-            frag.connect(src, tgt)
-        marks.update(accept=sacc, done=done, entry=sreq)
-        return frag
-
-    response = frag.add("response", NodeKind.EVENT_BASED_GATEWAY)
-    cprom = frag.add("promise", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.PROMISE, tk))
-    cdecl = frag.add("declare", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.DECLARE, tk))
-    verdict = frag.add("verdict", NodeKind.EXCLUSIVE_GATEWAY)
-    sacc = frag.add("accept", NodeKind.SEND_TASK, name=_send_name(Act.ACCEPT, tk))
-    done = frag.add("done", NodeKind.END_EVENT, name=f"{tk.name} done")
-    sreject = frag.add("reject", NodeKind.SEND_TASK, name=_send_name(Act.REJECT, tk))
-    retry = frag.add("retry", NodeKind.EVENT_BASED_GATEWAY)
-    cdecl2 = frag.add("declare", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.DECLARE, tk))
-    cstop = frag.add("stop", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.STOP, tk))
-    stopped2 = frag.add("stopped", NodeKind.END_EVENT, name=f"{tk.name} stopped")
-    cdecline = frag.add("decline", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.DECLINE, tk))
-    declined = frag.add("declined", NodeKind.EXCLUSIVE_GATEWAY)
-    sstop = frag.add("stop", NodeKind.SEND_TASK, name=_send_name(Act.STOP, tk))
-    stopped = frag.add("stopped", NodeKind.END_EVENT, name=f"{tk.name} stopped")
-
-    frag.connect(start, sreq)
-    frag.connect(sreq, response)
-    frag.connect(response, cprom)
-    frag.connect(response, cdecline)
-    frag.connect(cprom, cdecl)
-    frag.connect(cdecl, verdict)
-    frag.connect(verdict, sacc, label="accept")
-    frag.connect(verdict, sreject, label="reject")
-    frag.connect(sacc, done)
-    frag.connect(sreject, retry)
-    frag.connect(retry, cdecl2)
-    frag.connect(retry, cstop)
-    frag.connect(cdecl2, verdict)
-    frag.connect(cstop, stopped2)
-    frag.connect(cdecline, declined)
-    frag.connect(declined, sreq, label="rerequest")
-    frag.connect(declined, sstop, label="stop")
-    frag.connect(sstop, stopped)
-
-    marks.update(accept=sacc, done=done, entry=sreq)
-    # where this side waits in each phase an allowed revocation lands in
-    marks.update({Phase.PROMISED: cdecl, Phase.REJECTED: retry, Phase.DECLINED: declined})
-    return frag
+_Moves = dict[Phase, list[tuple[Act, Role, Phase]]]
 
 
-def _build_executor(tk: Transaction, level: DetailLevel) -> _Fragment:
-    frag = _Fragment(slugify_tk(tk.id), Role.EXECUTOR)
-    marks = frag.marks
+class _Side(NamedTuple):
+    """One side of a transaction at one level, nodes by index: each node is
+    (slug, kind, name format taking the transaction's name)."""
 
-    mstart = frag.add(
-        "request", NodeKind.MESSAGE_START_EVENT, name=_catch_name(Act.REQUEST, tk)
-    )
-    marks["start"] = mstart
+    nodes: list[tuple[str, NodeKind, str]]
+    flows: list[tuple[int, int, str]]
+    marks: dict[str | Phase, int]
+    acts: dict[Act, int]  # the node of each act this side performs
+    catches: dict[Act, list[int]]  # the catches of each act of the other side
 
-    if level is DetailLevel.HAPPY_FLOW:
-        sprom = frag.add("promise", NodeKind.SEND_TASK, name=_send_name(Act.PROMISE, tk))
-        texec = frag.add("execute", NodeKind.TASK, name=_send_name(Act.EXECUTE, tk))
-        sdecl = frag.add("declare", NodeKind.SEND_TASK, name=_send_name(Act.DECLARE, tk))
-        caccept = frag.add("accept", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.ACCEPT, tk))
-        done = frag.add("done", NodeKind.END_EVENT, name=f"{tk.name} done")
-        for src, tgt in ((mstart, sprom), (sprom, texec), (texec, sdecl), (sdecl, caccept), (caccept, done)):
-            frag.connect(src, tgt)
-        marks.update(promise=sprom, execute=texec, declare=sdecl)
-        return frag
 
-    response = frag.add("response", NodeKind.EXCLUSIVE_GATEWAY)
-    sprom = frag.add("promise", NodeKind.SEND_TASK, name=_send_name(Act.PROMISE, tk))
-    texec = frag.add("execute", NodeKind.TASK, name=_send_name(Act.EXECUTE, tk))
-    sdecl = frag.add("declare", NodeKind.SEND_TASK, name=_send_name(Act.DECLARE, tk))
-    verdict = frag.add("verdict", NodeKind.EVENT_BASED_GATEWAY)
-    caccept = frag.add("accept", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.ACCEPT, tk))
-    done = frag.add("done", NodeKind.END_EVENT, name=f"{tk.name} done")
-    creject = frag.add("reject", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.REJECT, tk))
-    rejected = frag.add("rejected", NodeKind.EXCLUSIVE_GATEWAY)
-    sstop = frag.add("stop", NodeKind.SEND_TASK, name=_send_name(Act.STOP, tk))
-    stopped = frag.add("stopped", NodeKind.END_EVENT, name=f"{tk.name} stopped")
-    sdecline = frag.add("decline", NodeKind.SEND_TASK, name=_send_name(Act.DECLINE, tk))
-    retry = frag.add("retry", NodeKind.EVENT_BASED_GATEWAY)
-    creq2 = frag.add("request", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.REQUEST, tk))
-    cstop = frag.add("stop", NodeKind.MESSAGE_CATCH, name=_catch_name(Act.STOP, tk))
-    stopped2 = frag.add("stopped", NodeKind.END_EVENT, name=f"{tk.name} stopped")
+def _derive_side(moves: _Moves, role: Role) -> _Side:
+    """Project the moves onto ``role`` by a depth-first walk over the phases.
 
-    frag.connect(mstart, response)
-    frag.connect(response, sprom, label="promise")
-    frag.connect(response, sdecline, label="decline")
-    frag.connect(sprom, texec)
-    frag.connect(texec, sdecl)
-    frag.connect(sdecl, verdict)
-    frag.connect(verdict, caccept)
-    frag.connect(verdict, creject)
-    frag.connect(caccept, done)
-    frag.connect(creject, rejected)
-    frag.connect(rejected, sdecl, label="redeclare")
-    frag.connect(rejected, sstop, label="stop")
-    frag.connect(sstop, stopped)
-    frag.connect(sdecline, retry)
-    frag.connect(retry, creq2)
-    frag.connect(retry, cstop)
-    frag.connect(creq2, response)
-    frag.connect(cstop, stopped2)
+    The side makes one node for each act it performs, a task for Execute and
+    a send task otherwise; a later move to the same act is a loop back to it,
+    labelled ``re<slug>``.  It makes a catch for each move of the other side,
+    a message start event at Initial, but does not see the other side's
+    Execute.  A phase with several moves gets a gateway, exclusive where this
+    side chooses (its branches labelled with the act's slug) and event-based
+    where it waits; a phase with none gets an end event on each path into it.
+    """
+    nodes: list[tuple[str, NodeKind, str]] = []
+    flows: list[tuple[int, int, str]] = []
+    sits: dict[Phase, int] = {}  # where this side is in each phase with moves
+    ends: dict[Phase, int] = {}
+    acts: dict[Act, int] = {}
+    catches: dict[Act, list[int]] = {}
 
-    marks.update(promise=sprom, execute=texec, declare=sdecl)
-    marks.update({Phase.PROMISED: texec, Phase.REJECTED: rejected, Phase.DECLINED: retry})
-    return frag
+    def add(slug: str, kind: NodeKind, name: str = "") -> int:
+        nodes.append((slug, kind, name))
+        return len(nodes) - 1
+
+    def enter(phase: Phase, prev: Optional[int]) -> None:
+        if phase in sits:
+            flows.append((prev, sits[phase], ""))
+            return
+        options = moves.get(phase)
+        if not options:
+            slug = _OUTCOME_SLUGS[phase]
+            ends[phase] = add(slug, NodeKind.END_EVENT, f"{{}} {slug}")
+            flows.append((prev, ends[phase], ""))
+            return
+        (act, performer, target), *rest = options
+        if not rest and act is Act.EXECUTE and performer is not role:
+            enter(target, prev)  # this side waits on through the other's production act
+            sits[phase] = sits[target]
+            return
+        chooses = performer is role
+        if rest:
+            kind = NodeKind.EXCLUSIVE_GATEWAY if chooses else NodeKind.EVENT_BASED_GATEWAY
+            sits[phase] = add(_CHOICE_SLUGS[phase][not chooses], kind)
+            flows.append((prev, sits[phase], ""))
+            prev = sits[phase]
+        for act, performer, target in options:
+            slug = SLUG_FOR_ACT[act]
+            if performer is role and act in acts:
+                flows.append((prev, acts[act], "re" + slug))
+                continue
+            if performer is role:
+                kind = NodeKind.TASK if act is Act.EXECUTE else NodeKind.SEND_TASK
+                node = acts[act] = add(slug, kind, f"{act.value} {{}}")
+            else:
+                kind = NodeKind.MESSAGE_START_EVENT if phase is Phase.INITIAL else NodeKind.MESSAGE_CATCH
+                node = add(slug, kind, f"Receive {act.value} {{}}")
+                catches.setdefault(act, []).append(node)
+            sits.setdefault(phase, node)
+            if prev is not None:  # else node is the message start event
+                flows.append((prev, node, slug if chooses and rest else ""))
+            enter(target, node)
+
+    opens = moves[Phase.INITIAL][0][1] is role
+    enter(Phase.INITIAL, add("entry", NodeKind.START_EVENT, "Start {}") if opens else None)
+    # what splicing and the revocation zone attach to: the start, the end once
+    # accepted, the core acts this side performs and where it is in each phase
+    # a revocation lands in
+    marks: dict[str | Phase, int] = {"start": 0, "done": ends[Phase.ACCEPTED]}
+    marks.update((SLUG_FOR_ACT[act], node) for act, node in acts.items() if act in CORE_ACTS)
+    marks.update((phase, sits[phase]) for phase in LANDING_PHASE.values() if phase in sits)
+    return _Side(nodes, flows, marks, acts, catches)
+
+
+def _project(alphabet: frozenset[Act]) -> tuple[dict[Role, _Side], list[tuple[Role, int, int]]]:
+    """Both sides of a transaction over ``alphabet``, and their message flows
+    as (sender, send task, catch): each send task reaches every catch of its
+    act on the other side."""
+    moves: _Moves = {}
+    for (phase, act, performer), target in _TRANSITIONS.items():
+        if act in alphabet:
+            moves.setdefault(phase, []).append((act, performer, target))
+    sides = {role: _derive_side(moves, role) for role in Role}
+    messages = [
+        (role, send, catch)
+        for role, side in sides.items()
+        for act, send in side.acts.items()
+        for catch in sides[role.other].catches.get(act, ())
+    ]
+    return sides, messages
+
+
+# Derived once per level; the revocation zone adds to the complete level's.
+_PROJECTIONS = {level: _project(alphabet) for level, alphabet in LEVEL_ALPHABETS.items()}
+
+
+def _build_transaction(tk: Transaction, level: DetailLevel) -> tuple[dict[Role, _Fragment], list[MessageFlow]]:
+    """Both sides of ``tk`` and their message flows, replayed from the level's projection."""
+    sides, messages = _PROJECTIONS[level]
+    tk_slug = slugify_tk(tk.id)
+    frags = {}
+    for role, side in sides.items():
+        frag = frags[role] = _Fragment(tk_slug, role)
+        ids = [frag.add(slug, kind, name.format(tk.name)) for slug, kind, name in side.nodes]
+        for source, target, label in side.flows:
+            frag.connect(ids[source], ids[target], label)
+        frag.marks = {key: ids[node] for key, node in side.marks.items()}
+    message_flows = []
+    for role, send, catch in messages:
+        source, target = frags[role].nodes[send].id, frags[role.other].nodes[catch].id
+        message_flows.append(MessageFlow(f"mf_{source}__{target}", source, target))
+    return frags, message_flows
 
 
 def _add_revocation_zones(frags: dict[Role, _Fragment], tk: Transaction) -> list[MessageFlow]:
@@ -310,7 +335,6 @@ def _add_revocation_zones(frags: dict[Role, _Fragment], tk: Transaction) -> list
         frag.connect(start, gateway)
         frag.connect(gateway, old_target)
         frag.connect(gateway, revgate)
-        frag.marks["entry"] = gateway
         for act in CORE_ACTS:
             if PERFORMER[act] is role:
                 frag.compensable(frag.marks[SLUG_FOR_ACT[act]], act)
@@ -409,31 +433,6 @@ def _add_episode(
         frag.connect(split, frag.marks[landing], label="reposition")
 
 
-def _message_flows(tk: Transaction, level: DetailLevel) -> list[MessageFlow]:
-    t = slugify_tk(tk.id)
-
-    def mf(src: str, tgt: str) -> MessageFlow:
-        return MessageFlow(f"mf_{src}__{tgt}", src, tgt)
-
-    flows = [
-        mf(f"{t}_i_request_sendtask", f"{t}_e_request_mstart"),
-        mf(f"{t}_e_promise_sendtask", f"{t}_i_promise_catch"),
-        mf(f"{t}_e_declare_sendtask", f"{t}_i_declare_catch"),
-        mf(f"{t}_i_accept_sendtask", f"{t}_e_accept_catch"),
-    ]
-    if level is DetailLevel.HAPPY_FLOW:
-        return flows
-    flows += [
-        mf(f"{t}_i_request_sendtask", f"{t}_e_request_catch"),
-        mf(f"{t}_e_declare_sendtask", f"{t}_i_declare_catch_2"),
-        mf(f"{t}_e_decline_sendtask", f"{t}_i_decline_catch"),
-        mf(f"{t}_i_reject_sendtask", f"{t}_e_reject_catch"),
-        mf(f"{t}_i_stop_sendtask", f"{t}_e_stop_catch"),
-        mf(f"{t}_e_stop_sendtask", f"{t}_i_stop_catch"),
-    ]
-    return flows
-
-
 def _splice(parent_frag: _Fragment, children: list[_Fragment], kind: DependencyKind) -> None:
     """Wire child initiator fragments into the parent executor flow, under
     the ``spawn`` and ``phase:`` guards."""
@@ -484,15 +483,17 @@ def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnMo
     roots = {t.id for t in net.roots()}
 
     fragments: dict[tuple[str, Role], _Fragment] = {}
+    hosts: list[tuple[str, _Fragment]] = []  # each fragment with its pool's actor
     message_flows: list[MessageFlow] = []
     for tk_id in order:
         tk = net.transaction(tk_id)
-        frags = {Role.INITIATOR: _build_initiator(tk, level), Role.EXECUTOR: _build_executor(tk, level)}
-        message_flows += _message_flows(tk, level)
+        frags, flows = _build_transaction(tk, level)
+        message_flows += flows
         if level is DetailLevel.COMPLETE:
             message_flows += _add_revocation_zones(frags, tk)
         for role, frag in frags.items():
             fragments[(tk_id, role)] = frag
+            hosts.append((tk.initiator if role is Role.INITIATOR else tk.executor, frag))
 
     # non-root initiator fragments lose their start event; splicing takes over
     for tk_id in order:
@@ -517,34 +518,21 @@ def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnMo
                 children.sort(key=lambda f: f.tk_slug)
                 _splice(parent_frag, children, kind)
 
-    host_actor = {}
-    for tk_id in order:
-        tk = net.transaction(tk_id)
-        host_actor[(tk_id, Role.INITIATOR)] = tk.initiator
-        host_actor[(tk_id, Role.EXECUTOR)] = tk.executor
-
-    pools: dict[str, Pool] = {}
-    for actor in sorted({a for a in host_actor.values()}, key=lambda a: a):
-        actor_obj = net.actor(actor)
-        pools[actor] = Pool(
+    pools = {
+        actor: Pool(
             id=f"pool_{actor.lower()}",
             process_id=f"proc_{actor.lower()}",
-            name=actor_obj.name,
+            name=net.actor(actor).name,
             actor_id=actor,
         )
-    for tk_id in order:
-        for role in (Role.INITIATOR, Role.EXECUTOR):
-            frag = fragments[(tk_id, role)]
-            pool = pools[host_actor[(tk_id, role)]]
-            pool.nodes.extend(frag.nodes)
-            pool.flows.extend(frag.flows)
-            pool.associations.extend(frag.associations)
+        for actor in sorted({actor for actor, _ in hosts})
+    }
+    for actor, frag in hosts:
+        pools[actor].nodes.extend(frag.nodes)
+        pools[actor].flows.extend(frag.flows)
+        pools[actor].associations.extend(frag.associations)
 
-    return BpmnModel(
-        id=f"collab_{level.value}",
-        pools=[pools[a] for a in sorted(pools)],
-        message_flows=message_flows,
-    )
+    return BpmnModel(id=f"collab_{level.value}", pools=list(pools.values()), message_flows=message_flows)
 
 
 def act_census(model: BpmnModel) -> dict[tuple[str, Act], list[str]]:

@@ -293,16 +293,16 @@ def test_allow_path_compensates_the_engine_rollback_chain(solo_net, revocation):
         assert _allowed_rollback(model, revocation, first) == list(rollback_chain(performed, revocation))
 
 
-def test_zone_message_flows_join_a_send_task_to_a_catch_across_pools(solo_net):
-    model = compile_network(solo_net, DetailLevel.COMPLETE)
-    dissent = {f.id for f in compile_network(solo_net, DetailLevel.WITH_DISSENT).message_flows}
-    zone = [f for f in model.message_flows if f.id not in dissent]
-    assert len(zone) == SOLO_SIZES[DetailLevel.COMPLETE][2] - SOLO_SIZES[DetailLevel.WITH_DISSENT][2]
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: level.value)
+def test_zone_message_flows_join_a_send_task_to_a_catch_across_pools(solo_net, level):
+    model = compile_network(solo_net, level)
+    assert len(model.message_flows) == SOLO_SIZES[level][2]
     nodes, pool_of = model.node_index(), model.pool_of()
-    for flow in zone:
+    for flow in model.message_flows:
         assert nodes[flow.source].kind is NodeKind.SEND_TASK, flow.id
-        assert nodes[flow.target].kind is NodeKind.MESSAGE_CATCH, flow.id
+        assert nodes[flow.target].kind in (NodeKind.MESSAGE_CATCH, NodeKind.MESSAGE_START_EVENT), flow.id
         assert pool_of[flow.source] != pool_of[flow.target], flow.id
+        assert parse_node_id(flow.source).slug == parse_node_id(flow.target).slug, flow.id
 
 
 def _delete_flow(model, pool_index, flow_index):

@@ -469,6 +469,19 @@ def test_nonconformant_report_renders_its_projections():
     assert unexpected == sorted(unexpected)
 
 
+# The smallest witness of the re-entry defect (ROADMAP item 3): after a
+# revocation the child is re-requested and re-accepted, and its exit into the
+# parent fires a second time, so the parent's Execute (RaP) or Declare (RaE)
+# happens again in a phase that does not allow it.  The fix for item 3 must
+# turn these into passes.
+@pytest.mark.xfail(strict=True, raises=SimulationError, reason="ROADMAP item 3: a child's exit re-enters its parent")
+@pytest.mark.parametrize("kind", [DependencyKind.RAP, DependencyKind.RAE], ids=lambda kind: kind.value)
+def test_two_transaction_chain_is_conformant_at_complete(kind):
+    model = compile_network(_chain_net(kind, 2), DetailLevel.COMPLETE)
+    report = check_conformance(model, LEVEL_ALPHABETS[DetailLevel.COMPLETE])
+    assert report.verdict is Verdict.CONFORMANT
+
+
 # ---------------------------------------------------------------------------
 # The memo against a brute-force enumeration, and pinned exploration results
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from demoflow.model import (
     SequenceFlow,
     lint_model,
 )
+from demoflow.network import DependencyKind
 from demoflow.xmlio import ModelFormatError, parse_model, serialize_model
+from test_simulator import MIXED_TREE, _fan_net
 
 LEVELS = list(DetailLevel)
 
@@ -83,6 +85,51 @@ def test_compiled_xml_is_pinned(net_fixture, level, request):
         hashlib.sha256(serialize_model(model, layout=layout)).hexdigest() for layout in (False, True)
     )
     assert digests == XML_SHA256[(net_fixture, level)]
+
+
+# The same pins for two synthetic networks: MIXED_TREE (six transactions, every
+# dependency kind) and a root with two RaD children.
+COMPOSED_XML_SHA256 = {
+    ("mixed-tree", DetailLevel.HAPPY_FLOW): (
+        "09aa6ba0f27434d2eb1f2ee7e96403d6f60df54c17b87a70fd18fee9190dcaca",
+        "e95e3dd02d1c39fac5fdbfd02f5ee98fd078fac374a85e27f7b3310ec3a467ac",
+    ),
+    ("mixed-tree", DetailLevel.WITH_DISSENT): (
+        "4bb19b8d241eb310934b6c271c88a8882327d3031ae4a4d8101d74290c16e3f0",
+        "dcdbf3861c562a36209359f3af8d8767dccd360de820775251433fec1c59bcfe",
+    ),
+    ("mixed-tree", DetailLevel.COMPLETE): (
+        "f14d3d6b94c9ae1c316e53a6f84475bfb15818d2aa84e1a69cc3a0399617af31",
+        "259e7c47c91dec2479a95ce3a022d6f105a5ca4ef940414d31e757f5435cf01e",
+    ),
+    ("fan2-rad", DetailLevel.HAPPY_FLOW): (
+        "934768470d54489a02cd0325e1578ac110f1e390c505d12d342edcc4e2e1b70c",
+        "3627ab80d4401ad082693b87aefd4a98882d0beae7c872116b3293a60903e2d7",
+    ),
+    ("fan2-rad", DetailLevel.WITH_DISSENT): (
+        "0e675f3b2e9759d047d58910595692207c691df6c5c45a540f70dbc54711f9ac",
+        "ca0a9583e26f4fb4675f962db1a341df20766a13db6678fc0ab7aff166312350",
+    ),
+    ("fan2-rad", DetailLevel.COMPLETE): (
+        "53350b44ac48ec6ddd277a4b5356ad50893d95d73d5116e6bea94a0cee6c96de",
+        "a53fdfa4620567ee929f2a1214192387c45ef6385f1a4190fd6b712a5cf97081",
+    ),
+}
+
+COMPOSED_NETS = {
+    "mixed-tree": MIXED_TREE,
+    "fan2-rad": _fan_net(DependencyKind.RAD, 2),
+}
+
+
+@pytest.mark.parametrize("net_name", list(COMPOSED_NETS))
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: level.value)
+def test_composed_xml_is_pinned(net_name, level):
+    model = compile_network(COMPOSED_NETS[net_name], level)
+    digests = tuple(
+        hashlib.sha256(serialize_model(model, layout=layout)).hexdigest() for layout in (False, True)
+    )
+    assert digests == COMPOSED_XML_SHA256[(net_name, level)]
 
 
 @pytest.mark.parametrize("level", LEVELS)
