@@ -9,10 +9,10 @@ Subcommands:
 * ``conformance`` — compare a compiled network's traces with the engine
 
 Exit codes: 0 success, 1 validation or conformance failure, 2 usage or I/O
-error, 3 inconclusive (exploration passed ``--max-states`` before it
-finished).  All diagnostics go to stderr; artifacts are written only to the
-files named on the command line, and identical invocations over identical
-inputs produce byte-identical artifacts.
+error, 3 inconclusive (exploration passed ``--max-states``, or ran out of
+memory, before it finished).  All diagnostics go to stderr; artifacts are
+written only to the files named on the command line, and identical
+invocations over identical inputs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -244,6 +244,10 @@ def main(argv=None) -> int:
     except (ValueError, SimulationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # reported below, once the exception and the tables it holds are freed
+    print("inconclusive: out of memory; lower --max-states or the loop bounds", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -380,17 +380,17 @@ def enumerate_language(
     Terminated with no revocation pending; from Accepted the walk also
     continues into still-affordable revocations, so both the plain accepted
     run and its post-acceptance revocation extensions are members.
-    Auto-refused resolutions are canonically labeled Refuse.
+    Auto-refused resolutions are canonically labeled Refuse.  The walk keeps
+    its own stack, so a run may be as long as the bounds allow.
     """
     results: set[tuple[tuple[Act, ...], Phase]] = set()
-
-    def walk(run: BoundedState, events: tuple[Act, ...]) -> None:
+    stack: list[tuple[BoundedState, tuple[Act, ...]]] = [(BoundedState(), ())]
+    while stack:
+        run, events = stack.pop()
         state = run.state
         if state.pending is None and state.phase in TERMINAL_PHASES:
             results.add((events, state.phase))
         for role in Role:
             for act in bounded_acts(run, role, bounds) & alphabet:
-                walk(bounded_apply(run, act, role), events + (act,))
-
-    walk(BoundedState(), ())
+                stack.append((bounded_apply(run, act, role), events + (act,)))
     return frozenset(results)

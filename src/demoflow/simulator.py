@@ -14,6 +14,19 @@ transaction, which holds only that transaction's projected events and final
 phase, and compares each lane, reduced to the fourteen acts, with the
 engine's enumerated language.
 
+A state is a tuple of per-transaction component codes.  Each code interns
+one transaction's share of the state (its tokens, messages in flight,
+completed and compensated tasks, whether its executor started, and its
+shadow), so a composed network's states share a few hundred components.
+Whether a step is enabled depends only on the stepping transaction's
+component, so each component's steps are listed once.  A step reads and
+writes only a footprint of transactions fixed by the model (its own, those
+its placements reach through ``spawn`` and ``phase:`` guards, and the
+children a reposition clears), so its effect is memoized on the
+footprint's codes: a miss runs the step on those components alone, and
+every later state that shares them replays it.  Random walks and both
+exploration modes take this one step.
+
 Node ids give each node's transaction, role and act; control beyond the
 graph (splice entries and exits, stale resumptions, the revocation zone and
 its reposition splits) comes from the sequence-flow guards defined on
@@ -30,7 +43,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, compress, repeat
-from operator import attrgetter, ne
+from operator import attrgetter, itemgetter, ne
 from typing import Callable, Iterable, Optional
 
 from .engine import (
@@ -146,57 +159,43 @@ class ExhaustiveResult:
     states: int
 
 
-class _State:
-    """One exploration state, hashed once when it is frozen.
-
-    Nodes and transactions are the simulation's integer indices:
-    ``tokens`` is a sorted tuple of ``(node, count)`` pairs; ``in_flight``
-    (sources of undelivered messages), ``completed`` (task nodes that ran and
-    could be compensated) and ``compensated`` are bitsets over nodes;
-    ``spawned`` (transactions whose executor instance started) is a bitset
-    over transactions; ``shadows`` holds each transaction's interned
-    ``TkStatus`` code, in transaction order.
-    """
-
-    __slots__ = ("tokens", "in_flight", "spawned", "completed", "compensated", "shadows", "_hash")
-
-    def __init__(self, tokens, in_flight, spawned, completed, compensated, shadows):
-        self.tokens: tuple[tuple[int, int], ...] = tokens
-        self.in_flight: int = in_flight
-        self.spawned: int = spawned
-        self.completed: int = completed
-        self.compensated: int = compensated
-        self.shadows: tuple[int, ...] = shadows
-        self._hash = hash((tokens, in_flight, spawned, completed, compensated, shadows))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return (
-            self._hash == other._hash
-            and self.tokens == other.tokens
-            and self.shadows == other.shadows
-            and self.in_flight == other.in_flight
-            and self.spawned == other.spawned
-            and self.completed == other.completed
-            and self.compensated == other.compensated
-        )
+# A simulation state is a tuple with one component code per transaction, in
+# transaction order.  A component is one transaction's share of the state:
+#
+#     (tokens, in_flight, completed, compensated, spawned, shadow)
+#
+# ``tokens`` is a sorted tuple of ``(node, count)`` pairs over the
+# transaction's nodes; ``in_flight`` (sources of undelivered messages),
+# ``completed`` (task nodes that ran and could be compensated) and
+# ``compensated`` are bitsets over nodes, holding only the transaction's
+# bits; ``spawned`` is 1 once its executor instance started; ``shadow`` is
+# its interned ``TkStatus`` code.
+_SHADOW = 5
 
 
 class _Working:
-    """Mutable copy of a _State while one step is applied."""
+    """Mutable merge of some transactions' components while one step is
+    applied: ``tokens`` maps node to count, the node bitsets are the union of
+    the components', ``spawned`` is a bitset over transactions and
+    ``shadows`` maps each transaction to its status code."""
 
     __slots__ = ("ids", "tokens", "in_flight", "spawned", "completed", "compensated", "shadows")
 
-    def __init__(self, state: _State, ids: list[str]):
-        self.ids = ids
-        self.tokens = dict(state.tokens)
-        self.in_flight = state.in_flight
-        self.spawned = state.spawned
-        self.completed = state.completed
-        self.compensated = state.compensated
-        self.shadows = list(state.shadows)
+    def __init__(self, sim: "_Simulation", tks: Iterable[int], codes: Iterable[int]):
+        self.ids = sim.ids
+        self.tokens = tokens = {}
+        self.shadows = shadows = {}
+        in_flight = spawned = completed = compensated = 0
+        components = sim.components
+        for tk, code in zip(tks, codes):
+            marked, flying, done, undone, started, shadows[tk] = components[code]
+            tokens.update(marked)
+            in_flight |= flying
+            completed |= done
+            compensated |= undone
+            spawned |= started << tk
+        self.in_flight, self.spawned = in_flight, spawned
+        self.completed, self.compensated = completed, compensated
 
     def add_token(self, node: int, count: int = 1) -> None:
         self.tokens[node] = self.tokens.get(node, 0) + count
@@ -210,15 +209,31 @@ class _Working:
         else:
             self.tokens.pop(node, None)
 
-    def freeze(self) -> _State:
-        return _State(
-            tuple(sorted(self.tokens.items())),
-            self.in_flight,
-            self.spawned,
-            self.completed,
-            self.compensated,
-            tuple(self.shadows),
-        )
+    def freeze(self, sim: "_Simulation", tks: tuple[int, ...]) -> tuple[int, ...]:
+        """The component code of each of ``tks``, in ascending order."""
+        items = sorted(self.tokens.items())
+        if len(tks) == 1:  # most steps: every token and bit is this one's
+            (tk,) = tks
+            return (sim.component_code((
+                tuple(items), self.in_flight, self.completed, self.compensated,
+                self.spawned >> tk & 1, self.shadows[tk],
+            )),)
+        codes = []
+        start = 0
+        for tk in tks:
+            nodes, mask = sim.tk_nodes[tk], sim.masks[tk]
+            start = bisect_left(items, (nodes.start,), start)
+            stop = bisect_left(items, (nodes.stop,), start)
+            codes.append(sim.component_code((
+                tuple(items[start:stop]),
+                self.in_flight & mask,
+                self.completed & mask,
+                self.compensated & mask,
+                self.spawned >> tk & 1,
+                self.shadows[tk],
+            )))
+            start = stop
+        return tuple(codes)
 
 
 class _Interner:
@@ -231,10 +246,10 @@ class _Interner:
         self._codes: dict = {}
 
     def code(self, value) -> int:
-        code = self._codes.get(value)
-        if code is None:
-            code = self._codes[value] = len(self.values)
-            self.values.append(value)
+        values = self.values
+        code = self._codes.setdefault(value, len(values))  # hashes value once
+        if code == len(values):
+            values.append(value)
         return code
 
 
@@ -279,8 +294,9 @@ class _Simulation:
     Nodes are numbered in sorted-id order and transactions in sorted order,
     so sorting steps by index sorts them as by id.  A step is ``(op, node,
     arg)``: ``arg`` is a delivery's target node, or an exclusive gateway's
-    branch in flow-id order.  Transaction statuses, emitted events and
-    outcome tuples are interned to small ints; ``trace`` decodes them.
+    branch in flow-id order.  Transaction components and statuses, emitted
+    events and outcome tuples are interned to small ints; ``trace`` decodes
+    them.
 
     The build checks every node id against the id grammar (``NODE_ID``) and
     reads only each node's transaction from it; every check that can reject
@@ -330,6 +346,8 @@ class _Simulation:
             start = end
         self.tks = sorted(blocks)
         self.tk_nodes = [blocks[tk] for tk in self.tks]
+        # each transaction's bits in a bitset over nodes
+        self.masks = [(1 << nodes.stop) - (1 << nodes.start) for nodes in self.tk_nodes]
         self.tk_of = tk_of = [0] * len(ids)
         for tk, members in enumerate(self.tk_nodes):
             tk_of[members.start:members.stop] = [tk] * len(members)
@@ -350,14 +368,19 @@ class _Simulation:
         self.first_out = first_out = list(
             accumulate(map(out_degree.get, range(len(ids)), repeat(0)), initial=0)
         )
-        # message targets by source; None marks a target outside the model
+        # message targets by source; None marks a target outside the model.
+        # A step's enabling may read only its own transaction's component,
+        # so a message may not cross transactions.
         msg_sources = map(index.get, map(_SOURCE, model.message_flows))
         msg_targets = list(map(index.get, map(_TARGET, model.message_flows)))
         msg_in = set(msg_targets)
         self.msg_out: dict[int, list[Optional[int]]] = {}
-        for source, msg_target in zip(msg_sources, msg_targets):
-            if source is not None:
-                self.msg_out.setdefault(source, []).append(msg_target)
+        for message, source, msg_target in zip(model.message_flows, msg_sources, msg_targets):
+            if source is None:
+                continue
+            if msg_target is not None and tk_of[msg_target] != tk_of[source]:
+                raise SimulationError(f"unrecognized cross-transaction message flow {message.id}")
+            self.msg_out.setdefault(source, []).append(msg_target)
 
         # one pass over the kinds, the most common first; need is the tokens
         # one firing consumes
@@ -389,21 +412,30 @@ class _Simulation:
                 self.starts.append(node)
             else:
                 need[node] = _PASSIVE
-        # environment triggers, in id order: (message catch that no message
-        # reaches, its transaction, the revocation zone's gateway before it)
-        self.triggers = [
-            (node, tk_of[node], self.ebg_pred[node])
-            for node in catches
-            if node not in msg_in and node in self.ebg_pred
-        ]
+        # environment triggers by the revocation zone's gateway before them,
+        # in id order: message catches that no message reaches
+        self.gate_triggers: dict[int, list[int]] = {}
+        for node in catches:
+            if node not in msg_in and node in self.ebg_pred:
+                self.gate_triggers.setdefault(self.ebg_pred[node], []).append(node)
         self._read_guards(sources, pars)
 
         self._statuses = _Interner()
         self._statuses.code(TkStatus())  # code 0, every transaction's start
         self.statuses: list[TkStatus] = self._statuses.values
+        self._components = _Interner()
+        self.components: list[tuple] = self._components.values
+        self.component_code = self._components.code
         self._events = _Interner()
         self.events: list[SimEvent] = self._events.values
         self._outcomes = _Interner()
+        # component code -> the steps it enables
+        self._local_steps: dict[int, list[tuple[int, int, int]]] = {}
+        # step -> (its footprint, the getter of their codes, {codes: (codes
+        # after, event codes)})
+        self._applied: dict[tuple[int, int, int], tuple[tuple[int, ...], itemgetter, dict]] = {}
+        # each transaction's footprint of itself alone, and its getter
+        self._own = [((tk,), itemgetter(tk)) for tk in range(len(self.tks))]
         # (status code, node) -> (status code after the node's act, event code)
         self._advances: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
         # (status code, node) -> whether the bounded step allows the node's act
@@ -437,12 +469,25 @@ class _Simulation:
                     raise SimulationError(f"unknown guard {label} on {flows[f].id}")
                 self.guards[f] = (tk_of[target[f]], _GUARD_PHASES[label[6:]], None)
         exit_of: dict[int, int] = {}  # a spawned child's one exit into its parent
+        # nodes whose steps may touch another transaction (see _footprint)
+        self.reaching = {sources[f] for f in spawns} | self.reposition_splits | {
+            node for node, task in self.compensates.items()
+            if task is not None and tk_of[task] != tk_of[node]
+        }
         crossing = map(ne, map(tk_of.__getitem__, sources), map(tk_of.__getitem__, target))
         for f in compress(range(len(flows)), crossing):
-            if labels[f] == "spawn":
+            self.reaching.add(sources[f])
+            # an event-based gateway arms the catches after it, so, like a
+            # message, it may not reach into another transaction
+            waits = self.kinds[sources[f]] is _EBG
+            if labels[f] == "spawn" and not waits:
                 continue
             child = tk_of[sources[f]]
-            if child in exit_of or child not in self.direct_children.get(tk_of[target[f]], ()):
+            if (
+                waits
+                or child in exit_of
+                or child not in self.direct_children.get(tk_of[target[f]], ())
+            ):
                 raise SimulationError(f"unrecognized cross-transaction flow {flows[f].id}")
             exit_of[child] = f
         for f in spawns:
@@ -452,7 +497,7 @@ class _Simulation:
                 raise SimulationError(f"child {self.tks[child]} has no guarded splice exit")
             self.guards[f] = (child, None, exit_of.get(child))
         # the zone: all that a trigger gateway reaches short of a reposition flow
-        gates = {gate for _, _, gate in self.triggers}
+        gates = set(self.gate_triggers)
         successor = list(target)
         for f in reposition:
             successor[f] = None  # a reposition flow leaves the zone
@@ -493,10 +538,12 @@ class _Simulation:
             self._node_events[(node, inverse)] = code
         return code
 
-    def outcome_code(self, state: _State) -> int:
-        code = self._outcome_of_shadows.get(state.shadows)
+    def outcome_code(self, state: tuple[int, ...]) -> int:
+        components = self.components
+        shadows = tuple(components[code][_SHADOW] for code in state)
+        code = self._outcome_of_shadows.get(shadows)
         if code is None:
-            code = self._outcome_of_shadows[state.shadows] = self._outcomes.code(self.outcomes(state))
+            code = self._outcome_of_shadows[shadows] = self._outcomes.code(self.outcomes(state))
         return code
 
     def trace(self, events: tuple[int, ...], outcome: int) -> SimTrace:
@@ -505,66 +552,80 @@ class _Simulation:
 
     # -- state ------------------------------------------------------------
 
-    def initial(self) -> _State:
-        return _State(
-            tuple((start, 1) for start in self.starts), 0, 0, 0, 0, (0,) * len(self.tks)
+    def initial(self) -> tuple[int, ...]:
+        return tuple(
+            self.component_code((
+                tuple((start, 1) for start in self.starts if start in nodes), 0, 0, 0, 0, 0
+            ))
+            for nodes in self.tk_nodes
         )
 
-    def outcomes(self, state: _State) -> tuple[tuple[str, Phase], ...]:
+    def outcomes(self, state: tuple[int, ...]) -> tuple[tuple[str, Phase], ...]:
+        components, statuses = self.components, self.statuses
         return tuple(
-            (tk, self.statuses[code].run.state.phase) for tk, code in zip(self.tks, state.shadows)
+            (tk, statuses[components[code][_SHADOW]].run.state.phase)
+            for tk, code in zip(self.tks, state)
         )
 
     # -- step enumeration --------------------------------------------------
 
-    def _frozen(self, node: int, shadows) -> bool:
-        if node in self.unlockable:
-            return False
-        return self.statuses[shadows[self.tk_of[node]]].lock is not None
+    def steps(self, state: tuple[int, ...]) -> list[tuple[int, int, int]]:
+        """The enabled steps in sorted order: the union of the steps each
+        component enables, which are computed once per component."""
+        out: list[tuple[int, int, int]] = []
+        local_steps = self._local_steps
+        for code in state:
+            local = local_steps.get(code)
+            if local is None:
+                local = local_steps[code] = self._component_steps(code)
+            out += local
+        out.sort()
+        return out
 
-    def steps(self, state: _State) -> list[tuple[int, int, int]]:
-        shadows = state.shadows
-        statuses = self.statuses
+    def _component_steps(self, code: int) -> list[tuple[int, int, int]]:
+        """The steps one transaction's component enables.  The build keeps
+        every message and every event-based gateway inside one transaction,
+        so enabling reads no other component."""
+        tokens, in_flight, _, _, spawned, shadow = self.components[code]
+        need, kinds, unlockable = self.need, self.kinds, self.unlockable
+        locked = self.statuses[shadow].lock is not None
         out: list[tuple[int, int, int]] = []
 
-        for node, count in state.tokens:
-            if count < self.need[node]:
+        for node, count in tokens:
+            if count < need[node]:
                 continue
-            if self._frozen(node, shadows):
+            if locked and node not in unlockable:
                 continue
-            if self.kinds[node] is not _XOR:
+            if kinds[node] is not _XOR:
                 out.append((_FIRE, node, 0))
                 continue
-            code = shadows[self.tk_of[node]]
             for branch, f in enumerate(self._branches(node)):
-                if self._branch_allowed(f, code):
+                if self._branch_allowed(f, shadow):
                     out.append((_FIRE, node, branch))
 
-        tokens = dict(state.tokens)
-        for source in _bits(state.in_flight):
+        marked = dict(tokens) if in_flight else {}
+        for source in _bits(in_flight):
             for target in self.msg_out.get(source, ()):
                 if target is None:
                     continue
-                if self.kinds[target] is _MESSAGE_START:
-                    if not state.spawned >> self.tk_of[target] & 1:
+                if kinds[target] is _MESSAGE_START:
+                    if not spawned:
                         out.append((_DELIVER, source, target))
                     continue
                 gate = self.ebg_pred.get(target)
-                armed = target in tokens or (gate is not None and gate in tokens)
+                armed = target in marked or (gate is not None and gate in marked)
                 if not armed:
                     continue
-                if self._frozen(target, shadows):
+                if locked and target not in unlockable:
                     continue
                 out.append((_DELIVER, source, target))
 
-        for trigger, tk, gate in self.triggers:
-            if gate not in tokens:
-                continue
-            code = shadows[tk]
-            if statuses[code].lock is None and self._allows(code, trigger):
-                out.append((_TRIGGER, trigger, 0))
+        if not locked:
+            for gate, _ in tokens:
+                for trigger in self.gate_triggers.get(gate, ()):
+                    if self._allows(shadow, trigger):
+                        out.append((_TRIGGER, trigger, 0))
 
-        out.sort()
         return out
 
     def _branches(self, node: int) -> list[int]:
@@ -599,20 +660,87 @@ class _Simulation:
 
     # -- step application --------------------------------------------------
 
-    def apply(self, state: _State, step: tuple[int, int, int]) -> tuple[_State, tuple[int, ...]]:
-        """The successor state and the codes of the events the step emits."""
-        working = _Working(state, self.ids)
-        events: list[int] = []
+    def apply(
+        self, state: tuple[int, ...], step: tuple[int, int, int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The successor state and the codes of the events the step emits.
+
+        A step reads and writes only the components of its footprint, so
+        its effect is memoized on their codes and replayed on every state
+        that shares them."""
+        entry = self._applied.get(step)
+        if entry is None:
+            entry = self._applied[step] = (*self._footprint(step), {})
+        tks, footprint_codes, results = entry
+        # one transaction's code, or a tuple of several
+        key = footprint_codes(state)
+        result = results.get(key)
+        if result is None:
+            # a miss: apply the step to the footprint's components alone
+            working = _Working(self, tks, key if len(tks) > 1 else (key,))
+            emitted: list[int] = []
+            op, node, arg = step
+            if op == _FIRE:
+                self._fire(working, node, arg, emitted)
+            elif op == _DELIVER:
+                self._deliver(working, node, arg)
+            elif op == _TRIGGER:
+                self._trigger(working, node)
+            else:
+                raise SimulationError(f"unknown step {step}")
+            result = results[key] = (working.freeze(self, tks), tuple(emitted))
+        after, events = result
+        if len(tks) == 1:
+            tk = tks[0]
+            return state[:tk] + after + state[tk + 1:], events
+        successor = list(state)
+        for tk, code in zip(tks, after):
+            successor[tk] = code
+        return tuple(successor), events
+
+    def _footprint(self, step: tuple[int, int, int]) -> tuple[tuple[int, ...], itemgetter]:
+        """The transactions whose components a step may read or write, in
+        ascending order, and the getter of their codes: the stepping
+        transaction, every transaction its placements reach through their
+        targets and guards, and for a reposition split the direct children
+        it may clear."""
         op, node, arg = step
-        if op == _FIRE:
-            self._fire(working, node, arg, events)
-        elif op == _DELIVER:
-            self._deliver(working, node, arg)
+        tk_of, target, guards = self.tk_of, self.target, self.guards
+        if (arg if op == _DELIVER else node) not in self.reaching:
+            # every placement stays in the transaction, and a phase guard
+            # there reads it alone
+            return self._own[tk_of[node]]
+        tks = {tk_of[node]}
+        if op == _DELIVER:
+            tks.add(tk_of[arg])
+            placed = list(self._out(arg))
         elif op == _TRIGGER:
-            self._trigger(working, node)
+            placed = list(self._out(node))
         else:
-            raise SimulationError(f"unknown step {step}")
-        return working.freeze(), tuple(events)
+            kind = self.kinds[node]
+            if kind is _XOR:
+                placed = [self._branches(node)[arg]]
+            elif kind is _END or kind is _TERMINATE:
+                placed = []
+            else:
+                placed = list(self._out(node))
+            compensated = self.compensates.get(node)
+            if compensated is not None:
+                tks.add(tk_of[compensated])
+            if node in self.reposition_splits:
+                tks.update(self.direct_children.get(tk_of[node], ()))
+        # placing on a guarded flow reads the guard's transaction, and a
+        # spawn guard may place on the child's exit instead
+        while placed:
+            f = placed.pop()
+            tks.add(tk_of[target[f]])
+            guard = guards.get(f)
+            if guard is not None:
+                tks.add(guard[0])
+                if guard[2] is not None:
+                    placed.append(guard[2])
+        footprint = tuple(sorted(tks))
+        return footprint, itemgetter(*footprint)
 
     def _emit(self, working: _Working, node: int, events: list[int]) -> None:
         tk = self.tk_of[node]
@@ -795,7 +923,7 @@ def _explore(
     sim: _Simulation,
     max_states: int,
     lane_of: Callable[[int], int],
-    leaves: Callable[[_State], tuple[int, ...]],
+    leaves: Callable[[tuple[int, ...]], tuple[int, ...]],
 ) -> tuple[tuple[frozenset, ...], int]:
     """Explore every interleaving, depth first with a memo: the root's suffix
     sets, one per lane, and the number of states explored.
@@ -833,7 +961,7 @@ def _explore(
             result = prefixed[key] = tuples.setdefault(result, result)
         return result
 
-    def leaf(state: _State) -> tuple:
+    def leaf(state: tuple[int, ...]) -> tuple:
         singletons = (frozenset({((), outcome)}) for outcome in leaves(state))
         lanes = tuple(sets.setdefault(suffixes, suffixes) for suffixes in singletons)
         return tuples.setdefault(lanes, lanes)
@@ -846,11 +974,11 @@ def _explore(
         return sets.setdefault(union, union)
 
     root = sim.initial()
-    memo: dict[_State, tuple] = {}
-    onstack: set[_State] = set()
+    memo: dict[tuple[int, ...], tuple] = {}
+    onstack: set[tuple[int, ...]] = set()
     stack: list[list] = []
 
-    def open_frame(state: _State) -> None:
+    def open_frame(state: tuple[int, ...]) -> None:
         if len(memo) + len(onstack) >= max_states:
             raise StateSpaceLimitExceeded(
                 f"more than {max_states} states explored"
@@ -1014,7 +1142,7 @@ def check_conformance(
     def lane_of(code: int) -> int:
         return sim.tks.index(sim.events[code].tk)
 
-    def phases(state: _State) -> tuple[int, ...]:
+    def phases(state: tuple[int, ...]) -> tuple[int, ...]:
         # each transaction's phase, as its index in _PHASES
         return tuple(_PHASES.index(phase) for _, phase in sim.outcomes(state))
 

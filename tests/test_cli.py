@@ -490,6 +490,20 @@ def test_exhausted_state_bound_exits_inconclusive(solo_file, command, capsys):
     assert err == "inconclusive: more than 5318 states explored\n"
 
 
+@pytest.mark.parametrize(
+    "command, entry",
+    [("simulate", "simulate_exhaustive"), ("conformance", "check_network_conformance")],
+)
+def test_out_of_memory_exits_inconclusive(solo_file, command, entry, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"demoflow.cli.{entry}", exhausted)
+    assert main([command, str(solo_file), "--level", "happy"]) == 3
+    err = capsys.readouterr().err
+    assert err == "inconclusive: out of memory; lower --max-states or the loop bounds\n"
+
+
 def test_max_states_must_be_positive(solo_file, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["conformance", str(solo_file), "--level", "happy", "--max-states", "0"])

@@ -306,6 +306,13 @@ def test_dissent_language_size_formula(rerequest, redeclare):
     assert len(language) == expected
 
 
+def test_language_walk_has_no_depth_limit():
+    # 600 re-requests make runs of over 1,800 acts, deeper than the
+    # interpreter's recursion limit; the size is (600 + 1) * (2 * 1 + 3)
+    language = enumerate_language(DISSENT_ALPHABET, Bounds(rerequest=600))
+    assert len(language) == 3005
+
+
 def test_complete_language_size_frozen():
     language = enumerate_language(COMPLETE_ALPHABET, Bounds(1, 1, 1))
     assert len(language) == 372

@@ -96,6 +96,14 @@ def test_poc1_happy_network_is_conformant(poc1_net):
     assert (report.traces, report.states) == (4, 615)
 
 
+def test_poc1_dissent_conformance_counts_are_pinned(poc1_net):
+    # the largest composed network that finishes, with several transactions
+    # and dissent loops; the verdict is NonConformant (ROADMAP item 3), so
+    # only the counts are pinned
+    report = check_network_conformance(poc1_net, DetailLevel.WITH_DISSENT)
+    assert (report.traces, report.states) == (46, 204701)
+
+
 def test_projections_match_engine_language_exactly(solo_net):
     model = compile_network(solo_net, DetailLevel.COMPLETE)
     result = simulate_exhaustive(model)
@@ -885,6 +893,25 @@ def test_second_exit_of_a_child_is_rejected():
         simulate_exhaustive(model)
 
 
+def test_message_across_transactions_is_rejected():
+    # a step's enabling reads only its own transaction's component
+    model = _chain2_rap()
+    message = next(m for m in model.message_flows if m.source.startswith("tk02_"))
+    message.target = "tk01_i_promise_catch"
+    with pytest.raises(SimulationError, match=f"unrecognized cross-transaction message flow {message.id}$"):
+        simulate_exhaustive(model)
+
+
+def test_event_based_gateway_across_transactions_is_rejected():
+    # even as a splice entry: the gateway would arm a catch in another
+    # transaction's component
+    model = _chain2_rap(DetailLevel.WITH_DISSENT)
+    pool = next(p for p in model.pools if any(n.id == "tk01_i_response_ebg" for n in p.nodes))
+    pool.flows.append(SequenceFlow("sf_wait", "tk01_i_response_ebg", "tk02_i_stop_catch", "spawn"))
+    with pytest.raises(SimulationError, match="unrecognized cross-transaction flow sf_wait$"):
+        simulate_exhaustive(model)
+
+
 def test_child_without_exit_from_a_sole_entry_is_rejected():
     model = _chain2_rap()
     for pool in model.pools:
@@ -911,7 +938,12 @@ def _state_where(sim, done):
 
 
 def _phase_of(sim, state, tk: str) -> Phase:
-    return sim.statuses[state.shadows[sim.tks.index(tk)]].run.state.phase
+    return dict(sim.outcomes(state))[tk]
+
+
+def _working(sim, state) -> _Working:
+    """Every transaction's component of ``state``, merged for one step."""
+    return _Working(sim, range(len(sim.tks)), state)
 
 
 def test_spawn_and_phase_guards_steer_a_re_entry():
@@ -921,19 +953,19 @@ def test_spawn_and_phase_guards_steer_a_re_entry():
     resume = sim.target[exit_flow]
     assert sim.ids[resume] == "tk01_e_execute_task"
 
-    fresh = _Working(sim.initial(), sim.ids)
+    fresh = _working(sim, sim.initial())
     sim._place(fresh, entry)  # a child that has not started is entered
     assert sim.target[entry] in fresh.tokens and resume not in fresh.tokens
 
     started = _state_where(sim, lambda sim, s: _phase_of(sim, s, "tk01") is Phase.PROMISED)
-    assert sim.target[entry] in dict(started.tokens)
-    again = _Working(started, sim.ids)
+    again = _working(sim, started)
+    assert sim.target[entry] in again.tokens
     before = dict(again.tokens)
     sim._place(again, entry)  # a started child is passed, back into its parent
     assert again.tokens == {**before, resume: 1}
 
     executed = _state_where(sim, lambda sim, s: _phase_of(sim, s, "tk01") is Phase.EXECUTED)
-    stale = _Working(executed, sim.ids)
+    stale = _working(sim, executed)
     before = dict(stale.tokens)
     sim._place(stale, entry)  # the parent moved on: the resumption is stale
     sim._place(stale, exit_flow)
