@@ -984,7 +984,9 @@ def _explore(
                 f"more than {max_states} states explored"
             )
         steps = sim.steps(state)
-        quiescent = all(step[0] == _TRIGGER for step in steps)
+        # steps sort by operation and triggers sort last, so the first step
+        # tells whether only triggers are left
+        quiescent = not steps or steps[0][0] == _TRIGGER
         successors = [sim.apply(state, step) for step in steps]
         onstack.add(state)
         # the last field collects the distinct suffix lane tuples by identity
@@ -1063,7 +1065,8 @@ def simulate_random(
             steps = sim.steps(state)
             if not steps:
                 break
-            if all(s[0] == _TRIGGER for s in steps) and rng.random() < 0.5:
+            # triggers sort last: when the first step is one, only they are left
+            if steps[0][0] == _TRIGGER and rng.random() < 0.5:
                 break  # settle here rather than revoke
             state, emitted = sim.apply(state, steps[rng.randrange(len(steps))])
             events.extend(emitted)
