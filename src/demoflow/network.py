@@ -21,6 +21,10 @@ ID_PATTERN = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 # Exactly one bracketed segment, non-empty, no stray brackets around it.
 PHRASE_PATTERN = re.compile(r"^[^\[\]]*\[[^\[\]]+\][^\[\]]*$")
 
+# A character XML 1.0 cannot carry (section 2.2, Char): a C0 control other than
+# tab, LF and CR, a surrogate, or U+FFFE / U+FFFF.
+NON_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
 
 class NetworkFormatError(ValueError):
     """Raised when a network document is structurally malformed.
@@ -236,12 +240,24 @@ def validate_network(
         add("NoRootTransaction", (), Severity.ERROR, "network has no transactions")
         return violations
 
+    def check_name(subject: Union[Actor, Transaction], noun: str) -> None:
+        # actor and transaction names are the only network text written into
+        # the BPMN (as pool names and inside node names)
+        if not subject.name.strip():
+            add("EmptyName", (subject.id,), Severity.ERROR, f"{noun} name must be non-empty")
+        bad = NON_XML_CHAR.search(subject.name)
+        if bad:
+            add(
+                "NonXmlName",
+                (subject.id,),
+                Severity.ERROR,
+                f"{noun} name contains U+{ord(bad.group()):04X}, which XML 1.0 cannot carry",
+            )
+
     for actor in net.actors:
-        if not actor.name.strip():
-            add("EmptyName", (actor.id,), Severity.ERROR, "actor name must be non-empty")
+        check_name(actor, "actor")
     for tk in net.transactions:
-        if not tk.name.strip():
-            add("EmptyName", (tk.id,), Severity.ERROR, "transaction name must be non-empty")
+        check_name(tk, "transaction")
         if tk.initiator == tk.executor:
             add(
                 "SelfLoopTransaction",

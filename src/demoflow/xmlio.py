@@ -1,10 +1,14 @@
 """BPMN 2.0 XML serialization and parsing.
 
 Serialization is canonical: pools, nodes, flows and message flows are written
-sorted by id, attributes in a fixed order, two-space indentation, no
-timestamps — so serialize(parse(serialize(m))) is byte-identical to
-serialize(m), and two compilation runs of the same network produce the same
-file.
+sorted by id, and so are the optional diagram's rows of shapes; attributes in
+a fixed order, two-space indentation, no timestamps — so
+serialize(parse(serialize(m))) is byte-identical to serialize(m), with or
+without the diagram, and two compilation runs of the same network produce the
+same file.  The writer emits the document directly as lines of text, with a
+fixed attribute escaping (``& < > " CR LF tab`` as ``&amp; &lt; &gt; &quot;
+&#13; &#10; &#09;``, in that order) and characters that UTF-8 cannot encode as
+character references, whatever the Python version's ElementTree does.
 
 Parsing is lenient: it accepts any BPMN 2.0 interchange document, ignores
 elements outside the supported subset (lanes, data objects, documentation,
@@ -16,6 +20,7 @@ models.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from operator import attrgetter
 from pathlib import Path
 from typing import Union
 
@@ -39,49 +44,25 @@ class ModelFormatError(ValueError):
     pass
 
 
-_EVENT_KINDS = {
-    NodeKind.START_EVENT: "startEvent",
-    NodeKind.MESSAGE_START_EVENT: "startEvent",
-    NodeKind.END_EVENT: "endEvent",
-    NodeKind.TERMINATE_END_EVENT: "endEvent",
-    NodeKind.MESSAGE_CATCH: "intermediateCatchEvent",
-    NodeKind.COMPENSATION_THROW: "intermediateThrowEvent",
-    NodeKind.COMPENSATION_BOUNDARY: "boundaryEvent",
+# BPMN tag, the fixed attributes after id and name (a boundary event writes its
+# attachedToRef first), and the one empty child element, if any, of each kind.
+_NODE_FORMS = {
+    NodeKind.START_EVENT: ("startEvent", "", ""),
+    NodeKind.MESSAGE_START_EVENT: ("startEvent", "", "messageEventDefinition"),
+    NodeKind.END_EVENT: ("endEvent", "", ""),
+    NodeKind.TERMINATE_END_EVENT: ("endEvent", "", "terminateEventDefinition"),
+    NodeKind.MESSAGE_CATCH: ("intermediateCatchEvent", "", "messageEventDefinition"),
+    NodeKind.COMPENSATION_THROW: ("intermediateThrowEvent", "", "compensateEventDefinition"),
+    NodeKind.COMPENSATION_BOUNDARY: ("boundaryEvent", ' cancelActivity="false"', "compensateEventDefinition"),
+    NodeKind.TASK: ("task", "", ""),
+    NodeKind.SEND_TASK: ("sendTask", "", ""),
+    NodeKind.COMPENSATION_HANDLER: ("task", ' isForCompensation="true"', ""),
+    NodeKind.EXCLUSIVE_GATEWAY: ("exclusiveGateway", "", ""),
+    NodeKind.PARALLEL_GATEWAY: ("parallelGateway", "", ""),
+    NodeKind.EVENT_BASED_GATEWAY: ("eventBasedGateway", "", ""),
 }
 
-_PLAIN_KINDS = {
-    NodeKind.TASK: "task",
-    NodeKind.SEND_TASK: "sendTask",
-    NodeKind.COMPENSATION_HANDLER: "task",
-    NodeKind.EXCLUSIVE_GATEWAY: "exclusiveGateway",
-    NodeKind.PARALLEL_GATEWAY: "parallelGateway",
-    NodeKind.EVENT_BASED_GATEWAY: "eventBasedGateway",
-}
-
-
-def _node_element(node: FlowNode) -> ET.Element:
-    tag = _EVENT_KINDS.get(node.kind) or _PLAIN_KINDS[node.kind]
-    element = ET.Element(tag)
-    element.set("id", node.id)
-    if node.name:
-        element.set("name", node.name)
-    if node.kind is NodeKind.COMPENSATION_HANDLER:
-        element.set("isForCompensation", "true")
-    if node.kind is NodeKind.COMPENSATION_BOUNDARY:
-        element.set("attachedToRef", node.attached_to or "")
-        element.set("cancelActivity", "false")
-    if node.kind is NodeKind.MESSAGE_START_EVENT or node.kind is NodeKind.MESSAGE_CATCH:
-        ET.SubElement(element, "messageEventDefinition")
-    if node.kind is NodeKind.TERMINATE_END_EVENT:
-        ET.SubElement(element, "terminateEventDefinition")
-    if node.kind is NodeKind.COMPENSATION_BOUNDARY:
-        ET.SubElement(element, "compensateEventDefinition")
-    if node.kind is NodeKind.COMPENSATION_THROW:
-        definition = ET.SubElement(element, "compensateEventDefinition")
-        if node.compensates:
-            definition.set("activityRef", node.compensates)
-    return element
-
+_by_id = attrgetter("id")
 
 _NODE_SIZES = {
     NodeKind.TASK: (100, 80),
@@ -92,86 +73,105 @@ _NODE_SIZES = {
     NodeKind.EVENT_BASED_GATEWAY: (50, 50),
 }
 
+_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+            ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
 
-def _grid_layout(root: ET.Element, model: BpmnModel) -> None:
-    """A rough deterministic grid diagram: one row of shapes per pool."""
-    root.set("xmlns:bpmndi", DI_NS)
-    root.set("xmlns:dc", DC_NS)
-    diagram = ET.SubElement(root, "bpmndi:BPMNDiagram")
-    diagram.set("id", f"diagram_{model.id}")
-    plane = ET.SubElement(diagram, "bpmndi:BPMNPlane")
-    plane.set("id", f"plane_{model.id}")
-    plane.set("bpmnElement", model.id)
+
+def _attr(text: str) -> str:
+    """Escape an attribute value as ElementTree does, in this order."""
+    # the chained tests are the fast path: most values need no escaping
+    if ("&" in text or "<" in text or ">" in text or '"' in text
+            or "\r" in text or "\n" in text or "\t" in text):
+        for char, entity in _ESCAPES:
+            text = text.replace(char, entity)
+    return text
+
+
+def _ends(flow: Union[SequenceFlow, MessageFlow, Association]) -> str:
+    return f' sourceRef="{_attr(flow.source)}" targetRef="{_attr(flow.target)}"'
+
+
+def _named(attrs: str, name: str) -> str:
+    return f'{attrs} name="{_attr(name)}"' if name else attrs
+
+
+def _element(lines: list[str], indent: str, tag: str, attrs: str, children: list[str]) -> None:
+    """Append ``<tag attrs>`` around already indented child lines, or ``<tag attrs />``."""
+    if children:
+        lines.append(f"{indent}<{tag}{attrs}>")
+        lines += children
+        lines.append(f"{indent}</{tag}>")
+    else:
+        lines.append(f"{indent}<{tag}{attrs} />")
+
+
+def _node_lines(lines: list[str], node: FlowNode) -> None:
+    tag, fixed, child = _NODE_FORMS[node.kind]
+    attrs = _named(f' id="{_attr(node.id)}"', node.name)
+    if node.kind is NodeKind.COMPENSATION_BOUNDARY:
+        attrs += f' attachedToRef="{_attr(node.attached_to or "")}"'
+    if node.kind is NodeKind.COMPENSATION_THROW and node.compensates:
+        child += f' activityRef="{_attr(node.compensates)}"'
+    _element(lines, "    ", tag, attrs + fixed, [f"      <{child} />"] if child else [])
+
+
+def _shape(element: str, extra: str, x: int, y: int, width: int, height: int) -> tuple[str, ...]:
+    return (
+        f'      <bpmndi:BPMNShape id="shape_{element}" bpmnElement="{element}"{extra}>',
+        f'        <dc:Bounds x="{x}" y="{y}" width="{width}" height="{height}" />',
+        "      </bpmndi:BPMNShape>",
+    )
+
+
+def _layout_lines(lines: list[str], model_id: str, pools: list[tuple[Pool, list[FlowNode]]]) -> None:
+    """A rough deterministic grid diagram: one row of shapes per pool, by pool id."""
     row_height = 320
-    for pool_index, pool in enumerate(model.pools):
+    shapes: list[str] = []
+    for pool_index, (pool, nodes) in enumerate(pools):
         pool_y = 40 + pool_index * row_height
-        nodes = sorted(pool.nodes, key=lambda n: n.id)
-        shape = ET.SubElement(plane, "bpmndi:BPMNShape")
-        shape.set("id", f"shape_{pool.id}")
-        shape.set("bpmnElement", pool.id)
-        shape.set("isHorizontal", "true")
-        bounds = ET.SubElement(shape, "dc:Bounds")
-        bounds.set("x", "20")
-        bounds.set("y", str(pool_y))
-        bounds.set("width", str(80 + 160 * max(1, len(nodes))))
-        bounds.set("height", str(row_height - 40))
+        pool_width = 80 + 160 * max(1, len(nodes))
+        shapes += _shape(_attr(pool.id), ' isHorizontal="true"', 20, pool_y, pool_width, row_height - 40)
         for node_index, node in enumerate(nodes):
             width, height = _NODE_SIZES.get(node.kind, (36, 36))
-            shape = ET.SubElement(plane, "bpmndi:BPMNShape")
-            shape.set("id", f"shape_{node.id}")
-            shape.set("bpmnElement", node.id)
-            bounds = ET.SubElement(shape, "dc:Bounds")
-            bounds.set("x", str(60 + 160 * node_index))
-            bounds.set("y", str(pool_y + 120 - height // 2))
-            bounds.set("width", str(width))
-            bounds.set("height", str(height))
+            x, y = 60 + 160 * node_index, pool_y + 120 - height // 2
+            shapes += _shape(_attr(node.id), "", x, y, width, height)
+    lines.append(f'  <bpmndi:BPMNDiagram id="diagram_{model_id}">')
+    _element(lines, "    ", "bpmndi:BPMNPlane", f' id="plane_{model_id}" bpmnElement="{model_id}"', shapes)
+    lines.append("  </bpmndi:BPMNDiagram>")
 
 
 def serialize_model(model: BpmnModel, layout: bool = False) -> bytes:
-    root = ET.Element("definitions")
-    root.set("xmlns", MODEL_NS)
-    root.set("id", f"defs_{model.id}")
-    root.set("targetNamespace", TARGET_NS)
+    model_id = _attr(model.id)
+    pools = [(pool, sorted(pool.nodes, key=_by_id)) for pool in sorted(model.pools, key=_by_id)]
+    namespaces = f' xmlns:bpmndi="{DI_NS}" xmlns:dc="{DC_NS}"' if layout else ""
+    lines = [
+        "<?xml version='1.0' encoding='utf-8'?>",
+        f'<definitions xmlns="{MODEL_NS}" id="defs_{model_id}" targetNamespace="{TARGET_NS}"{namespaces}>',
+    ]
 
-    collaboration = ET.SubElement(root, "collaboration")
-    collaboration.set("id", model.id)
-    for pool in sorted(model.pools, key=lambda p: p.id):
-        participant = ET.SubElement(collaboration, "participant")
-        participant.set("id", pool.id)
-        if pool.name:
-            participant.set("name", pool.name)
-        participant.set("processRef", pool.process_id)
-    for flow in sorted(model.message_flows, key=lambda f: f.id):
-        element = ET.SubElement(collaboration, "messageFlow")
-        element.set("id", flow.id)
-        element.set("sourceRef", flow.source)
-        element.set("targetRef", flow.target)
+    members: list[str] = []
+    for pool, _ in pools:
+        attrs = _named(f' id="{_attr(pool.id)}"', pool.name)
+        members.append(f'    <participant{attrs} processRef="{_attr(pool.process_id)}" />')
+    for flow in sorted(model.message_flows, key=_by_id):
+        members.append(f'    <messageFlow id="{_attr(flow.id)}"{_ends(flow)} />')
+    _element(lines, "  ", "collaboration", f' id="{model_id}"', members)
 
-    for pool in sorted(model.pools, key=lambda p: p.id):
-        process = ET.SubElement(root, "process")
-        process.set("id", pool.process_id)
-        process.set("isExecutable", "false")
-        for node in sorted(pool.nodes, key=lambda n: n.id):
-            process.append(_node_element(node))
-        for flow in sorted(pool.flows, key=lambda f: f.id):
-            element = ET.SubElement(process, "sequenceFlow")
-            element.set("id", flow.id)
-            if flow.label:
-                element.set("name", flow.label)
-            element.set("sourceRef", flow.source)
-            element.set("targetRef", flow.target)
-        for assoc in sorted(pool.associations, key=lambda a: a.id):
-            element = ET.SubElement(process, "association")
-            element.set("id", assoc.id)
-            element.set("sourceRef", assoc.source)
-            element.set("targetRef", assoc.target)
+    for pool, nodes in pools:
+        body: list[str] = []
+        for node in nodes:
+            _node_lines(body, node)
+        for flow in sorted(pool.flows, key=_by_id):
+            attrs = _named(f' id="{_attr(flow.id)}"', flow.label)
+            body.append(f"    <sequenceFlow{attrs}{_ends(flow)} />")
+        for assoc in sorted(pool.associations, key=_by_id):
+            body.append(f'    <association id="{_attr(assoc.id)}"{_ends(assoc)} />')
+        _element(lines, "  ", "process", f' id="{_attr(pool.process_id)}" isExecutable="false"', body)
 
     if layout:
-        _grid_layout(root, model)
-
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+        _layout_lines(lines, model_id, pools)
+    lines.append("</definitions>\n")
+    return "\n".join(lines).encode("utf-8", "xmlcharrefreplace")
 
 
 def _local(tag: str) -> str:

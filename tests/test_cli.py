@@ -137,6 +137,21 @@ def test_generate_rejects_cyclic_network(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name", ["SOC\u0001Dept", "SOC\ud800", "SOC\ufffe"], ids=["control", "surrogate", "fffe"]
+)
+def test_generate_rejects_a_name_xml_cannot_carry(tmp_path, capsys, name):
+    doc = json.loads((FIXTURES / "poc1.json").read_text(encoding="utf-8"))
+    doc["actors"][0]["name"] = name
+    network = tmp_path / "poc1.json"
+    network.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "x.bpmn"
+    assert main(["validate", str(network)]) == 1
+    assert main(["generate", str(network), "--level", "happy", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error: NonXmlName [A01]: actor name contains U+" in capsys.readouterr().err
+
+
 def test_generate_rejects_unknown_level(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["generate", str(FIXTURES / "poc1.json"), "--level", "extreme", "--out", "x"])

@@ -6,9 +6,11 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from demoflow.compiler import DetailLevel, compile_network
 from demoflow.network import (
+    NON_XML_CHAR,
     Actor,
     Dependency,
     DependencyKind,
@@ -23,6 +25,7 @@ from demoflow.network import (
     parse_network,
     validate_network,
 )
+from demoflow.xmlio import parse_model, serialize_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -174,6 +177,45 @@ def test_validate_empty_names_and_bad_phrase():
         result=Result(id="P1", phrase="[a] and [b] done"),
     )
     assert "BadResultPhrase" in _rules(validate_network(_net([bad2])))
+
+
+# Characters outside XML 1.0's Char production: C0 controls other than tab, LF
+# and CR, lone surrogates, and U+FFFE / U+FFFF.
+NON_XML_CHARS = ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("char", NON_XML_CHARS, ids=lambda char: f"U+{ord(char):04X}")
+def test_validate_rejects_names_xml_cannot_carry(char):
+    actors = (Actor("A1", f"SOC{char}Dept"), Actor("A2", "SPFP"))
+    violations = validate_network(_net([_tk("T1", "A1", "A2")], actors=actors))
+    assert [(v.rule, v.subjects, v.severity) for v in violations] == [
+        ("NonXmlName", ("A1",), Severity.ERROR)
+    ]
+    assert f"U+{ord(char):04X}" in violations[0].message
+    violations = validate_network(_net([_tk("T1", "A1", "A2", name=f"Paying{char}")]))
+    assert [(v.rule, v.subjects, v.severity) for v in violations] == [
+        ("NonXmlName", ("T1",), Severity.ERROR)
+    ]
+
+
+def test_validate_accepts_names_xml_can_carry():
+    name = "tab\tLF\nCR\r € ⁻¹ \x7f \ufffd \U0001f600 & <x>"
+    actors = (Actor("A1", name), Actor("A2", "SPFP"))
+    assert validate_network(_net([_tk("T1", "A1", "A2", name=name)], actors=actors)) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=8))
+def test_every_name_validate_accepts_survives_the_xml_round_trip(text):
+    actors = (Actor("A1", f"Actor {text}"), Actor("A2", "SPFP"))
+    net = _net([_tk("T1", "A1", "A2", name=f"Doing {text}")], actors=actors)
+    if validate_network(net):
+        assert NON_XML_CHAR.search(text)
+        return
+    model = compile_network(net, DetailLevel.HAPPY_FLOW)
+    reparsed = parse_model(serialize_model(model))
+    assert [p.name for p in reparsed.pools] == [p.name for p in model.pools]
+    assert {n.name for n in reparsed.all_nodes()} == {n.name for n in model.all_nodes()}
 
 
 def test_validate_multiple_parents():

@@ -3,20 +3,32 @@
 from __future__ import annotations
 
 import hashlib
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demoflow.compiler import DetailLevel, compile_network
 from demoflow.model import (
+    Association,
     BpmnModel,
     FlowNode,
+    MessageFlow,
     NodeKind,
     Pool,
     SequenceFlow,
     lint_model,
 )
 from demoflow.network import DependencyKind
-from demoflow.xmlio import ModelFormatError, parse_model, serialize_model
+from demoflow.xmlio import (
+    DC_NS,
+    DI_NS,
+    MODEL_NS,
+    TARGET_NS,
+    ModelFormatError,
+    parse_model,
+    serialize_model,
+)
 from test_simulator import MIXED_TREE, _fan_net
 
 LEVELS = list(DetailLevel)
@@ -248,3 +260,265 @@ def test_non_xml_input_is_rejected():
 def test_wrong_root_element_is_rejected():
     with pytest.raises(ModelFormatError, match="definitions"):
         parse_model("<processes/>")
+
+
+# --- the text writer against an ElementTree reference --------------------------
+#
+# The ElementTree writer that serialize_model replaced, kept as the reference
+# for its bytes.  One change: the diagram lays out the pools sorted by id, as
+# the processes are written.
+
+_REF_EVENT_KINDS = {
+    NodeKind.START_EVENT: "startEvent",
+    NodeKind.MESSAGE_START_EVENT: "startEvent",
+    NodeKind.END_EVENT: "endEvent",
+    NodeKind.TERMINATE_END_EVENT: "endEvent",
+    NodeKind.MESSAGE_CATCH: "intermediateCatchEvent",
+    NodeKind.COMPENSATION_THROW: "intermediateThrowEvent",
+    NodeKind.COMPENSATION_BOUNDARY: "boundaryEvent",
+}
+
+_REF_PLAIN_KINDS = {
+    NodeKind.TASK: "task",
+    NodeKind.SEND_TASK: "sendTask",
+    NodeKind.COMPENSATION_HANDLER: "task",
+    NodeKind.EXCLUSIVE_GATEWAY: "exclusiveGateway",
+    NodeKind.PARALLEL_GATEWAY: "parallelGateway",
+    NodeKind.EVENT_BASED_GATEWAY: "eventBasedGateway",
+}
+
+_REF_NODE_SIZES = {
+    NodeKind.TASK: (100, 80),
+    NodeKind.SEND_TASK: (100, 80),
+    NodeKind.COMPENSATION_HANDLER: (100, 80),
+    NodeKind.EXCLUSIVE_GATEWAY: (50, 50),
+    NodeKind.PARALLEL_GATEWAY: (50, 50),
+    NodeKind.EVENT_BASED_GATEWAY: (50, 50),
+}
+
+
+def _reference_node(node: FlowNode) -> ET.Element:
+    tag = _REF_EVENT_KINDS.get(node.kind) or _REF_PLAIN_KINDS[node.kind]
+    element = ET.Element(tag)
+    element.set("id", node.id)
+    if node.name:
+        element.set("name", node.name)
+    if node.kind is NodeKind.COMPENSATION_HANDLER:
+        element.set("isForCompensation", "true")
+    if node.kind is NodeKind.COMPENSATION_BOUNDARY:
+        element.set("attachedToRef", node.attached_to or "")
+        element.set("cancelActivity", "false")
+    if node.kind is NodeKind.MESSAGE_START_EVENT or node.kind is NodeKind.MESSAGE_CATCH:
+        ET.SubElement(element, "messageEventDefinition")
+    if node.kind is NodeKind.TERMINATE_END_EVENT:
+        ET.SubElement(element, "terminateEventDefinition")
+    if node.kind is NodeKind.COMPENSATION_BOUNDARY:
+        ET.SubElement(element, "compensateEventDefinition")
+    if node.kind is NodeKind.COMPENSATION_THROW:
+        definition = ET.SubElement(element, "compensateEventDefinition")
+        if node.compensates:
+            definition.set("activityRef", node.compensates)
+    return element
+
+
+def _reference_layout(root: ET.Element, model: BpmnModel) -> None:
+    root.set("xmlns:bpmndi", DI_NS)
+    root.set("xmlns:dc", DC_NS)
+    diagram = ET.SubElement(root, "bpmndi:BPMNDiagram")
+    diagram.set("id", f"diagram_{model.id}")
+    plane = ET.SubElement(diagram, "bpmndi:BPMNPlane")
+    plane.set("id", f"plane_{model.id}")
+    plane.set("bpmnElement", model.id)
+    row_height = 320
+    for pool_index, pool in enumerate(sorted(model.pools, key=lambda p: p.id)):
+        pool_y = 40 + pool_index * row_height
+        nodes = sorted(pool.nodes, key=lambda n: n.id)
+        shape = ET.SubElement(plane, "bpmndi:BPMNShape")
+        shape.set("id", f"shape_{pool.id}")
+        shape.set("bpmnElement", pool.id)
+        shape.set("isHorizontal", "true")
+        bounds = ET.SubElement(shape, "dc:Bounds")
+        bounds.set("x", "20")
+        bounds.set("y", str(pool_y))
+        bounds.set("width", str(80 + 160 * max(1, len(nodes))))
+        bounds.set("height", str(row_height - 40))
+        for node_index, node in enumerate(nodes):
+            width, height = _REF_NODE_SIZES.get(node.kind, (36, 36))
+            shape = ET.SubElement(plane, "bpmndi:BPMNShape")
+            shape.set("id", f"shape_{node.id}")
+            shape.set("bpmnElement", node.id)
+            bounds = ET.SubElement(shape, "dc:Bounds")
+            bounds.set("x", str(60 + 160 * node_index))
+            bounds.set("y", str(pool_y + 120 - height // 2))
+            bounds.set("width", str(width))
+            bounds.set("height", str(height))
+
+
+def _reference_serialize(model: BpmnModel, layout: bool = False) -> bytes:
+    root = ET.Element("definitions")
+    root.set("xmlns", MODEL_NS)
+    root.set("id", f"defs_{model.id}")
+    root.set("targetNamespace", TARGET_NS)
+
+    collaboration = ET.SubElement(root, "collaboration")
+    collaboration.set("id", model.id)
+    for pool in sorted(model.pools, key=lambda p: p.id):
+        participant = ET.SubElement(collaboration, "participant")
+        participant.set("id", pool.id)
+        if pool.name:
+            participant.set("name", pool.name)
+        participant.set("processRef", pool.process_id)
+    for flow in sorted(model.message_flows, key=lambda f: f.id):
+        element = ET.SubElement(collaboration, "messageFlow")
+        element.set("id", flow.id)
+        element.set("sourceRef", flow.source)
+        element.set("targetRef", flow.target)
+
+    for pool in sorted(model.pools, key=lambda p: p.id):
+        process = ET.SubElement(root, "process")
+        process.set("id", pool.process_id)
+        process.set("isExecutable", "false")
+        for node in sorted(pool.nodes, key=lambda n: n.id):
+            process.append(_reference_node(node))
+        for flow in sorted(pool.flows, key=lambda f: f.id):
+            element = ET.SubElement(process, "sequenceFlow")
+            element.set("id", flow.id)
+            if flow.label:
+                element.set("name", flow.label)
+            element.set("sourceRef", flow.source)
+            element.set("targetRef", flow.target)
+        for assoc in sorted(pool.associations, key=lambda a: a.id):
+            element = ET.SubElement(process, "association")
+            element.set("id", assoc.id)
+            element.set("sourceRef", assoc.source)
+            element.set("targetRef", assoc.target)
+
+    if layout:
+        _reference_layout(root, model)
+
+    tree = ET.ElementTree(root)
+    ET.indent(tree, space="  ")
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+
+
+def _assert_matches_reference(model: BpmnModel) -> None:
+    for layout in (False, True):
+        assert serialize_model(model, layout=layout) == _reference_serialize(model, layout=layout)
+
+
+def _every_kind_model() -> BpmnModel:
+    nodes = [FlowNode(f"n_{kind.value}", kind, name=f"a {kind.value}") for kind in NodeKind]
+    nodes += [
+        FlowNode("n_boundary_attached", NodeKind.COMPENSATION_BOUNDARY, attached_to="n_task"),
+        FlowNode("n_throw_targeted", NodeKind.COMPENSATION_THROW, compensates="n_task"),
+    ]
+    pool = Pool(
+        id="pool_k",
+        process_id="proc_k",
+        name="Kinds",
+        actor_id="k",
+        nodes=nodes,
+        flows=[SequenceFlow("f2", "n_task", "n_end", "accept"), SequenceFlow("f1", "n_start", "n_task")],
+        associations=[Association("as1", "n_boundary_attached", "n_handler")],
+    )
+    return BpmnModel(id="kinds", pools=[pool, Pool("pool_empty", "proc_empty", "", "empty")])
+
+
+def test_every_node_kind_matches_the_reference():
+    model = _every_kind_model()
+    kinds = {node.kind for node in model.all_nodes()}
+    assert kinds == set(NodeKind)
+    boundary = next(n for n in model.all_nodes() if n.id == "n_boundary")
+    throw = next(n for n in model.all_nodes() if n.id == "n_throw")
+    assert boundary.attached_to is None and throw.compensates is None
+    _assert_matches_reference(model)
+
+
+def test_empty_collaboration_and_empty_pool_match_the_reference():
+    empty = BpmnModel(id="nothing")
+    assert b'<collaboration id="nothing" />' in serialize_model(empty)
+    assert b'<bpmndi:BPMNPlane id="plane_nothing" bpmnElement="nothing" />' in serialize_model(
+        empty, layout=True
+    )
+    _assert_matches_reference(empty)
+    bare = BpmnModel(id="bare", pools=[Pool("pool_b", "proc_b", "", "b")])
+    assert b'<process id="proc_b" isExecutable="false" />' in serialize_model(bare)
+    _assert_matches_reference(bare)
+
+
+@pytest.mark.parametrize("net_fixture", ["solo_net", "poc1_net", "poc2_net"])
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: level.value)
+def test_every_fixture_matches_the_reference(net_fixture, level, request):
+    model = compile_network(request.getfixturevalue(net_fixture), level)
+    _assert_matches_reference(model)
+    _assert_matches_reference(parse_model(serialize_model(model, layout=True)))
+
+
+@pytest.mark.parametrize("net_name", list(COMPOSED_NETS))
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: level.value)
+def test_composed_networks_match_the_reference(net_name, level):
+    _assert_matches_reference(compile_network(COMPOSED_NETS[net_name], level))
+
+
+# Names and labels built from the characters XML escapes, non-ASCII text, lone
+# surrogates (written as character references) and any other character but
+# tab, LF and CR, whose escapes are pinned below.
+_TEXT = st.text(
+    st.sampled_from(list("&<>\"'€⁻¹ a\ud800"))
+    | st.characters(blacklist_categories=(), blacklist_characters="\t\n\r"),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_id=_TEXT, pool_name=_TEXT, names=st.lists(_TEXT, min_size=3, max_size=3), label=_TEXT)
+def test_names_and_labels_match_the_reference(model_id, pool_name, names, label):
+    pool = Pool(
+        id="pool_x",
+        process_id="proc_x",
+        name=pool_name,
+        actor_id="x",
+        nodes=[
+            FlowNode("s", NodeKind.START_EVENT, name=names[0]),
+            FlowNode("t", NodeKind.TASK, name=names[1]),
+            FlowNode("e", NodeKind.TERMINATE_END_EVENT, name=names[2]),
+            FlowNode("b", NodeKind.COMPENSATION_BOUNDARY, attached_to=names[1]),
+            FlowNode("c", NodeKind.COMPENSATION_THROW, compensates=names[2]),
+        ],
+        flows=[SequenceFlow("f1", "s", "t", label=label), SequenceFlow(label, names[0], names[1])],
+        associations=[Association(names[2], label, pool_name)],
+    )
+    other = Pool(id=label, process_id=names[0], name=names[1], actor_id="y")
+    model = BpmnModel(
+        id=model_id, pools=[pool, other], message_flows=[MessageFlow(names[1], names[2], label)]
+    )
+    _assert_matches_reference(model)
+
+
+def test_tab_newline_and_carriage_return_escapes_are_pinned():
+    pool = Pool(
+        id="pool_w",
+        process_id="proc_w",
+        name="tab\there",
+        actor_id="w",
+        nodes=[FlowNode("t", NodeKind.TASK, name="two\nlines\r\nand & <more>")],
+    )
+    data = serialize_model(BpmnModel(id="ws", pools=[pool]))
+    assert b'<participant id="pool_w" name="tab&#09;here" processRef="proc_w" />' in data
+    assert b'<task id="t" name="two&#10;lines&#13;&#10;and &amp; &lt;more&gt;" />' in data
+    reparsed = parse_model(data)
+    assert reparsed.pools[0].name == "tab\there"
+    assert reparsed.pools[0].nodes[0].name == "two\nlines\r\nand & <more>"
+    assert serialize_model(reparsed) == data
+
+
+def test_layout_lists_pools_by_id(poc2_net):
+    model = compile_network(poc2_net, DetailLevel.WITH_DISSENT)
+    assert [p.id for p in model.pools] == sorted(p.id for p in model.pools)
+    reversed_pools = BpmnModel(
+        id=model.id, pools=model.pools[::-1], message_flows=model.message_flows
+    )
+    laid = serialize_model(reversed_pools, layout=True)
+    assert laid == serialize_model(model, layout=True)
+    assert serialize_model(parse_model(laid), layout=True) == laid
+    assert serialize_model(reversed_pools) == serialize_model(model)
