@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional
 
 from .engine import Act
-from .model import BpmnModel, parse_node_id, slugify_tk
+from .model import SLUG_FOR_ACT, BpmnModel, parse_node_id, slugify_tk
 from .network import TransactionNetwork
 
 
@@ -55,6 +55,9 @@ ROW_ORDER: tuple[Act, ...] = (
     Act.STOP,
     Act.REFUSE,
 )
+
+# "<act> " lowercased, per row: every heuristic needle of the act starts so.
+_NEEDLE_STARTS: tuple[str, ...] = tuple(f"{act.value} ".lower() for act in ROW_ORDER)
 
 
 class UnknownAnnotationKey(ValueError):
@@ -182,23 +185,35 @@ def classify_acts(
         implicit.setdefault(key, []).append(entry.get("note", ""))
 
     if heuristic_names:
-        # (id, lowercased name, (transaction slug, act) tags or None) per node
-        scanned = []
-        for node in model.all_nodes():
+        # One pass over the nodes, in model order: each node's id, the
+        # positions of the nodes per lowercased name, and the positions of
+        # the nodes carrying each (transaction slug, act slug) id tag.
+        ids: list[str] = []
+        named: dict[str, list[int]] = {}
+        tagged: dict[tuple[str, str], list[int]] = {}
+        for position, node in enumerate(model.all_nodes()):
+            ids.append(node.id)
+            named.setdefault(node.name.lower(), []).append(position)
             meta = parse_node_id(node.id)
-            tags = None if meta is None else (meta.tk, meta.act)
-            scanned.append((node.id, node.name.lower(), tags))
-        for tk_id in transactions:
-            tk = tk_index[tk_id]
-            tk_slug = slugify_tk(tk_id)
-            for act in ROW_ORDER:
-                needle = f"{act.value} {tk.name}".lower()
-                wanted = (tk_slug, act)
-                for node_id, name, tags in scanned:
-                    if needle in name or tags == wanted:
-                        nodes = explicit.setdefault((tk_id, act), [])
-                        if node_id not in nodes:
-                            nodes.append(node_id)
+            if meta is not None:
+                tagged.setdefault((meta.tk, meta.slug), []).append(position)
+        for act, start in zip(ROW_ORDER, _NEEDLE_STARTS):
+            # only a name that contains the start of the act's needles can
+            # contain one of them
+            names = [name for name in named if start in name]
+            act_slug = SLUG_FOR_ACT[act]
+            for tk_id in transactions:
+                needle = f"{act.value} {tk_index[tk_id].name}".lower()
+                hits = set(tagged.get((slugify_tk(tk_id), act_slug), ()))
+                for name in names:
+                    if needle in name:
+                        hits.update(named[name])
+                if hits:
+                    # in model order, after the mapping's nodes, each once
+                    nodes = explicit.setdefault((tk_id, act), [])
+                    for position in sorted(hits):
+                        if ids[position] not in nodes:
+                            nodes.append(ids[position])
 
     cells: dict[tuple[str, Act], ActStatus] = {}
     evidence: dict[tuple[str, Act], tuple[str, ...]] = {}

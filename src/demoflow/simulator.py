@@ -468,6 +468,8 @@ class _Simulation:
                 if label[6:] not in _GUARD_PHASES:
                     raise SimulationError(f"unknown guard {label} on {flows[f].id}")
                 self.guards[f] = (tk_of[target[f]], _GUARD_PHASES[label[6:]], None)
+            elif label.startswith("performed:") and label[10:] not in ACT_SLUGS:
+                raise SimulationError(f"unknown guard {label} on {flows[f].id}")
         exit_of: dict[int, int] = {}  # a spawned child's one exit into its parent
         # nodes whose steps may touch another transaction (see _footprint)
         self.reaching = {sources[f] for f in spawns} | self.reposition_splits | {
@@ -643,8 +645,7 @@ class _Simulation:
             # a loop branch is open while its target's Request or Declare is
             return self._allows(code, self.target[f])
         if label.startswith("performed:"):
-            act = ACT_SLUGS.get(label.split(":", 1)[1])
-            return act is not None and act in self.statuses[code].run.state.history
+            return ACT_SLUGS[label[10:]] in self.statuses[code].run.state.history
         return True
 
     def _allows(self, code: int, node: int) -> bool:

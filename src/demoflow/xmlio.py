@@ -174,69 +174,41 @@ def serialize_model(model: BpmnModel, layout: bool = False) -> bytes:
     return "\n".join(lines).encode("utf-8", "xmlcharrefreplace")
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+class _LocalNames(dict):
+    """Qualified tag -> local name, filled on first use; one per parse, so
+    each distinct tag is split once."""
+
+    def __missing__(self, tag: str) -> str:
+        local = self[tag] = tag.rsplit("}", 1)[-1]
+        return local
 
 
-_TASK_TAGS = {
-    "task", "userTask", "serviceTask", "manualTask", "scriptTask",
-    "businessRuleTask", "callActivity", "subProcess",
+# Tags whose element is a node of one kind whatever its children are.  A
+# task-like tag with isForCompensation="true" is a compensation handler.
+_FIXED_KINDS = {
+    "intermediateCatchEvent": NodeKind.MESSAGE_CATCH,
+    "receiveTask": NodeKind.MESSAGE_CATCH,
+    "boundaryEvent": NodeKind.COMPENSATION_BOUNDARY,
+    "sendTask": NodeKind.SEND_TASK,
+    "exclusiveGateway": NodeKind.EXCLUSIVE_GATEWAY,
+    "parallelGateway": NodeKind.PARALLEL_GATEWAY,
+    "inclusiveGateway": NodeKind.PARALLEL_GATEWAY,
+    "eventBasedGateway": NodeKind.EVENT_BASED_GATEWAY,
+    **dict.fromkeys(
+        ("task", "userTask", "serviceTask", "manualTask", "scriptTask",
+         "businessRuleTask", "callActivity", "subProcess"),
+        NodeKind.TASK,
+    ),
 }
 
+# Event tags whose kind depends on an event definition child: the child that
+# makes the special kind, the special kind and the plain kind.
+_DEFINED_KINDS = {
+    "startEvent": ("messageEventDefinition", NodeKind.MESSAGE_START_EVENT, NodeKind.START_EVENT),
+    "endEvent": ("terminateEventDefinition", NodeKind.TERMINATE_END_EVENT, NodeKind.END_EVENT),
+}
 
-def _parse_node(element: ET.Element) -> FlowNode:
-    tag = _local(element.tag)
-    children = {_local(child.tag) for child in element}
-    node_id = element.get("id", "")
-    name = element.get("name", "")
-
-    if tag == "startEvent":
-        kind = (
-            NodeKind.MESSAGE_START_EVENT
-            if "messageEventDefinition" in children
-            else NodeKind.START_EVENT
-        )
-        return FlowNode(node_id, kind, name)
-    if tag == "endEvent":
-        kind = (
-            NodeKind.TERMINATE_END_EVENT
-            if "terminateEventDefinition" in children
-            else NodeKind.END_EVENT
-        )
-        return FlowNode(node_id, kind, name)
-    if tag in ("intermediateCatchEvent", "receiveTask"):
-        return FlowNode(node_id, NodeKind.MESSAGE_CATCH, name)
-    if tag == "intermediateThrowEvent":
-        compensates = None
-        for child in element:
-            if _local(child.tag) == "compensateEventDefinition":
-                compensates = child.get("activityRef")
-        return FlowNode(node_id, NodeKind.COMPENSATION_THROW, name, compensates=compensates)
-    if tag == "boundaryEvent":
-        return FlowNode(
-            node_id, NodeKind.COMPENSATION_BOUNDARY, name,
-            attached_to=element.get("attachedToRef"),
-        )
-    if tag == "sendTask":
-        return FlowNode(node_id, NodeKind.SEND_TASK, name)
-    if tag in _TASK_TAGS:
-        if element.get("isForCompensation") == "true":
-            return FlowNode(node_id, NodeKind.COMPENSATION_HANDLER, name)
-        return FlowNode(node_id, NodeKind.TASK, name)
-    if tag == "exclusiveGateway":
-        return FlowNode(node_id, NodeKind.EXCLUSIVE_GATEWAY, name)
-    if tag in ("parallelGateway", "inclusiveGateway"):
-        return FlowNode(node_id, NodeKind.PARALLEL_GATEWAY, name)
-    if tag == "eventBasedGateway":
-        return FlowNode(node_id, NodeKind.EVENT_BASED_GATEWAY, name)
-    raise ModelFormatError(f"unsupported flow element <{tag}>")
-
-
-_FLOW_NODE_TAGS = {
-    "startEvent", "endEvent", "intermediateCatchEvent", "intermediateThrowEvent",
-    "boundaryEvent", "sendTask", "exclusiveGateway", "parallelGateway",
-    "inclusiveGateway", "eventBasedGateway", "receiveTask",
-} | _TASK_TAGS
+_FLOW_NODE_TAGS = {*_FIXED_KINDS, *_DEFINED_KINDS, "intermediateThrowEvent"}
 
 # Process children that carry no control flow and are safe to ignore.
 _IGNORED_TAGS = {
@@ -246,41 +218,71 @@ _IGNORED_TAGS = {
 }
 
 
+def _parse_node(element: ET.Element, tag: str, local: _LocalNames) -> FlowNode:
+    """The node for a flow element whose local tag is in ``_FLOW_NODE_TAGS``;
+    its children are read only when they decide its kind or target."""
+    get = element.get
+    kind = _FIXED_KINDS.get(tag)
+    if kind is NodeKind.TASK:
+        if get("isForCompensation") == "true":
+            kind = NodeKind.COMPENSATION_HANDLER
+    elif kind is NodeKind.COMPENSATION_BOUNDARY:
+        return FlowNode(get("id", ""), kind, get("name", ""), attached_to=get("attachedToRef"))
+    elif kind is None:
+        if tag == "intermediateThrowEvent":
+            compensates = None
+            for child in element:
+                if local[child.tag] == "compensateEventDefinition":
+                    compensates = child.get("activityRef")
+            return FlowNode(
+                get("id", ""), NodeKind.COMPENSATION_THROW, get("name", ""),
+                compensates=compensates,
+            )
+        definition, special, plain = _DEFINED_KINDS[tag]
+        kind = special if any(local[child.tag] == definition for child in element) else plain
+    return FlowNode(get("id", ""), kind, get("name", ""))
+
+
 def parse_model(source: Union[str, bytes, Path]) -> BpmnModel:
-    """Parse a BPMN document (XML text/bytes, or a path to a file)."""
+    """Parse a BPMN document (XML text/bytes, or a path to a file).
+
+    Two processes with one id, or two participants referencing one process,
+    raise ``ModelFormatError``: keeping either would silently drop or copy
+    a process's nodes."""
     if isinstance(source, Path):
         source = source.read_bytes()
     try:
         root = ET.fromstring(source)
     except ET.ParseError as exc:
         raise ModelFormatError(f"invalid XML: {exc}") from exc
-    if _local(root.tag) != "definitions":
-        raise ModelFormatError(f"expected <definitions> root, got <{_local(root.tag)}>")
+    local = _LocalNames()
+    if local[root.tag] != "definitions":
+        raise ModelFormatError(f"expected <definitions> root, got <{local[root.tag]}>")
 
     collaboration = None
     processes: dict[str, ET.Element] = {}
     for child in root:
-        tag = _local(child.tag)
+        tag = local[child.tag]
         if tag == "collaboration" and collaboration is None:
             collaboration = child
         elif tag == "process":
-            processes[child.get("id", "")] = child
+            process_id = child.get("id", "")
+            if process_id in processes:
+                raise ModelFormatError(f"duplicate process id {process_id!r}")
+            processes[process_id] = child
 
     model = BpmnModel(id="collaboration")
     participants = []
     if collaboration is not None:
         model.id = collaboration.get("id", "collaboration")
         for child in collaboration:
-            tag = _local(child.tag)
+            tag = local[child.tag]
             if tag == "participant":
                 participants.append(child)
             elif tag == "messageFlow":
+                get = child.get
                 model.message_flows.append(
-                    MessageFlow(
-                        child.get("id", ""),
-                        child.get("sourceRef", ""),
-                        child.get("targetRef", ""),
-                    )
+                    MessageFlow(get("id", ""), get("sourceRef", ""), get("targetRef", ""))
                 )
     else:
         # a bare process file: wrap every process in an implicit pool
@@ -290,39 +292,41 @@ def parse_model(source: Union[str, bytes, Path]) -> BpmnModel:
             participant.set("processRef", process_id)
             participants.append(participant)
 
+    pool_of_process: dict[str, str] = {}
     for participant in participants:
         process_id = participant.get("processRef", "")
         pool_id = participant.get("id", "")
+        process = processes.get(process_id)
+        if process is None:
+            raise ModelFormatError(f"participant {pool_id} references missing process {process_id}")
+        if process_id in pool_of_process:
+            raise ModelFormatError(
+                f"process {process_id!r} is referenced by participants "
+                f"{pool_of_process[process_id]!r} and {pool_id!r}"
+            )
+        pool_of_process[process_id] = pool_id
         pool = Pool(
             id=pool_id,
             process_id=process_id,
             name=participant.get("name", ""),
             actor_id=pool_id.removeprefix("pool_"),
         )
-        process = processes.get(process_id)
-        if process is None:
-            raise ModelFormatError(f"participant {pool_id} references missing process {process_id}")
         for child in process:
-            tag = _local(child.tag)
+            tag = local[child.tag]
             if tag == "sequenceFlow":
+                get = child.get
                 pool.flows.append(
                     SequenceFlow(
-                        child.get("id", ""),
-                        child.get("sourceRef", ""),
-                        child.get("targetRef", ""),
-                        child.get("name", ""),
-                    )
-                )
-            elif tag == "association":
-                pool.associations.append(
-                    Association(
-                        child.get("id", ""),
-                        child.get("sourceRef", ""),
-                        child.get("targetRef", ""),
+                        get("id", ""), get("sourceRef", ""), get("targetRef", ""), get("name", "")
                     )
                 )
             elif tag in _FLOW_NODE_TAGS:
-                pool.nodes.append(_parse_node(child))
+                pool.nodes.append(_parse_node(child, tag, local))
+            elif tag == "association":
+                get = child.get
+                pool.associations.append(
+                    Association(get("id", ""), get("sourceRef", ""), get("targetRef", ""))
+                )
             elif tag not in _IGNORED_TAGS:
                 # a flow element this tool cannot represent: dropping it would
                 # silently change the process, so refuse the file instead

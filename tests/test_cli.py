@@ -309,6 +309,30 @@ def test_analyze_rejects_a_document_that_is_not_a_list_of_objects(
     assert "Traceback" not in err
 
 
+def test_analyze_rejects_a_duplicate_process(tmp_path, solo_file, capsys):
+    model_file = tmp_path / "solo.bpmn"
+    main(["generate", str(solo_file), "--level", "happy", "--out", str(model_file)])
+    xml = model_file.read_text(encoding="utf-8")
+    process = xml[xml.index("  <process "):xml.index("</process>") + len("</process>\n")]
+    process_id = parse_model(xml).pools[0].process_id
+    model_file.write_text(xml.replace(process, process + process), encoding="utf-8")
+    code = main(
+        [
+            "analyze",
+            str(model_file),
+            "--network",
+            str(solo_file),
+            "--heuristic-names",
+            "--report",
+            str(tmp_path / "r.csv"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ModelFormatError: duplicate process id {process_id!r}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -332,6 +332,18 @@ _COMPOSED = {
         (1, "RaP", "invoice"),
         (1, "RaE", "shipping"),
     ),
+    # names that stress an index of the scan: a transaction named like an act
+    # ("accept review", whose every node name holds the needle "accept
+    # review" of the transaction "review"); "x", whose "request x" lies inside
+    # "revokerequest x"; "İ", which lowers to two characters; and a final
+    # "Σ", which lowers to "ς" at the end of a word but to "σ" before "İ"
+    "stress": (
+        (None, None, "accept review"),
+        (1, "RaP", "review"),
+        (1, "RaE", "x"),
+        (3, "RaD", "ΟΔΟΣ"),
+        (4, "RaP", "ΟΔΟΣİ x"),
+    ),
 }
 
 
@@ -370,7 +382,7 @@ def _differential_inputs(name: str, level: DetailLevel):
 
 @pytest.mark.parametrize("round_trip", [False, True], ids=["compiled", "round-trip"])
 @pytest.mark.parametrize("level", list(DetailLevel), ids=lambda level: level.value)
-@pytest.mark.parametrize("name", ["poc1", "poc2", "chain3", "fan4"])
+@pytest.mark.parametrize("name", ["poc1", "poc2", "chain3", "fan4", "stress"])
 def test_heuristic_scan_matches_nested_loop_reference(name, level, round_trip):
     net, model, mapping, annotations = _differential_inputs(name, level)
     if round_trip:

@@ -355,6 +355,13 @@ def _without_guards(model, prefix: str):
     return mutant
 
 
+# the act and the phase an unguarded loop's node reaches its bound in
+_LOOP_BOUNDS = {
+    "tk01_i_request_sendtask": ("Request", "Declined"),
+    "tk01_e_declare_sendtask": ("Declare", "Rejected"),
+}
+
+
 @pytest.mark.parametrize(
     "label, node",
     [("rerequest", "tk01_i_request_sendtask"), ("redeclare", "tk01_e_declare_sendtask")],
@@ -364,7 +371,11 @@ def test_unguarded_loop_fails_at_its_bound(solo_net, label, node):
     with pytest.raises(SimulationError) as excinfo:
         simulate_exhaustive(model, max_states=2000)
     assert not isinstance(excinfo.value, StateSpaceLimitExceeded)
-    assert node in str(excinfo.value)
+    act, phase = _LOOP_BOUNDS[node]
+    assert str(excinfo.value) == (
+        f"model lets {act} happen at {node} in phase {phase}, "
+        "which the engine's bounded step forbids"
+    )
 
 
 def test_unguarded_allow_of_an_unperformed_target_fails(solo_net):
@@ -926,6 +937,16 @@ def test_unknown_phase_guard_is_rejected():
     exit_flow.label = "phase:hurried"
     with pytest.raises(SimulationError, match="unknown guard phase:hurried"):
         simulate_exhaustive(model)
+
+
+def test_unknown_performed_guard_is_rejected(solo_net):
+    # read as never performed, it would silently close its branch
+    model = compile_network(solo_net, DetailLevel.COMPLETE)
+    branch = next(f for p in model.pools for f in p.flows if f.label.startswith("performed:"))
+    branch.label = "performed:bogus"
+    with pytest.raises(SimulationError) as excinfo:
+        simulate_exhaustive(model)
+    assert str(excinfo.value) == f"unknown guard performed:bogus on {branch.id}"
 
 
 def _state_where(sim, done):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import xml.etree.ElementTree as ET
 
@@ -252,6 +253,50 @@ def test_missing_process_for_participant():
         parse_model(doc)
 
 
+def test_duplicate_process_id_is_rejected():
+    # keeping only one of them would audit the other's acts as not implemented
+    doc = """<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d5">
+      <collaboration id="c">
+        <participant id="pool_a" processRef="proc_a"/>
+      </collaboration>
+      <process id="proc_a">
+        <task id="t1" name="Request order"/>
+      </process>
+      <process id="proc_a">
+        <task id="t2" name="Accept order"/>
+      </process>
+    </definitions>"""
+    with pytest.raises(ModelFormatError, match="^duplicate process id 'proc_a'$"):
+        parse_model(doc)
+
+
+def test_duplicate_process_id_in_a_bare_process_file_is_rejected():
+    doc = """<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d6">
+      <process id="orders"><startEvent id="s1"/></process>
+      <process id="orders"><startEvent id="s2"/></process>
+    </definitions>"""
+    with pytest.raises(ModelFormatError, match="^duplicate process id 'orders'$"):
+        parse_model(doc)
+
+
+def test_process_shared_by_two_participants_is_rejected():
+    # reading it into both pools would copy its nodes
+    doc = """<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d7">
+      <collaboration id="c">
+        <participant id="pool_a" processRef="proc_a"/>
+        <participant id="pool_b" processRef="proc_a"/>
+      </collaboration>
+      <process id="proc_a">
+        <task id="t1" name="Request order"/>
+      </process>
+    </definitions>"""
+    with pytest.raises(
+        ModelFormatError,
+        match="^process 'proc_a' is referenced by participants 'pool_a' and 'pool_b'$",
+    ):
+        parse_model(doc)
+
+
 def test_non_xml_input_is_rejected():
     with pytest.raises(ModelFormatError, match="invalid XML"):
         parse_model(b"this is not xml")
@@ -432,6 +477,22 @@ def test_every_node_kind_matches_the_reference():
     throw = next(n for n in model.all_nodes() if n.id == "n_throw")
     assert boundary.attached_to is None and throw.compensates is None
     _assert_matches_reference(model)
+
+
+def test_every_node_kind_reads_back():
+    model = _every_kind_model()
+    parsed = parse_model(serialize_model(model))
+    # the reader lists what the writer wrote, in id order; a boundary event
+    # without a task is written, and so read, with an empty attachedToRef
+    assert [p.id for p in parsed.pools] == sorted(p.id for p in model.pools)
+    for pool, back in zip(sorted(model.pools, key=lambda p: p.id), parsed.pools):
+        assert back.nodes == [
+            dataclasses.replace(node, attached_to="") if node.id == "n_boundary" else node
+            for node in sorted(pool.nodes, key=lambda n: n.id)
+        ]
+        assert back.flows == sorted(pool.flows, key=lambda f: f.id)
+        assert back.associations == pool.associations
+        assert (back.id, back.process_id, back.name) == (pool.id, pool.process_id, pool.name)
 
 
 def test_empty_collaboration_and_empty_pool_match_the_reference():
