@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterable, Optional, Union
 
 
@@ -295,10 +296,11 @@ class TraceError(ValueError):
         self.index = index
 
 
-StepLike = Union[TraceStep, tuple]
-
-
-def run_trace(steps: Iterable[StepLike], initial: TransactionState = INITIAL_STATE) -> TransactionState:
+# The step type is spelled out, not a module-level ``Union`` alias: typing's
+# cache would keep the alias, and so this module, alive after a re-import.
+def run_trace(
+    steps: Iterable[Union[TraceStep, tuple]], initial: TransactionState = INITIAL_STATE
+) -> TransactionState:
     """Run a sequence of (act, role[, decision]) steps from the initial state."""
     state = initial
     for index, raw in enumerate(steps):
@@ -366,6 +368,32 @@ def bounded_apply(run: BoundedState, act: Act, role: Role) -> BoundedState:
     )
 
 
+# the columns of ``bounded_table``'s moves: roles, then acts, in declaration order
+MOVES: tuple[tuple[Act, Role], ...] = tuple((act, role) for role in Role for act in Act)
+
+
+@cache
+def bounded_table(bounds: Bounds) -> tuple[tuple[BoundedState, ...], tuple[tuple[int, ...], ...]]:
+    """The bounded step from ``BoundedState()``, played once per ``bounds``:
+    the reachable states in row order, and per row the next row for each of
+    ``MOVES``, or -1 where ``bounded_acts`` forbids it.  Rows are numbered
+    breadth-first in ``MOVES`` order, the same under every hash seed."""
+    states = [BoundedState()]
+    rows = {states[0]: 0}
+    moves = []
+    for run in states:  # grows as new states are numbered
+        allowed = {role: bounded_acts(run, role, bounds) for role in Role}
+        nexts = []
+        for act, role in MOVES:
+            after = bounded_apply(run, act, role) if act in allowed[role] else None
+            if after is not None and after not in rows:
+                rows[after] = len(states)
+                states.append(after)
+            nexts.append(rows.get(after, -1))
+        moves.append(tuple(nexts))
+    return tuple(states), tuple(moves)
+
+
 HAPPY_ALPHABET = frozenset(CORE_ACTS)
 DISSENT_ALPHABET = HAPPY_ALPHABET | {Act.DECLINE, Act.REJECT, Act.STOP}
 COMPLETE_ALPHABET = frozenset(Act)
@@ -380,17 +408,19 @@ def enumerate_language(
     Terminated with no revocation pending; from Accepted the walk also
     continues into still-affordable revocations, so both the plain accepted
     run and its post-acceptance revocation extensions are members.
-    Auto-refused resolutions are canonically labeled Refuse.  The walk keeps
-    its own stack, so a run may be as long as the bounds allow.
+    Auto-refused resolutions are canonically labeled Refuse.  The walk reads
+    ``bounded_table`` and keeps its own stack, so a run may be as long as
+    the bounds allow.
     """
+    states, moves = bounded_table(bounds)
+    columns = [(column, act) for column, (act, _) in enumerate(MOVES) if act in alphabet]
     results: set[tuple[tuple[Act, ...], Phase]] = set()
-    stack: list[tuple[BoundedState, tuple[Act, ...]]] = [(BoundedState(), ())]
+    stack: list[tuple[int, tuple[Act, ...]]] = [(0, ())]
     while stack:
-        run, events = stack.pop()
-        state = run.state
+        row, events = stack.pop()
+        state = states[row].state
         if state.pending is None and state.phase in TERMINAL_PHASES:
             results.add((events, state.phase))
-        for role in Role:
-            for act in bounded_acts(run, role, bounds) & alphabet:
-                stack.append((bounded_apply(run, act, role), events + (act,)))
+        nexts = moves[row]
+        stack += [(nexts[column], events + (act,)) for column, act in columns if nexts[column] >= 0]
     return frozenset(results)

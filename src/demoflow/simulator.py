@@ -3,8 +3,8 @@ transaction engine.
 
 The simulator replays a generated model step by step: firing nodes, delivering
 messages, letting the environment trigger revocations.  Every act-carrying
-node that fires is simultaneously applied to its transaction's shadow run in
-the engine's bounded step (``bounded_acts``, ``bounded_apply``), which also
+node that fires moves its transaction's shadow, a row of the engine's
+bounded-step table (``bounded_table``) packed with a lock, which also
 decides which revocation triggers and loop branches are open; a model that
 lets an act happen out of order or past its loop bound fails loudly.
 Exhaustive exploration is one depth-first search with a memo of suffix sets,
@@ -40,25 +40,24 @@ import json
 import random
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress, repeat
 from operator import attrgetter, itemgetter, ne
-from typing import Callable, Iterable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 from .engine import (
     Act,
     ActNotEnabled,
     Bounds,
-    BoundedState,
     INITIAL_STATE,
+    MOVES,
     Phase,
     RevocationError,
     Role,
     TERMINAL_PHASES,
     apply_act,
-    bounded_acts,
-    bounded_apply,
+    bounded_table,
     enumerate_language,
     rollback_chain,
 )
@@ -96,17 +95,6 @@ class SimEvent:
 
     def label(self) -> str:
         return f"{self.act.value}⁻¹" if self.inverse else self.act.value
-
-
-@dataclass(frozen=True)
-class TkStatus:
-    """Shadow of one transaction during simulation: its run through the
-    engine's bounded step, which also counts the loops it has taken, and the
-    lock that freezes its normal flow while a revocation plays out."""
-
-    run: BoundedState = BoundedState()
-    # None | ("pending",) | ("repositioning", splits_left)
-    lock: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -169,15 +157,18 @@ class ExhaustiveResult:
 # ``completed`` (task nodes that ran and could be compensated) and
 # ``compensated`` are bitsets over nodes, holding only the transaction's
 # bits; ``spawned`` is 1 once its executor instance started; ``shadow`` is
-# its interned ``TkStatus`` code.
+# ``row << 2 | lock``: its row in the engine's ``bounded_table`` and the lock
+# that freezes its normal flow while a revocation plays out, which is free,
+# 1 or 2 reposition splits left (each split counts it down), or pending.
 _SHADOW = 5
+_LOCK, _FREE, _REPOSITIONING, _PENDING = 3, 0, 2, 3
 
 
 class _Working:
     """Mutable merge of some transactions' components while one step is
     applied: ``tokens`` maps node to count, the node bitsets are the union of
     the components', ``spawned`` is a bitset over transactions and
-    ``shadows`` maps each transaction to its status code."""
+    ``shadows`` maps each transaction to its shadow."""
 
     __slots__ = ("ids", "tokens", "in_flight", "spawned", "completed", "compensated", "shadows")
 
@@ -294,16 +285,15 @@ class _Simulation:
     Nodes are numbered in sorted-id order and transactions in sorted order,
     so sorting steps by index sorts them as by id.  A step is ``(op, node,
     arg)``: ``arg`` is a delivery's target node, or an exclusive gateway's
-    branch in flow-id order.  Transaction components and statuses, emitted
-    events and outcome tuples are interned to small ints; ``trace`` decodes
-    them.
+    branch in flow-id order.  Transaction components, emitted events and
+    outcome tuples are interned to small ints; ``trace`` decodes them.
 
     The build checks every node id against the id grammar (``NODE_ID``) and
     reads only each node's transaction from it; every check that can reject
     the model runs there.  Two things a short walk needs for few nodes are
     derived on first use instead: a node's parsed id, which gives its role
-    and act (``_meta``), and an exclusive gateway's branch order
-    (``_branches``).
+    and act, with that act's column in the table (``_meta``), and an
+    exclusive gateway's branch order (``_branches``).
     """
 
     def __init__(self, model: BpmnModel, bounds: Bounds):
@@ -313,7 +303,7 @@ class _Simulation:
         # A random walk builds a simulation for a few dozen steps, so the
         # passes over all nodes and flows run in C (map, zip, compress)
         # wherever they can.
-        self.bounds = bounds
+        self.states, self.moves = bounded_table(bounds)
         nodes: list[FlowNode] = []
         pools: list[str] = []
         for pool in model.pools:
@@ -334,7 +324,7 @@ class _Simulation:
             raise SimulationError(f"duplicate node id {duplicate}")
         self.pool_of = list(map(pools.__getitem__, order))
         self.kinds = kinds = list(map(_KIND, map(nodes.__getitem__, order)))
-        self.meta: list[Optional[NodeMeta]] = [None] * len(ids)
+        self.meta: list[Optional[tuple[NodeMeta, int]]] = [None] * len(ids)
         # A transaction's ids are those from "<tk>_" up to "<tk>`" ("`" is
         # the character after "_"), so in id order its nodes are one range.
         blocks: dict[str, range] = {}
@@ -420,9 +410,6 @@ class _Simulation:
                 self.gate_triggers.setdefault(self.ebg_pred[node], []).append(node)
         self._read_guards(sources, pars)
 
-        self._statuses = _Interner()
-        self._statuses.code(TkStatus())  # code 0, every transaction's start
-        self.statuses: list[TkStatus] = self._statuses.values
         self._components = _Interner()
         self.components: list[tuple] = self._components.values
         self.component_code = self._components.code
@@ -436,10 +423,6 @@ class _Simulation:
         self._applied: dict[tuple[int, int, int], tuple[tuple[int, ...], itemgetter, dict]] = {}
         # each transaction's footprint of itself alone, and its getter
         self._own = [((tk,), itemgetter(tk)) for tk in range(len(self.tks))]
-        # (status code, node) -> (status code after the node's act, event code)
-        self._advances: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
-        # (status code, node) -> whether the bounded step allows the node's act
-        self._allowed: dict[tuple[int, int], bool] = {}
         self._node_events: dict[tuple[int, bool], int] = {}
         self._outcome_of_shadows: dict[tuple[int, ...], int] = {}
 
@@ -522,12 +505,15 @@ class _Simulation:
             par for par in pars if not gates.isdisjoint(target[first_out[par]:first_out[par + 1]])
         }
 
-    def _meta(self, node: int) -> NodeMeta:
-        """The node's parsed id, parsed on first use."""
-        meta = self.meta[node]
-        if meta is None:
-            meta = self.meta[node] = parse_node_id(self.ids[node])
-        return meta
+    def _meta(self, node: int) -> tuple[NodeMeta, int]:
+        """The node's parsed id and its act's column in the table's moves
+        (-1 for a node without an act), both derived on first use."""
+        entry = self.meta[node]
+        if entry is None:
+            meta = parse_node_id(self.ids[node])
+            column = -1 if meta.act is None else MOVES.index((meta.act, meta.role))
+            entry = self.meta[node] = (meta, column)
+        return entry
 
     # -- interning ----------------------------------------------------------
 
@@ -535,7 +521,7 @@ class _Simulation:
         """The code of the node's act event, or of its compensation."""
         code = self._node_events.get((node, inverse))
         if code is None:
-            meta = self._meta(node)
+            meta, _ = self._meta(node)
             code = self._events.code(SimEvent(meta.tk, meta.act, meta.role, inverse))
             self._node_events[(node, inverse)] = code
         return code
@@ -563,9 +549,9 @@ class _Simulation:
         )
 
     def outcomes(self, state: tuple[int, ...]) -> tuple[tuple[str, Phase], ...]:
-        components, statuses = self.components, self.statuses
+        components, states = self.components, self.states
         return tuple(
-            (tk, statuses[components[code][_SHADOW]].run.state.phase)
+            (tk, states[components[code][_SHADOW] >> 2].state.phase)
             for tk, code in zip(self.tks, state)
         )
 
@@ -590,7 +576,7 @@ class _Simulation:
         so enabling reads no other component."""
         tokens, in_flight, _, _, spawned, shadow = self.components[code]
         need, kinds, unlockable = self.need, self.kinds, self.unlockable
-        locked = self.statuses[shadow].lock is not None
+        locked = shadow & _LOCK
         out: list[tuple[int, int, int]] = []
 
         for node, count in tokens:
@@ -639,25 +625,19 @@ class _Simulation:
             branches = self.branches[node] = sorted(self._out(node), key=lambda f: flows[f].id)
         return branches
 
-    def _branch_allowed(self, f: int, code: int) -> bool:
+    def _branch_allowed(self, f: int, shadow: int) -> bool:
         label = self.flows[f].label
         if label == "rerequest" or label == "redeclare":
             # a loop branch is open while its target's Request or Declare is
-            return self._allows(code, self.target[f])
+            return self._allows(shadow, self.target[f])
         if label.startswith("performed:"):
-            return ACT_SLUGS[label[10:]] in self.statuses[code].run.state.history
+            return ACT_SLUGS[label[10:]] in self.states[shadow >> 2].state.history
         return True
 
-    def _allows(self, code: int, node: int) -> bool:
+    def _allows(self, shadow: int, node: int) -> bool:
         """Whether the engine's bounded step lets the node's act happen now."""
-        key = (code, node)
-        allowed = self._allowed.get(key)
-        if allowed is None:
-            meta = self._meta(node)
-            allowed = self._allowed[key] = meta.act in bounded_acts(
-                self.statuses[code].run, meta.role, self.bounds
-            )
-        return allowed
+        column = self._meta(node)[1]
+        return column >= 0 and self.moves[shadow >> 2][column] >= 0
 
     # -- step application --------------------------------------------------
 
@@ -743,43 +723,35 @@ class _Simulation:
         footprint = tuple(sorted(tks))
         return footprint, itemgetter(*footprint)
 
-    def _emit(self, working: _Working, node: int, events: list[int]) -> None:
+    def _advance(self, working: _Working, node: int, events: list[int]) -> None:
+        """Move the transaction's shadow by the node's act, if it has one,
+        and emit the act."""
+        meta, column = self._meta(node)
+        if column < 0:
+            return
         tk = self.tk_of[node]
-        key = (working.shadows[tk], node)
-        advance = self._advances.get(key)
-        if advance is None:
-            advance = self._advances[key] = self._advance(key[0], node)
-        working.shadows[tk], event = advance
-        if event is not None:
-            events.append(event)
-
-    def _advance(self, code: int, node: int) -> tuple[int, Optional[int]]:
-        """The status after the node's act, and the act's event code."""
-        meta = self._meta(node)
-        act = meta.act
-        if act is None:
-            return code, None
-        status = self.statuses[code]
-        run = status.run
-        if act not in bounded_acts(run, meta.role, self.bounds):
+        shadow = working.shadows[tk]
+        state = self.states[shadow >> 2].state
+        after = self.moves[shadow >> 2][column]
+        if after < 0:
             raise SimulationError(
-                f"model lets {act.value} happen at {self.ids[node]} in phase "
-                f"{run.state.phase.value}, which the engine's bounded step forbids"
+                f"model lets {meta.act.value} happen at {self.ids[node]} in phase "
+                f"{state.phase.value}, which the engine's bounded step forbids"
             )
-        lock = status.lock
-        if act is Act.ALLOW:
-            lock = ("pending",) if run.state.pending[0] is Act.REVOKE_REQUEST else ("repositioning", 2)
-        elif act is Act.REFUSE:
-            lock = None
-        new_status = TkStatus(bounded_apply(run, act, meta.role), lock)
-        return self._statuses.code(new_status), self._event_code(node, False)
+        lock = shadow & _LOCK
+        if meta.act is Act.ALLOW:
+            lock = _PENDING if state.pending[0] is Act.REVOKE_REQUEST else _REPOSITIONING
+        elif meta.act is Act.REFUSE:
+            lock = _FREE
+        working.shadows[tk] = after << 2 | lock
+        events.append(self._event_code(node, False))
 
     def _fire(self, working: _Working, node: int, branch: int, events: list[int]) -> None:
         kind = self.kinds[node]
         working.take_token(node, self.need[node])
 
         if kind is _TASK or kind is _SEND_TASK:
-            self._emit(working, node, events)
+            self._advance(working, node, events)
             bit = 1 << node
             working.completed |= bit
             working.compensated &= ~bit
@@ -805,7 +777,7 @@ class _Simulation:
                 self._reposition(working, node)
             self._place_all(working, node)
         elif kind is _TERMINATE:
-            self._terminate(working, node)
+            self._clear(working, self.tk_of[node], self.pool_of[node], ())
         elif kind is _END:
             pass
         elif kind is _START:
@@ -831,9 +803,7 @@ class _Simulation:
     def _trigger(self, working: _Working, trigger: int) -> None:
         gate = self.ebg_pred[trigger]
         working.take_token(gate)
-        tk = self.tk_of[trigger]
-        status = self.statuses[working.shadows[tk]]
-        working.shadows[tk] = self._statuses.code(replace(status, lock=("pending",)))
+        working.shadows[self.tk_of[trigger]] |= _PENDING
         self._place_all(working, trigger)
 
     # -- placement under flow guards --------------------------------------
@@ -843,7 +813,7 @@ class _Simulation:
             self._place(working, f)
 
     def _phase(self, working: _Working, tk: int) -> Phase:
-        return self.statuses[working.shadows[tk]].run.state.phase
+        return self.states[working.shadows[tk] >> 2].state.phase
 
     def _place(self, working: _Working, f: int) -> None:
         guard = self.guards.get(f)
@@ -870,47 +840,33 @@ class _Simulation:
 
     def _reposition(self, working: _Working, split: int) -> None:
         tk, pool = self.tk_of[split], self.pool_of[split]
-        status = self.statuses[working.shadows[tk]]
-        if not (status.lock and status.lock[0] == "repositioning"):
+        shadow = working.shadows[tk]
+        if not _FREE < shadow & _LOCK < _PENDING:
             raise SimulationError(
                 f"reposition split {self.ids[split]} fired without an allowed revocation"
             )
         # the rolled-back flow restarts from the landing node: clear this
-        # pool's normal tokens for the transaction, plus any not-yet-started
+        # pool's normal flow for the transaction, plus any not-yet-started
         # child entry left over from the cancelled attempt
-        for node in self.tk_nodes[tk]:
-            if self.pool_of[node] == pool and node not in self.zone:
-                working.tokens.pop(node, None)
+        self._clear(working, tk, pool, self.zone)
         for child in self.direct_children.get(tk, ()):
             if not working.spawned >> child & 1 and self._phase(working, child) is _INITIAL:
                 for node in self.tk_nodes[child]:
                     if self.pool_of[node] == pool:
                         working.tokens.pop(node, None)
-        for source in _bits(working.in_flight):
-            if self.tk_of[source] != tk:
-                continue
-            targets = self.msg_out.get(source, ())
-            if targets and all(
-                target is not None and self.pool_of[target] == pool and target not in self.zone
-                for target in targets
-            ):
-                working.in_flight &= ~(1 << source)
-        left = status.lock[1] - 1
-        working.shadows[tk] = self._statuses.code(
-            replace(status, lock=None if left == 0 else ("repositioning", left))
-        )
+        working.shadows[tk] = shadow - 1  # one split fewer; after the last, free
 
-    def _terminate(self, working: _Working, node: int) -> None:
-        tk, pool = self.tk_of[node], self.pool_of[node]
-        for other in self.tk_nodes[tk]:
-            if self.pool_of[other] == pool:
-                working.tokens.pop(other, None)
-        for source in _bits(working.in_flight):
-            if self.tk_of[source] != tk:
-                continue
+    def _clear(self, working: _Working, tk: int, pool: str, spared: Container[int]) -> None:
+        """Drop the transaction's tokens in ``pool`` and its messages in
+        flight only into ``pool``, short of the nodes in ``spared``."""
+        for node in self.tk_nodes[tk]:
+            if self.pool_of[node] == pool and node not in spared:
+                working.tokens.pop(node, None)
+        for source in _bits(working.in_flight & self.masks[tk]):
             targets = self.msg_out.get(source, ())
             if targets and all(
-                target is not None and self.pool_of[target] == pool for target in targets
+                target is not None and self.pool_of[target] == pool and target not in spared
+                for target in targets
             ):
                 working.in_flight &= ~(1 << source)
 

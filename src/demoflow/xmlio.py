@@ -227,7 +227,9 @@ def _parse_node(element: ET.Element, tag: str, local: _LocalNames) -> FlowNode:
         if get("isForCompensation") == "true":
             kind = NodeKind.COMPENSATION_HANDLER
     elif kind is NodeKind.COMPENSATION_BOUNDARY:
-        return FlowNode(get("id", ""), kind, get("name", ""), attached_to=get("attachedToRef"))
+        # the writer marks a boundary event without a task with an empty ref
+        attached_to = get("attachedToRef") or None
+        return FlowNode(get("id", ""), kind, get("name", ""), attached_to=attached_to)
     elif kind is None:
         if tag == "intermediateThrowEvent":
             compensates = None
@@ -246,9 +248,10 @@ def _parse_node(element: ET.Element, tag: str, local: _LocalNames) -> FlowNode:
 def parse_model(source: Union[str, bytes, Path]) -> BpmnModel:
     """Parse a BPMN document (XML text/bytes, or a path to a file).
 
-    Two processes with one id, or two participants referencing one process,
-    raise ``ModelFormatError``: keeping either would silently drop or copy
-    a process's nodes."""
+    Two processes with one id, two participants referencing one process, a
+    second collaboration, or a process no participant of the collaboration
+    references raise ``ModelFormatError``: keeping any of them would
+    silently drop or copy a process's nodes."""
     if isinstance(source, Path):
         source = source.read_bytes()
     try:
@@ -263,7 +266,9 @@ def parse_model(source: Union[str, bytes, Path]) -> BpmnModel:
     processes: dict[str, ET.Element] = {}
     for child in root:
         tag = local[child.tag]
-        if tag == "collaboration" and collaboration is None:
+        if tag == "collaboration":
+            if collaboration is not None:
+                raise ModelFormatError(f"second collaboration {child.get('id', '')!r}")
             collaboration = child
         elif tag == "process":
             process_id = child.get("id", "")
@@ -333,4 +338,7 @@ def parse_model(source: Union[str, bytes, Path]) -> BpmnModel:
                 raise ModelFormatError(f"unsupported flow element <{tag}>")
         model.pools.append(pool)
 
+    unreferenced = next((p for p in processes if p not in pool_of_process), None)
+    if unreferenced is not None:
+        raise ModelFormatError(f"process {unreferenced!r} is referenced by no participant")
     return model

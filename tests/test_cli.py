@@ -333,6 +333,22 @@ def test_analyze_rejects_a_duplicate_process(tmp_path, solo_file, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_analyze_rejects_a_process_without_participant(tmp_path, solo_file, capsys):
+    model_file = tmp_path / "solo.bpmn"
+    main(["generate", str(solo_file), "--level", "happy", "--out", str(model_file)])
+    xml = model_file.read_text(encoding="utf-8")
+    process = xml[xml.index("  <process "):xml.index("</process>") + len("</process>\n")]
+    process_id = parse_model(xml).pools[0].process_id
+    stray = process.replace(f'id="{process_id}"', 'id="proc_stray"', 1)
+    model_file.write_text(xml.replace(process, process + stray), encoding="utf-8")
+    report = tmp_path / "r.csv"
+    code = main(["analyze", str(model_file), "--network", str(solo_file), "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: ModelFormatError: process 'proc_stray' is referenced by no participant\n"
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

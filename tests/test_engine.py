@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from demoflow.engine import (
     HAPPY_ALPHABET,
     INITIAL_STATE,
     LANDING_PHASE,
+    MOVES,
     Phase,
     REVOCATIONS,
     REVOKER,
@@ -34,6 +36,7 @@ from demoflow.engine import (
     apply_act,
     bounded_acts,
     bounded_apply,
+    bounded_table,
     enumerate_language,
     resolve_revocation,
     revocation_auto_refused,
@@ -462,6 +465,48 @@ def test_bounded_apply_counts_each_loop_once():
     assert (run.rerequests, run.redeclares, run.revocations) == (1, 1, 1)
     with pytest.raises(ActNotEnabled):
         bounded_apply(run, Act.ACCEPT, I)
+
+
+# --- the bounded step as a table ---------------------------------------------
+
+def test_table_columns_are_every_act_of_every_role():
+    assert len(MOVES) == len(set(MOVES)) == len(Act) * len(Role)
+
+
+@pytest.mark.parametrize(
+    "bounds", [Bounds(*b) for b in itertools.product(range(3), repeat=3)], ids=repr
+)
+def test_table_rows_are_the_bounded_step(bounds):
+    states, moves = bounded_table(bounds)
+    assert states[0] == BoundedState() and len(set(states)) == len(states)
+    assert len(moves) == len(states)
+    for run, row in zip(states, moves):
+        for role in Role:
+            allowed = {act for (act, r), after in zip(MOVES, row) if r is role and after >= 0}
+            assert allowed == bounded_acts(run, role, bounds)
+        for (act, role), after in zip(MOVES, row):
+            if after >= 0:
+                assert states[after] == bounded_apply(run, act, role)
+
+
+@pytest.mark.parametrize(
+    "alphabet, rows, edges",
+    [(HAPPY_ALPHABET, 6, 5), (DISSENT_ALPHABET, 27, 26), (COMPLETE_ALPHABET, 146, 272)],
+    ids=["happy", "dissent", "complete"],
+)
+def test_table_reach_per_alphabet(alphabet, rows, edges):
+    states, moves = bounded_table(Bounds())
+    columns = [column for column, (act, _) in enumerate(MOVES) if act in alphabet]
+    reached, frontier, taken = {0}, [0], 0
+    while frontier:
+        row = frontier.pop()
+        for after in (moves[row][column] for column in columns):
+            if after >= 0:
+                taken += 1
+                if after not in reached:
+                    reached.add(after)
+                    frontier.append(after)
+    assert (len(reached), taken) == (rows, edges)
 
 
 # --- properties --------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import xml.etree.ElementTree as ET
 
@@ -297,6 +296,43 @@ def test_process_shared_by_two_participants_is_rejected():
         parse_model(doc)
 
 
+def test_second_collaboration_is_rejected():
+    # reading only the first would drop the second's pools and processes
+    doc = """<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d8">
+      <collaboration id="c1">
+        <participant id="pool_a" processRef="proc_a"/>
+      </collaboration>
+      <collaboration id="c2">
+        <participant id="pool_b" processRef="proc_b"/>
+      </collaboration>
+      <process id="proc_a">
+        <task id="t1" name="Request order"/>
+      </process>
+      <process id="proc_b">
+        <task id="t2" name="Accept order"/>
+      </process>
+    </definitions>"""
+    with pytest.raises(ModelFormatError, match="^second collaboration 'c2'$"):
+        parse_model(doc)
+
+
+def test_process_without_participant_is_rejected():
+    # with a collaboration, a process no participant references has no pool
+    doc = """<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d9">
+      <collaboration id="c">
+        <participant id="pool_a" processRef="proc_a"/>
+      </collaboration>
+      <process id="proc_a">
+        <task id="t1" name="Request order"/>
+      </process>
+      <process id="proc_b">
+        <task id="t2" name="Accept order"/>
+      </process>
+    </definitions>"""
+    with pytest.raises(ModelFormatError, match="^process 'proc_b' is referenced by no participant$"):
+        parse_model(doc)
+
+
 def test_non_xml_input_is_rejected():
     with pytest.raises(ModelFormatError, match="invalid XML"):
         parse_model(b"this is not xml")
@@ -482,14 +518,10 @@ def test_every_node_kind_matches_the_reference():
 def test_every_node_kind_reads_back():
     model = _every_kind_model()
     parsed = parse_model(serialize_model(model))
-    # the reader lists what the writer wrote, in id order; a boundary event
-    # without a task is written, and so read, with an empty attachedToRef
+    # the reader lists what the writer wrote, in id order
     assert [p.id for p in parsed.pools] == sorted(p.id for p in model.pools)
     for pool, back in zip(sorted(model.pools, key=lambda p: p.id), parsed.pools):
-        assert back.nodes == [
-            dataclasses.replace(node, attached_to="") if node.id == "n_boundary" else node
-            for node in sorted(pool.nodes, key=lambda n: n.id)
-        ]
+        assert back.nodes == sorted(pool.nodes, key=lambda n: n.id)
         assert back.flows == sorted(pool.flows, key=lambda f: f.id)
         assert back.associations == pool.associations
         assert (back.id, back.process_id, back.name) == (pool.id, pool.process_id, pool.name)
