@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 
@@ -296,11 +296,10 @@ class TraceError(ValueError):
         self.index = index
 
 
-# The step type is spelled out, not a module-level ``Union`` alias: typing's
-# cache would keep the alias, and so this module, alive after a re-import.
-def run_trace(
-    steps: Iterable[Union[TraceStep, tuple]], initial: TransactionState = INITIAL_STATE
-) -> TransactionState:
+StepLike = Union[TraceStep, tuple]
+
+
+def run_trace(steps: Iterable[StepLike], initial: TransactionState = INITIAL_STATE) -> TransactionState:
     """Run a sequence of (act, role[, decision]) steps from the initial state."""
     state = initial
     for index, raw in enumerate(steps):
@@ -368,35 +367,42 @@ def bounded_apply(run: BoundedState, act: Act, role: Role) -> BoundedState:
     )
 
 
+HAPPY_ALPHABET = frozenset(CORE_ACTS)
+DISSENT_ALPHABET = HAPPY_ALPHABET | {Act.DECLINE, Act.REJECT, Act.STOP}
+COMPLETE_ALPHABET = frozenset(Act)
+
 # the columns of ``bounded_table``'s moves: roles, then acts, in declaration order
 MOVES: tuple[tuple[Act, Role], ...] = tuple((act, role) for role in Role for act in Act)
 
 
-@cache
-def bounded_table(bounds: Bounds) -> tuple[tuple[BoundedState, ...], tuple[tuple[int, ...], ...]]:
-    """The bounded step from ``BoundedState()``, played once per ``bounds``:
-    the reachable states in row order, and per row the next row for each of
-    ``MOVES``, or -1 where ``bounded_acts`` forbids it.  Rows are numbered
-    breadth-first in ``MOVES`` order, the same under every hash seed."""
-    states = [BoundedState()]
-    rows = {states[0]: 0}
-    moves = []
-    for run in states:  # grows as new states are numbered
-        allowed = {role: bounded_acts(run, role, bounds) for role in Role}
-        nexts = []
-        for act, role in MOVES:
-            after = bounded_apply(run, act, role) if act in allowed[role] else None
-            if after is not None and after not in rows:
-                rows[after] = len(states)
+class _Moves(dict):
+    """``bounded_table``'s moves, each row played the first time it is read."""
+
+    def __init__(self, bounds: Bounds, alphabet: frozenset[Act]):
+        self.bounds, self.alphabet = bounds, alphabet
+        self.states, self.rows = [BoundedState()], {BoundedState(): 0}
+
+    def __missing__(self, row: int) -> tuple[int, ...]:
+        run, states, rows = self.states[row], self.states, self.rows
+        moves = [-1] * len(MOVES)
+        allowed = (bounded_acts(run, role, self.bounds) & self.alphabet for role in Role)
+        for column in sorted(MOVES.index((act, role)) for role, acts in zip(Role, allowed) for act in acts):
+            after = bounded_apply(run, *MOVES[column])
+            moves[column] = rows.setdefault(after, len(states))
+            if moves[column] == len(states):
                 states.append(after)
-            nexts.append(rows.get(after, -1))
-        moves.append(tuple(nexts))
-    return tuple(states), tuple(moves)
+        return self.setdefault(row, tuple(moves))
 
 
-HAPPY_ALPHABET = frozenset(CORE_ACTS)
-DISSENT_ALPHABET = HAPPY_ALPHABET | {Act.DECLINE, Act.REJECT, Act.STOP}
-COMPLETE_ALPHABET = frozenset(Act)
+@lru_cache(maxsize=8)
+def bounded_table(bounds: Bounds, alphabet: frozenset[Act]) -> tuple[list[BoundedState], _Moves]:
+    """The bounded step over ``alphabet``: the states numbered so far, from
+    ``BoundedState()``, and per row the next row for each of ``MOVES`` (-1
+    where ``bounded_acts`` or the alphabet forbids it).  A row is played, in
+    ``MOVES`` order, when first read, so a caller pays only for the rows it
+    reaches; read in ascending order, rows number breadth-first."""
+    moves = _Moves(bounds, alphabet)
+    return moves.states, moves
 
 
 def enumerate_language(
@@ -409,10 +415,9 @@ def enumerate_language(
     continues into still-affordable revocations, so both the plain accepted
     run and its post-acceptance revocation extensions are members.
     Auto-refused resolutions are canonically labeled Refuse.  The walk reads
-    ``bounded_table`` and keeps its own stack, so a run may be as long as
-    the bounds allow.
+    ``bounded_table`` with its own stack, so runs may be as long as bounds allow.
     """
-    states, moves = bounded_table(bounds)
+    states, moves = bounded_table(bounds, alphabet)
     columns = [(column, act) for column, (act, _) in enumerate(MOVES) if act in alphabet]
     results: set[tuple[tuple[Act, ...], Phase]] = set()
     stack: list[tuple[int, tuple[Act, ...]]] = [(0, ())]

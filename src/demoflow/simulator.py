@@ -50,6 +50,7 @@ from .engine import (
     Act,
     ActNotEnabled,
     Bounds,
+    COMPLETE_ALPHABET,
     INITIAL_STATE,
     MOVES,
     Phase,
@@ -158,10 +159,11 @@ class ExhaustiveResult:
 # ``compensated`` are bitsets over nodes, holding only the transaction's
 # bits; ``spawned`` is 1 once its executor instance started; ``shadow`` is
 # ``row << 2 | lock``: its row in the engine's ``bounded_table`` and the lock
-# that freezes its normal flow while a revocation plays out, which is free,
-# 1 or 2 reposition splits left (each split counts it down), or pending.
+# that freezes its normal flow while a revocation plays out: 0 free, 1 or 2
+# reposition splits left (each split counts it down), or 3 pending.
 _SHADOW = 5
-_LOCK, _FREE, _REPOSITIONING, _PENDING = 3, 0, 2, 3
+_LOCK = _PENDING = 3  # the lock's mask is its pending value
+_FREE, _REPOSITIONING = 0, 2
 
 
 class _Working:
@@ -291,9 +293,8 @@ class _Simulation:
     The build checks every node id against the id grammar (``NODE_ID``) and
     reads only each node's transaction from it; every check that can reject
     the model runs there.  Two things a short walk needs for few nodes are
-    derived on first use instead: a node's parsed id, which gives its role
-    and act, with that act's column in the table (``_meta``), and an
-    exclusive gateway's branch order (``_branches``).
+    derived on first use instead: a node's parsed id and table column
+    (``_meta``), and an exclusive gateway's branch order (``_branches``).
     """
 
     def __init__(self, model: BpmnModel, bounds: Bounds):
@@ -303,7 +304,7 @@ class _Simulation:
         # A random walk builds a simulation for a few dozen steps, so the
         # passes over all nodes and flows run in C (map, zip, compress)
         # wherever they can.
-        self.states, self.moves = bounded_table(bounds)
+        self.states, self.moves = bounded_table(bounds, COMPLETE_ALPHABET)
         nodes: list[FlowNode] = []
         pools: list[str] = []
         for pool in model.pools:
@@ -841,7 +842,7 @@ class _Simulation:
     def _reposition(self, working: _Working, split: int) -> None:
         tk, pool = self.tk_of[split], self.pool_of[split]
         shadow = working.shadows[tk]
-        if not _FREE < shadow & _LOCK < _PENDING:
+        if (shadow & _LOCK) not in (1, _REPOSITIONING):
             raise SimulationError(
                 f"reposition split {self.ids[split]} fired without an allowed revocation"
             )

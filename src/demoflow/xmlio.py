@@ -227,9 +227,8 @@ def _parse_node(element: ET.Element, tag: str, local: _LocalNames) -> FlowNode:
         if get("isForCompensation") == "true":
             kind = NodeKind.COMPENSATION_HANDLER
     elif kind is NodeKind.COMPENSATION_BOUNDARY:
-        # the writer marks a boundary event without a task with an empty ref
-        attached_to = get("attachedToRef") or None
-        return FlowNode(get("id", ""), kind, get("name", ""), attached_to=attached_to)
+        # the writer gives a boundary event without a task an empty ref
+        return FlowNode(get("id", ""), kind, get("name", ""), attached_to=get("attachedToRef") or None)
     elif kind is None:
         if tag == "intermediateThrowEvent":
             compensates = None

@@ -473,17 +473,32 @@ def test_table_columns_are_every_act_of_every_role():
     assert len(MOVES) == len(set(MOVES)) == len(Act) * len(Role)
 
 
+def _read_every_row(bounds, alphabet=COMPLETE_ALPHABET):
+    """The whole table: reading rows in ascending order numbers every state."""
+    states, moves = bounded_table(bounds, alphabet)
+    row = 0
+    while row < len(states):
+        moves[row]
+        row += 1
+    return states, moves
+
+
+@pytest.mark.parametrize(
+    "alphabet", [HAPPY_ALPHABET, DISSENT_ALPHABET, COMPLETE_ALPHABET],
+    ids=["happy", "dissent", "complete"],
+)
 @pytest.mark.parametrize(
     "bounds", [Bounds(*b) for b in itertools.product(range(3), repeat=3)], ids=repr
 )
-def test_table_rows_are_the_bounded_step(bounds):
-    states, moves = bounded_table(bounds)
+def test_table_rows_are_the_bounded_step(bounds, alphabet):
+    states, moves = _read_every_row(bounds, alphabet)
     assert states[0] == BoundedState() and len(set(states)) == len(states)
     assert len(moves) == len(states)
-    for run, row in zip(states, moves):
+    for number, run in enumerate(states):
+        row = moves[number]
         for role in Role:
             allowed = {act for (act, r), after in zip(MOVES, row) if r is role and after >= 0}
-            assert allowed == bounded_acts(run, role, bounds)
+            assert allowed == bounded_acts(run, role, bounds) & alphabet
         for (act, role), after in zip(MOVES, row):
             if after >= 0:
                 assert states[after] == bounded_apply(run, act, role)
@@ -495,7 +510,8 @@ def test_table_rows_are_the_bounded_step(bounds):
     ids=["happy", "dissent", "complete"],
 )
 def test_table_reach_per_alphabet(alphabet, rows, edges):
-    states, moves = bounded_table(Bounds())
+    # the alphabet's own table holds what the complete table reaches over it
+    states, moves = bounded_table(Bounds(), COMPLETE_ALPHABET)
     columns = [column for column, (act, _) in enumerate(MOVES) if act in alphabet]
     reached, frontier, taken = {0}, [0], 0
     while frontier:
@@ -507,6 +523,28 @@ def test_table_reach_per_alphabet(alphabet, rows, edges):
                     reached.add(after)
                     frontier.append(after)
     assert (len(reached), taken) == (rows, edges)
+    states, moves = _read_every_row(Bounds(), alphabet)
+    assert (len(states), sum(after >= 0 for row in moves.values() for after in row)) == (rows, edges)
+
+
+def test_table_plays_only_the_rows_read():
+    # the complete table at these bounds has over a million rows; the
+    # language walk plays only the states its alphabet reaches
+    bounds = Bounds(rerequest=40, redeclare=40, revocations=40)
+    bounded_table.cache_clear()
+    enumerate_language(DISSENT_ALPHABET, bounds)
+    reached, frontier = {BoundedState()}, [BoundedState()]
+    while frontier:
+        run = frontier.pop()
+        for role in Role:
+            for act in bounded_acts(run, role, bounds) & DISSENT_ALPHABET:
+                after = bounded_apply(run, act, role)
+                if after not in reached:
+                    reached.add(after)
+                    frontier.append(after)
+    states, moves = bounded_table(bounds, DISSENT_ALPHABET)
+    assert set(states) == reached and len(moves) == len(states)
+    assert bounded_table.cache_info().currsize == 1
 
 
 # --- properties --------------------------------------------------------------

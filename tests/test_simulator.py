@@ -10,7 +10,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from demoflow.compiler import DetailLevel, LEVEL_ALPHABETS, compile_network
-from demoflow.engine import Act, Bounds, Phase, Role, enumerate_language
+from demoflow.engine import (
+    COMPLETE_ALPHABET,
+    Act,
+    Bounds,
+    Phase,
+    Role,
+    bounded_table,
+    enumerate_language,
+)
 from demoflow.model import FlowNode, NodeKind, SequenceFlow, parse_node_id
 from demoflow.network import (
     Actor,
@@ -255,6 +263,17 @@ def test_same_seed_same_walks(solo_net):
     second = simulate_random(model, seed=11, runs=30)
     assert first == second
     assert first != simulate_random(model, seed=12, runs=30)
+
+
+def test_random_walk_reads_only_the_table_rows_it_visits(poc1_net):
+    # a walk reads the bounded-step rows its transactions pass through, not
+    # the whole table, which has over a million rows at these bounds
+    model = compile_network(poc1_net, DetailLevel.COMPLETE)
+    bounds = Bounds(rerequest=40, redeclare=40, revocations=40)
+    bounded_table.cache_clear()
+    (trace,) = simulate_random(model, bounds, seed=3, runs=1)
+    _, moves = bounded_table(bounds, COMPLETE_ALPHABET)
+    assert len(moves) <= 1 + sum(not event.inverse for event in trace.events)
 
 
 def test_random_walks_are_a_subset_of_exhaustive(solo_net):
