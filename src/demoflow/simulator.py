@@ -27,6 +27,15 @@ footprint's codes: a miss runs the step on those components alone, and
 every later state that shares them replays it.  Random walks and both
 exploration modes take this one step.
 
+Conformance checking explores with a partial-order reduction: its lanes
+cannot tell apart two interleavings of steps of different transactions.  At
+a state where some transaction X's enabled steps all touch X alone, and no
+other transaction can reach a step that touches X, only X's steps are
+explored (a persistent set).  Those steps commute with all that the others
+can do, and X's component stays frozen until one is taken, so every
+projection, quiescent state and error of the full search is kept.
+``simulate_exhaustive`` keeps the full search as the reference.
+
 Node ids give each node's transaction, role and act; control beyond the
 graph (splice entries and exits, stale resumptions, the revocation zone and
 its reposition splits) comes from the sequence-flow guards defined on
@@ -426,6 +435,11 @@ class _Simulation:
         self._own = [((tk,), itemgetter(tk)) for tk in range(len(self.tks))]
         self._node_events: dict[tuple[int, bool], int] = {}
         self._outcome_of_shadows: dict[tuple[int, ...], int] = {}
+        # partial-order reduction, made on the first reduced state with
+        # _reach_masks and _entry_masks: per transaction, component code ->
+        # (its sorted steps if every one touches the transaction alone, the
+        # transactions it can still touch)
+        self._reduction: Optional[list[dict[int, tuple[list, int]]]] = None
 
     def _out(self, node: int) -> range:
         return range(self.first_out[node], self.first_out[node + 1])
@@ -639,6 +653,119 @@ class _Simulation:
         """Whether the engine's bounded step lets the node's act happen now."""
         column = self._meta(node)[1]
         return column >= 0 and self.moves[shadow >> 2][column] >= 0
+
+    # -- partial-order reduction -------------------------------------------
+
+    def persistent_steps(self, state: tuple[int, ...]) -> Optional[list[tuple[int, int, int]]]:
+        """The enabled steps of the first transaction X, in transaction
+        order, whose enabled steps are all non-trigger steps with footprint
+        ``(X,)`` and that no other transaction can still touch; None if no
+        transaction qualifies.
+
+        Such steps commute with every step the others can take, and X's
+        component, so its enabled steps, stays frozen until one of them is
+        taken; exploring them alone keeps every per-transaction projection
+        and every quiescent state."""
+        reduction = self._reduction
+        if reduction is None:
+            self._build_reach_masks()
+            reduction = self._reduction = [{} for _ in self.tks]
+        # the transactions at least one component can touch, and those at
+        # least two can
+        once = twice = 0
+        candidates = []
+        for tk, code in enumerate(state):
+            entry = reduction[tk].get(code)
+            if entry is None:
+                entry = reduction[tk][code] = (self._solo(code), self._touch_mask(tk, code))
+            steps, mask = entry
+            twice |= once & mask
+            once |= mask
+            candidates.append(steps)
+        for tk, steps in enumerate(candidates):
+            # a candidate reaches its own marked nodes, so its own mask holds
+            # it: another component touches it exactly when two do
+            if steps and not twice >> tk & 1:
+                return steps
+        return None
+
+    def _solo(self, code: int) -> list[tuple[int, int, int]]:
+        """The component's steps in sorted order if each is a non-trigger
+        step that reads and writes its own transaction alone, else none."""
+        steps = self._local_steps.get(code)
+        if steps is None:
+            steps = self._local_steps[code] = self._component_steps(code)
+        for step in steps:
+            if step[0] == _TRIGGER or len(self._footprint(step)[0]) > 1:
+                return []
+        return sorted(steps)
+
+    def _touch_mask(self, tk: int, code: int) -> int:
+        """The transactions, as a bitset, in the footprint of some step at a
+        node the transaction can still reach from its component: from its
+        marked nodes, its messages' targets, the exits into it and, while
+        its executor has not started, its spawn entries."""
+        tokens, in_flight, _, _, spawned, _ = self.components[code]
+        reach = self._reach_masks
+        mask = self._entry_masks[tk][spawned]
+        for node, _ in tokens:
+            mask |= reach[node]
+        for source in _bits(in_flight):
+            for target in self.msg_out.get(source, ()):
+                if target is not None:
+                    mask |= reach[target]
+        return mask
+
+    def _build_reach_masks(self) -> None:
+        """Each node's reach mask: the union, as a bitset of transactions,
+        of the footprints of every step at a node it reaches along sequence
+        flows (and the exit a spawn guard may place on instead) and message
+        flows.  A gate's triggers follow it by sequence flow."""
+        tk_of, target, guards = self.tk_of, self.target, self.guards
+        masks = [1 << tk for tk in tk_of]  # a step outside reaching touches its own
+        predecessors: list[list[int]] = [[] for _ in tk_of]
+        spawn_entries, exits = [], []  # flows into a transaction from another
+        for node, tk in enumerate(tk_of):
+            for f in self._out(node):
+                predecessors[target[f]].append(node)
+                guard = guards.get(f)
+                if guard is not None and guard[1] is None:
+                    spawn_entries.append(f)
+                    if guard[2] is not None:
+                        predecessors[target[guard[2]]].append(node)
+                elif tk_of[target[f]] != tk:
+                    exits.append(f)
+        for source, targets in self.msg_out.items():
+            for msg_target in targets:
+                if msg_target is not None:
+                    predecessors[msg_target].append(source)
+        # a delivery into a node and a trigger at it place as firing it
+        # does, so the footprints of its firings cover theirs
+        for node in self.reaching:
+            branches = len(self._branches(node)) if self.kinds[node] is _XOR else 1
+            for branch in range(branches):
+                for tk in self._footprint((_FIRE, node, branch))[0]:
+                    masks[node] |= 1 << tk
+        # propagate each mask back to every node that reaches it
+        work = list(range(len(tk_of)))
+        while work:
+            node = work.pop()
+            mask = masks[node]
+            for before in predecessors[node]:
+                if mask & ~masks[before]:
+                    masks[before] |= mask
+                    work.append(before)
+        self._reach_masks = masks
+        # per transaction, the reach of the exits into it, with its spawn
+        # entries while its executor has not started (index 0) and without
+        # them once it has (index 1)
+        started = [0] * len(self.tks)
+        for f in exits:
+            started[tk_of[target[f]]] |= masks[target[f]]
+        fresh = started[:]
+        for f in spawn_entries:
+            fresh[tk_of[target[f]]] |= masks[target[f]]
+        self._entry_masks = list(zip(fresh, started))
 
     # -- step application --------------------------------------------------
 
@@ -882,9 +1009,20 @@ def _explore(
     max_states: int,
     lane_of: Callable[[int], int],
     leaves: Callable[[tuple[int, ...]], tuple[int, ...]],
+    reduced: bool = False,
 ) -> tuple[tuple[frozenset, ...], int]:
     """Explore every interleaving, depth first with a memo: the root's suffix
     sets, one per lane, and the number of states explored.
+
+    With ``reduced``, on a network of two or more transactions, a
+    non-quiescent state where ``persistent_steps`` names a transaction has
+    only that transaction's steps explored.  This keeps every lane set when
+    each lane holds one transaction's events, and every step that raises
+    ``SimulationError`` in the full search is still applied with the same
+    footprint codes.  Both rest on the state graph being acyclic, as a
+    compiled model's is: the full search reports any cycle, the reduced one
+    only those it meets.  It does not keep interleaved traces, so a single
+    lane of whole traces needs the full search.
 
     A lane is a frozenset of ``(event codes, outcome code)`` suffixes.  A step
     adds each event it emits only to the lane that ``lane_of`` gives its code,
@@ -895,6 +1033,7 @@ def _explore(
     prefixing each ``(emitted, child lanes)`` pair is cached, so equal suffix
     sets are built once and merged by identity.
     """
+    reduced = reduced and len(sim.tks) > 1
     sets: dict[frozenset, frozenset] = {}
     tuples: dict[tuple, tuple] = {}
     # prefix results by (emitted, id of a lane tuple); the hash-consing
@@ -941,10 +1080,14 @@ def _explore(
             raise StateSpaceLimitExceeded(
                 f"more than {max_states} states explored"
             )
-        steps = sim.steps(state)
-        # steps sort by operation and triggers sort last, so the first step
-        # tells whether only triggers are left
-        quiescent = not steps or steps[0][0] == _TRIGGER
+        steps = sim.persistent_steps(state) if reduced else None
+        if steps is None:
+            steps = sim.steps(state)
+            # steps sort by operation and triggers sort last, so the first
+            # step tells whether only triggers are left
+            quiescent = not steps or steps[0][0] == _TRIGGER
+        else:
+            quiescent = False  # a persistent set holds no trigger
         successors = [sim.apply(state, step) for step in steps]
         onstack.add(state)
         # the last field collects the distinct suffix lane tuples by identity
@@ -1056,6 +1199,7 @@ class ConformanceReport:
     missing: dict[str, frozenset]  # language members the model never produced
     unexpected: dict[str, frozenset]  # produced behaviour outside the language
     compensation_violations: list[str]
+    # states explored, with the partial-order reduction (see _explore)
     states: int
     # distinct (transaction, projection) pairs the model produced, where a
     # projection is the transaction's events, compensations included, and
@@ -1078,6 +1222,25 @@ class ConformanceReport:
 
 
 _PHASES = tuple(Phase)
+_PHASE_INDEX = {phase: index for index, phase in enumerate(_PHASES)}
+
+
+def _projection_lanes(
+    sim: _Simulation,
+) -> tuple[Callable[[int], int], Callable[[tuple[int, ...]], tuple[int, ...]]]:
+    """``lane_of`` and ``leaves`` for one lane per transaction: an event's
+    lane is its transaction's index, and a leaf records each transaction's
+    phase as its index in ``_PHASES``."""
+    lanes = {tk: lane for lane, tk in enumerate(sim.tks)}
+    events = sim.events
+
+    def lane_of(code: int) -> int:
+        return lanes[events[code].tk]
+
+    def phases(state: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(_PHASE_INDEX[phase] for _, phase in sim.outcomes(state))
+
+    return lane_of, phases
 
 
 def check_conformance(
@@ -1092,22 +1255,15 @@ def check_conformance(
     Exploration keeps one lane per transaction: the projection of every
     suffix onto the transaction's events, with its phase where the run
     stops.  Projection distributes over concatenation, so this is the set
-    of projections of the full traces, which are never built.  Each
+    of projections of the full traces, which are never built; for the same
+    reason the search may skip interleavings (see ``_explore``).  Each
     transaction's projections, reduced to the fourteen acts, are
     set-compared with ``enumerate_language``, and each distinct projection
     is checked once for compensation order.  Transactions a run never
     reached (empty projection, Initial phase) are not counted against it.
     """
     sim = _Simulation(model, bounds)
-
-    def lane_of(code: int) -> int:
-        return sim.tks.index(sim.events[code].tk)
-
-    def phases(state: tuple[int, ...]) -> tuple[int, ...]:
-        # each transaction's phase, as its index in _PHASES
-        return tuple(_PHASES.index(phase) for _, phase in sim.outcomes(state))
-
-    lanes, states = _explore(sim, max_states, lane_of, phases)
+    lanes, states = _explore(sim, max_states, *_projection_lanes(sim), reduced=True)
     expected = enumerate_language(alphabet, bounds)
 
     missing: dict[str, frozenset] = {}

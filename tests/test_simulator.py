@@ -38,6 +38,8 @@ from demoflow.simulator import (
     _Simulation,
     _TRIGGER,
     _Working,
+    _explore,
+    _projection_lanes,
     check_compensation_order,
     check_composition,
     check_conformance,
@@ -99,17 +101,19 @@ def test_network_conformance_takes_a_level_value(solo_net, monkeypatch):
 
 
 def test_poc1_happy_network_is_conformant(poc1_net):
+    # 615 states without the partial-order reduction
     report = check_network_conformance(poc1_net, DetailLevel.HAPPY_FLOW)
     assert report.verdict is Verdict.CONFORMANT
-    assert (report.traces, report.states) == (4, 615)
+    assert (report.traces, report.states) == (4, 199)
 
 
 def test_poc1_dissent_conformance_counts_are_pinned(poc1_net):
     # the largest composed network that finishes, with several transactions
     # and dissent loops; the verdict is NonConformant (ROADMAP item 3), so
-    # only the counts are pinned
+    # only the counts are pinned; 204,701 states without the partial-order
+    # reduction
     report = check_network_conformance(poc1_net, DetailLevel.WITH_DISSENT)
-    assert (report.traces, report.states) == (46, 204701)
+    assert (report.traces, report.states) == (46, 87965)
 
 
 def test_projections_match_engine_language_exactly(solo_net):
@@ -671,7 +675,10 @@ def _reference_conformance(model, alphabet, bounds=Bounds()):
     return missing, unexpected, violations, result.states, len(projections)
 
 
-def _assert_matches_reference(model, alphabet, bounds=Bounds()) -> None:
+def _assert_matches_reference(model, alphabet, bounds=Bounds()) -> int:
+    """Check ``check_conformance`` against the reference; returns the states
+    it explored, which the partial-order reduction keeps at or below the
+    full search's."""
     report = check_conformance(model, alphabet, bounds)
     missing, unexpected, violations, states, projections = _reference_conformance(
         model, alphabet, bounds
@@ -680,9 +687,11 @@ def _assert_matches_reference(model, alphabet, bounds=Bounds()) -> None:
     assert report.unexpected == unexpected
     assert set(report.compensation_violations) == violations
     assert len(report.compensation_violations) == len(violations)
-    assert (report.traces, report.states) == (projections, states)
+    assert report.traces == projections
+    assert report.states <= states
     conformant = not (missing or unexpected or violations)
     assert report.verdict is (Verdict.CONFORMANT if conformant else Verdict.NONCONFORMANT)
+    return report.states
 
 
 def _with_misordered_compensations(model):
@@ -713,29 +722,53 @@ REFERENCE_CASES = {
     "solo-complete-misordered": ("solo", DetailLevel.COMPLETE, _with_misordered_compensations),
 }
 
+# the states check_conformance explores per case, with the partial-order
+# reduction; the full search's are SOLO_EXPECTED's, COMPOSITIONS' and 615
+# (poc1), 6,363 (poc2), 1,453 and 1,409 (chain2 at dissent)
+REFERENCE_STATES = {
+    "solo-happy": 17,
+    "solo-dissent": 117,
+    "solo-complete": 5319,
+    "poc1-happy": 199,
+    "poc2-happy": 501,
+    "chain2-rap": 30,
+    "chain3-rap": 67,
+    "fan2-rap": 89,
+    "chain2-rae": 39,
+    "chain2-rad": 37,
+    "chain2-rap-dissent": 805,
+    "chain2-rae-dissent": 777,
+    "solo-complete-misordered": 5319,
+}
 
-@pytest.mark.parametrize("case", list(REFERENCE_CASES))
-def test_conformance_matches_the_full_trace_reference(request, case):
+
+def _reference_model(request, case):
     net, level, edit = REFERENCE_CASES[case]
     if isinstance(net, str):
         net = request.getfixturevalue(f"{net}_net")
     model = compile_network(net, level)
-    _assert_matches_reference(edit(model) if edit else model, LEVEL_ALPHABETS[level])
+    return edit(model) if edit else model, level
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_conformance_matches_the_full_trace_reference(request, case):
+    model, level = _reference_model(request, case)
+    assert _assert_matches_reference(model, LEVEL_ALPHABETS[level]) == REFERENCE_STATES[case]
 
 
 @st.composite
-def _small_trees(draw):
-    """A network of one to three transactions, each child hanging off an
+def _trees(draw, size: int):
+    """A network of one to ``size`` transactions, each child hanging off an
     earlier transaction by any dependency kind."""
     edges = [
         (draw(st.integers(1, child - 1)), child, draw(st.sampled_from(list(DependencyKind))))
-        for child in range(2, draw(st.integers(1, 3)) + 1)
+        for child in range(2, draw(st.integers(1, size)) + 1)
     ]
     return _tree_net(edges)
 
 
 @settings(max_examples=25, deadline=None)
-@given(net=_small_trees(), level=st.sampled_from([DetailLevel.HAPPY_FLOW, DetailLevel.WITH_DISSENT]))
+@given(net=_trees(3), level=st.sampled_from([DetailLevel.HAPPY_FLOW, DetailLevel.WITH_DISSENT]))
 def test_generated_networks_match_the_full_trace_reference(net, level):
     bounds = Bounds()
     if level is DetailLevel.WITH_DISSENT:
@@ -775,7 +808,94 @@ def test_frontier_fan3_rap_happy_is_conformant():
     # and 2.6 GB); the per-transaction lanes hold one projection each
     report = check_network_conformance(_fan_net(DependencyKind.RAP, 3), DetailLevel.HAPPY_FLOW)
     assert report.verdict is Verdict.CONFORMANT
-    assert (report.traces, report.states) == (4, 4751)
+    # 4,751 states without the partial-order reduction
+    assert (report.traces, report.states) == (4, 159)
+
+
+# ---------------------------------------------------------------------------
+# The partial-order reduction against the full search
+# ---------------------------------------------------------------------------
+
+
+def _explored_lanes(model, reduced: bool, bounds=Bounds()):
+    """The root lanes of the conformance search, with or without the
+    partial-order reduction, decoded to events and phases, and the states it
+    explored."""
+    sim = _Simulation(model, bounds)
+    lanes, states = _explore(sim, 1_000_000, *_projection_lanes(sim), reduced=reduced)
+    decoded = tuple(
+        frozenset((tuple(map(sim.events.__getitem__, codes)), phase) for codes, phase in lane)
+        for lane in lanes
+    )
+    return decoded, states
+
+
+def _assert_reduction_keeps_the_lanes(model, bounds=Bounds()) -> tuple[int, int]:
+    """The reduced search's lanes are the full search's; returns the states
+    of each, the reduced search's first."""
+    full, full_states = _explored_lanes(model, False, bounds)
+    reduced, reduced_states = _explored_lanes(model, True, bounds)
+    assert reduced == full
+    assert reduced_states <= full_states
+    return reduced_states, full_states
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_reduction_keeps_the_lanes_of_the_reference_cases(request, case):
+    model, _ = _reference_model(request, case)
+    assert _assert_reduction_keeps_the_lanes(model)[0] == REFERENCE_STATES[case]
+
+
+# name -> (network, or the name of a fixture network, reduced and full states)
+LARGE_REDUCTION_CASES = {
+    "poc1-dissent": ("poc1", 87965, 204701),
+    "fan2-rap-dissent": (_fan_net(DependencyKind.RAP, 2), 48065, 55969),
+    "chain2-rad-dissent": (_chain_net(DependencyKind.RAD, 2), 6587, 10957),
+}
+
+
+@pytest.mark.parametrize("case", list(LARGE_REDUCTION_CASES))
+def test_reduction_keeps_the_lanes_at_dissent(request, case):
+    net, *states = LARGE_REDUCTION_CASES[case]
+    if isinstance(net, str):
+        net = request.getfixturevalue(f"{net}_net")
+    model = compile_network(net, DetailLevel.WITH_DISSENT)
+    assert list(_assert_reduction_keeps_the_lanes(model)) == states
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), level=st.sampled_from([DetailLevel.HAPPY_FLOW, DetailLevel.WITH_DISSENT]))
+def test_reduction_keeps_the_lanes_of_generated_networks(data, level):
+    if level is DetailLevel.HAPPY_FLOW:
+        net = data.draw(_trees(4))
+    else:
+        # At dissent, four transactions take over 600,000 states without the
+        # reduction, and three with a RaD dependency over 130,000 (about 1.5
+        # s); chain2-RaD above covers RaD at dissent.
+        net = data.draw(_trees(3))
+        kinds = [dep.kind for dep in net.dependencies]
+        assume(len(kinds) < 2 or DependencyKind.RAD not in kinds)
+    _assert_reduction_keeps_the_lanes(compile_network(net, level))
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        (DependencyKind.RAP, "model lets Execute happen at tk01_e_execute_task in phase Executed"),
+        (DependencyKind.RAE, "model lets Declare happen at tk01_e_declare_sendtask in phase Declared"),
+    ],
+    ids=["RaP", "RaE"],
+)
+def test_reduction_raises_the_same_re_entry_error(kind, message):
+    # the two strict xfails of test_two_transaction_chain_is_conformant_at_complete
+    model = compile_network(_chain_net(kind, 2), DetailLevel.COMPLETE)
+    errors = []
+    for reduced in (False, True):
+        with pytest.raises(SimulationError) as excinfo:
+            _explored_lanes(model, reduced)
+        errors.append(str(excinfo.value))
+    assert errors[0] == errors[1]
+    assert errors[0] == f"{message}, which the engine's bounded step forbids"
 
 
 # ---------------------------------------------------------------------------
