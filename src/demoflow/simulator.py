@@ -33,8 +33,14 @@ a state where some transaction X's enabled steps all touch X alone, and no
 other transaction can reach a step that touches X, only X's steps are
 explored (a persistent set).  Those steps commute with all that the others
 can do, and X's component stays frozen until one is taken, so every
-projection, quiescent state and error of the full search is kept.
-``simulate_exhaustive`` keeps the full search as the reference.
+projection, quiescent state and error of the full search is kept.  What a
+transaction can reach is counted from its marked nodes and its messages in
+flight only: a token enters it from another transaction only by a step that
+transaction can reach, whose reach already holds all that the entry leads
+to.  Where several transactions qualify, the first one that also qualifies
+when the entries into each transaction are counted in its reach is
+preferred, and failing that the first one.  ``simulate_exhaustive`` keeps
+the full search as the reference.
 
 Node ids give each node's transaction, role and act; control beyond the
 graph (splice entries and exits, stale resumptions, the revocation zone and
@@ -170,7 +176,7 @@ class ExhaustiveResult:
 # ``row << 2 | lock``: its row in the engine's ``bounded_table`` and the lock
 # that freezes its normal flow while a revocation plays out: 0 free, 1 or 2
 # reposition splits left (each split counts it down), or 3 pending.
-_SHADOW = 5
+_SPAWNED, _SHADOW = 4, 5
 _LOCK = _PENDING = 3  # the lock's mask is its pending value
 _FREE, _REPOSITIONING = 0, 2
 
@@ -438,8 +444,9 @@ class _Simulation:
         # partial-order reduction, made on the first reduced state with
         # _reach_masks and _entry_masks: per transaction, component code ->
         # (its sorted steps if every one touches the transaction alone, the
-        # transactions it can still touch)
-        self._reduction: Optional[list[dict[int, tuple[list, int]]]] = None
+        # transactions it can still touch, and those with its entries
+        # counted)
+        self._reduction: Optional[list[dict[int, tuple[list, int, int]]]] = None
 
     def _out(self, node: int) -> range:
         return range(self.first_out[node], self.first_out[node + 1])
@@ -657,37 +664,59 @@ class _Simulation:
     # -- partial-order reduction -------------------------------------------
 
     def persistent_steps(self, state: tuple[int, ...]) -> Optional[list[tuple[int, int, int]]]:
-        """The enabled steps of the first transaction X, in transaction
-        order, whose enabled steps are all non-trigger steps with footprint
-        ``(X,)`` and that no other transaction can still touch; None if no
+        """The enabled steps of a transaction X whose enabled steps are all
+        non-trigger steps with footprint ``(X,)`` and that no other
+        transaction can still touch (see ``_touch_mask``); None if no
         transaction qualifies.
 
         Such steps commute with every step the others can take, and X's
         component, so its enabled steps, stays frozen until one of them is
         taken; exploring them alone keeps every per-transaction projection
-        and every quiescent state."""
+        and every quiescent state.
+
+        X is chosen in two tiers, each in transaction order: first the
+        first transaction that still qualifies when each other
+        transaction's reach also counts the exits into it and, while it is
+        fresh, its spawn entries (``_entry_masks``); only if none does, the
+        first that qualifies under ``_touch_mask`` alone.  Soundness needs
+        only the second tier; the first is a preference.  A transaction
+        that qualifies under the first qualifies under the second, so every
+        state explores a subset of the steps the first tier alone would,
+        and reaches no state it would not.  The second tier alone takes
+        106,901 states on poc1 at ``dissent``, against 82,453 with both."""
         reduction = self._reduction
         if reduction is None:
             self._build_reach_masks()
             reduction = self._reduction = [{} for _ in self.tks]
         # the transactions at least one component can touch, and those at
-        # least two can
-        once = twice = 0
+        # least two can, under the touch masks and under the masks with the
+        # entries counted
+        once = twice = entered_once = entered_twice = 0
         candidates = []
         for tk, code in enumerate(state):
             entry = reduction[tk].get(code)
             if entry is None:
-                entry = reduction[tk][code] = (self._solo(code), self._touch_mask(tk, code))
-            steps, mask = entry
+                mask = self._touch_mask(code)
+                entered = mask | self._entry_masks[tk][self.components[code][_SPAWNED]]
+                entry = reduction[tk][code] = (self._solo(code), mask, entered)
+            steps, mask, entered = entry
             twice |= once & mask
             once |= mask
+            entered_twice |= entered_once & entered
+            entered_once |= entered
             candidates.append(steps)
+        # a candidate reaches its own marked nodes, so its own mask holds it:
+        # another component touches it exactly when two do.  Masks with the
+        # entries counted are wider, so the first tier's choice qualifies
+        # under the second too.
+        second = None
         for tk, steps in enumerate(candidates):
-            # a candidate reaches its own marked nodes, so its own mask holds
-            # it: another component touches it exactly when two do
             if steps and not twice >> tk & 1:
-                return steps
-        return None
+                if not entered_twice >> tk & 1:
+                    return steps
+                if second is None:
+                    second = steps
+        return second
 
     def _solo(self, code: int) -> list[tuple[int, int, int]]:
         """The component's steps in sorted order if each is a non-trigger
@@ -700,14 +729,21 @@ class _Simulation:
                 return []
         return sorted(steps)
 
-    def _touch_mask(self, tk: int, code: int) -> int:
+    def _touch_mask(self, code: int) -> int:
         """The transactions, as a bitset, in the footprint of some step at a
-        node the transaction can still reach from its component: from its
-        marked nodes, its messages' targets, the exits into it and, while
-        its executor has not started, its spawn entries."""
-        tokens, in_flight, _, _, spawned, _ = self.components[code]
+        node the component's transaction can still reach from its marked
+        nodes and its messages' targets.
+
+        Entries into the transaction need not be counted.  Another
+        transaction Z can place a token into it, on an exit or a spawn
+        entry, only by a step at a node Z can reach.  ``_build_reach_masks``
+        propagates reach backwards across every flow between transactions
+        and from a spawn guard's exit, so the reach of that node, and so
+        Z's own mask, already holds everything the transaction can do after
+        the entry."""
+        tokens, in_flight = self.components[code][:2]
         reach = self._reach_masks
-        mask = self._entry_masks[tk][spawned]
+        mask = 0
         for node, _ in tokens:
             mask |= reach[node]
         for source in _bits(in_flight):
@@ -758,7 +794,8 @@ class _Simulation:
         self._reach_masks = masks
         # per transaction, the reach of the exits into it, with its spawn
         # entries while its executor has not started (index 0) and without
-        # them once it has (index 1)
+        # them once it has (index 1); persistent_steps prefers a transaction
+        # that qualifies with these counted
         started = [0] * len(self.tks)
         for f in exits:
             started[tk_of[target[f]]] |= masks[target[f]]
@@ -979,17 +1016,24 @@ class _Simulation:
         self._clear(working, tk, pool, self.zone)
         for child in self.direct_children.get(tk, ()):
             if not working.spawned >> child & 1 and self._phase(working, child) is _INITIAL:
-                for node in self.tk_nodes[child]:
-                    if self.pool_of[node] == pool:
-                        working.tokens.pop(node, None)
+                self._drop_tokens(working, child, pool, ())
         working.shadows[tk] = shadow - 1  # one split fewer; after the last, free
+
+    def _drop_tokens(self, working: _Working, tk: int, pool: str, spared: Container[int]) -> None:
+        """Drop the transaction's tokens in ``pool``, short of the nodes in
+        ``spared``: a walk over the marked nodes, not the transaction's."""
+        nodes, pool_of, tokens = self.tk_nodes[tk], self.pool_of, working.tokens
+        dropped = [
+            node for node in tokens
+            if node in nodes and pool_of[node] == pool and node not in spared
+        ]
+        for node in dropped:
+            del tokens[node]
 
     def _clear(self, working: _Working, tk: int, pool: str, spared: Container[int]) -> None:
         """Drop the transaction's tokens in ``pool`` and its messages in
         flight only into ``pool``, short of the nodes in ``spared``."""
-        for node in self.tk_nodes[tk]:
-            if self.pool_of[node] == pool and node not in spared:
-                working.tokens.pop(node, None)
+        self._drop_tokens(working, tk, pool, spared)
         for source in _bits(working.in_flight & self.masks[tk]):
             targets = self.msg_out.get(source, ())
             if targets and all(
@@ -1259,8 +1303,9 @@ def check_conformance(
     reason the search may skip interleavings (see ``_explore``).  Each
     transaction's projections, reduced to the fourteen acts, are
     set-compared with ``enumerate_language``, and each distinct projection
-    is checked once for compensation order.  Transactions a run never
-    reached (empty projection, Initial phase) are not counted against it.
+    is checked once for compensation order.  A run that never reaches a
+    transaction (empty projection, Initial phase) adds no projection, so a
+    transaction that no run reaches misses its whole language.
     """
     sim = _Simulation(model, bounds)
     lanes, states = _explore(sim, max_states, *_projection_lanes(sim), reduced=True)
@@ -1292,7 +1337,7 @@ def check_conformance(
                 count += 1
         if got - expected:
             unexpected[tk] = frozenset(got - expected)
-        if got and expected - got:
+        if expected - got:
             missing[tk] = frozenset(expected - got)
 
     conformant = not missing and not unexpected and not violations

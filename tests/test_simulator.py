@@ -35,6 +35,7 @@ from demoflow.simulator import (
     SimulationError,
     StateSpaceLimitExceeded,
     Verdict,
+    _SPAWNED,
     _Simulation,
     _TRIGGER,
     _Working,
@@ -104,7 +105,7 @@ def test_poc1_happy_network_is_conformant(poc1_net):
     # 615 states without the partial-order reduction
     report = check_network_conformance(poc1_net, DetailLevel.HAPPY_FLOW)
     assert report.verdict is Verdict.CONFORMANT
-    assert (report.traces, report.states) == (4, 199)
+    assert (report.traces, report.states) == (4, 172)
 
 
 def test_poc1_dissent_conformance_counts_are_pinned(poc1_net):
@@ -113,7 +114,7 @@ def test_poc1_dissent_conformance_counts_are_pinned(poc1_net):
     # only the counts are pinned; 204,701 states without the partial-order
     # reduction
     report = check_network_conformance(poc1_net, DetailLevel.WITH_DISSENT)
-    assert (report.traces, report.states) == (46, 87965)
+    assert (report.traces, report.states) == (46, 82453)
 
 
 def test_projections_match_engine_language_exactly(solo_net):
@@ -497,6 +498,19 @@ def test_composition_checker_spots_violations():
     assert any("TK02" in p and "Promise" in p for p in problems)
 
 
+def test_never_started_transaction_is_nonconformant():
+    # without its one spawn flow the child is never requested: an empty
+    # projection in every run, which misses the child's whole language
+    model = compile_network(_chain_net(DependencyKind.RAD, 2), DetailLevel.HAPPY_FLOW)
+    for pool in model.pools:
+        pool.flows = [flow for flow in pool.flows if flow.label != "spawn"]
+    report = check_conformance(model, LEVEL_ALPHABETS[DetailLevel.HAPPY_FLOW])
+    assert report.verdict is Verdict.NONCONFORMANT
+    assert list(report.missing) == ["tk02"]
+    assert report.missing["tk02"] == enumerate_language(LEVEL_ALPHABETS[DetailLevel.HAPPY_FLOW])
+    assert not report.unexpected
+
+
 def test_nonconformant_report_renders_its_projections():
     # a child that ends Stopped strands its RaP parent at dissent (ROADMAP
     # item 3), which makes this network NonConformant
@@ -729,10 +743,10 @@ REFERENCE_STATES = {
     "solo-happy": 17,
     "solo-dissent": 117,
     "solo-complete": 5319,
-    "poc1-happy": 199,
-    "poc2-happy": 501,
+    "poc1-happy": 172,
+    "poc2-happy": 372,
     "chain2-rap": 30,
-    "chain3-rap": 67,
+    "chain3-rap": 65,
     "fan2-rap": 89,
     "chain2-rae": 39,
     "chain2-rad": 37,
@@ -848,7 +862,7 @@ def test_reduction_keeps_the_lanes_of_the_reference_cases(request, case):
 
 # name -> (network, or the name of a fixture network, reduced and full states)
 LARGE_REDUCTION_CASES = {
-    "poc1-dissent": ("poc1", 87965, 204701),
+    "poc1-dissent": ("poc1", 82453, 204701),
     "fan2-rap-dissent": (_fan_net(DependencyKind.RAP, 2), 48065, 55969),
     "chain2-rad-dissent": (_chain_net(DependencyKind.RAD, 2), 6587, 10957),
 }
@@ -863,6 +877,40 @@ def test_reduction_keeps_the_lanes_at_dissent(request, case):
     assert list(_assert_reduction_keeps_the_lanes(model)) == states
 
 
+def _entry_counted_steps(sim, state):
+    """The persistent set of the one-tier choice: the first transaction, in
+    transaction order, that qualifies when each other transaction's reach
+    also counts the entries into it."""
+    once = twice = 0
+    candidates = []
+    for tk, code in enumerate(state):
+        spawned = sim.components[code][_SPAWNED]
+        mask = sim._touch_mask(code) | sim._entry_masks[tk][spawned]
+        twice |= once & mask
+        once |= mask
+        candidates.append(sim._solo(code))
+    for tk, steps in enumerate(candidates):
+        if steps and not twice >> tk & 1:
+            return steps
+    return None
+
+
+def _entry_counted_states(model, bounds=Bounds()) -> int:
+    """The states the reduced search explores with the one-tier choice."""
+    sim = _Simulation(model, bounds)
+    sim._build_reach_masks()
+    sim.persistent_steps = lambda state: _entry_counted_steps(sim, state)
+    return _explore(sim, 1_000_000, *_projection_lanes(sim), reduced=True)[1]
+
+
+def test_reduction_prefers_the_entry_counted_choice(poc1_net):
+    # the one-tier choice explores 199 states here; the second tier cuts
+    # them further
+    model = compile_network(poc1_net, DetailLevel.HAPPY_FLOW)
+    assert _entry_counted_states(model) == 199
+    assert _explored_lanes(model, True)[1] == REFERENCE_STATES["poc1-happy"]
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), level=st.sampled_from([DetailLevel.HAPPY_FLOW, DetailLevel.WITH_DISSENT]))
 def test_reduction_keeps_the_lanes_of_generated_networks(data, level):
@@ -875,7 +923,11 @@ def test_reduction_keeps_the_lanes_of_generated_networks(data, level):
         net = data.draw(_trees(3))
         kinds = [dep.kind for dep in net.dependencies]
         assume(len(kinds) < 2 or DependencyKind.RAD not in kinds)
-    _assert_reduction_keeps_the_lanes(compile_network(net, level))
+    model = compile_network(net, level)
+    reduced_states, _ = _assert_reduction_keeps_the_lanes(model)
+    # each state explores a subset of the steps the one-tier choice
+    # explores, so the search reaches no state that choice does not
+    assert reduced_states <= _entry_counted_states(model)
 
 
 @pytest.mark.parametrize(
