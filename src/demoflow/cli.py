@@ -46,7 +46,11 @@ def _fail(violations) -> bool:
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def cmd_validate(args) -> int:
@@ -211,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True, choices=levels, help="detail level")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument(
-        "--exhaustive", action="store_true", help="explore every interleaving (default)"
+        "--exhaustive",
+        action="store_true",
+        help="explore every run; report each transaction's projections (default)",
     )
     mode.add_argument("--random", action="store_true", help="seeded random walks")
     p.add_argument("--seed", type=int, default=0, help="random mode seed")

@@ -142,6 +142,8 @@ def parse_network(source: Union[str, bytes, dict]) -> TransactionNetwork:
             doc = json.loads(source)
         except json.JSONDecodeError as exc:
             raise NetworkFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise NetworkFormatError("invalid JSON: nested too deeply") from None
     else:
         doc = source
     if not isinstance(doc, dict):
@@ -192,8 +194,14 @@ def parse_network(source: Union[str, bytes, dict]) -> TransactionNetwork:
                     f"transaction {t.id}: reference to undeclared actor {ref!r}"
                 )
 
+    # absent and null mean none
+    listed = doc.get("dependencies")
+    if listed is not None and not isinstance(listed, list):
+        raise NetworkFormatError(
+            f"network: field 'dependencies' must be list, got {type(listed).__name__}"
+        )
     dependencies = []
-    for i, entry in enumerate(doc.get("dependencies", []) or []):
+    for i, entry in enumerate(listed or []):
         where = f"dependencies[{i}]"
         if not isinstance(entry, dict):
             raise NetworkFormatError(f"{where}: must be an object")

@@ -8,11 +8,13 @@ bounded-step table (``bounded_table``) packed with a lock, which also
 decides which revocation triggers and loop branches are open; a model that
 lets an act happen out of order or past its loop bound fails loudly.
 Exhaustive exploration is one depth-first search with a memo of suffix sets,
-kept in lanes.  ``simulate`` uses a single lane and builds the full set of
-bounded interleaved traces; conformance checking uses one lane per
-transaction, which holds only that transaction's projected events and final
-phase, and compares each lane, reduced to the fourteen acts, with the
-engine's enumerated language.
+kept in one lane per transaction: a lane holds only that transaction's
+projected events and its final phase, so its memory follows each
+transaction's language, not the number of interleavings.
+``simulate_exhaustive`` reports these per-transaction projections (for one
+transaction, its traces), and conformance checking compares each
+transaction's, reduced to the fourteen acts, with the engine's enumerated
+language.
 
 A state is a tuple of per-transaction component codes.  Each code interns
 one transaction's share of the state (its tokens, messages in flight,
@@ -24,23 +26,23 @@ writes only a footprint of transactions fixed by the model (its own, those
 its placements reach through ``spawn`` and ``phase:`` guards, and the
 children a reposition clears), so its effect is memoized on the
 footprint's codes: a miss runs the step on those components alone, and
-every later state that shares them replays it.  Random walks and both
-exploration modes take this one step.
+every later state that shares them replays it.  Random walks and the
+exhaustive search take this one step.
 
-Conformance checking explores with a partial-order reduction: its lanes
-cannot tell apart two interleavings of steps of different transactions.  At
-a state where some transaction X's enabled steps all touch X alone, and no
-other transaction can reach a step that touches X, only X's steps are
-explored (a persistent set).  Those steps commute with all that the others
-can do, and X's component stays frozen until one is taken, so every
-projection, quiescent state and error of the full search is kept.  What a
+On two or more transactions the search uses a partial-order reduction: its
+lanes cannot tell apart two interleavings of steps of different
+transactions.  At a state where some transaction X's enabled steps all
+touch X alone, and no other transaction can reach a step that touches X,
+only X's steps are explored (a persistent set).  Those steps commute with
+all that the others can do, and X's component stays frozen until one is
+taken, so every projection, quiescent state and error of the search without
+the reduction is kept.  What a
 transaction can reach is counted from its marked nodes and its messages in
 flight only: a token enters it from another transaction only by a step that
 transaction can reach, whose reach already holds all that the entry leads
 to.  Where several transactions qualify, the first one that also qualifies
 when the entries into each transaction are counted in its reach is
-preferred, and failing that the first one.  ``simulate_exhaustive`` keeps
-the full search as the reference.
+preferred, and failing that the first one.
 
 Node ids give each node's transaction, role and act; control beyond the
 graph (splice entries and exits, stale resumptions, the revocation zone and
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress, repeat
 from operator import attrgetter, itemgetter, ne
-from typing import Callable, Container, Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .engine import (
     Act,
@@ -159,8 +161,12 @@ class SimTrace:
 
 @dataclass
 class ExhaustiveResult:
+    """Each transaction's projections, the states explored, and the model's
+    transactions in order, which names those that no run starts."""
+
     traces: frozenset[SimTrace]
     states: int
+    transactions: tuple[str, ...]
 
 
 # A simulation state is a tuple with one component code per transaction, in
@@ -302,8 +308,9 @@ class _Simulation:
     Nodes are numbered in sorted-id order and transactions in sorted order,
     so sorting steps by index sorts them as by id.  A step is ``(op, node,
     arg)``: ``arg`` is a delivery's target node, or an exclusive gateway's
-    branch in flow-id order.  Transaction components, emitted events and
-    outcome tuples are interned to small ints; ``trace`` decodes them.
+    branch in flow-id order.  Transaction components and emitted events are
+    interned to small ints; ``event_lanes`` gives each event code's
+    transaction.
 
     The build checks every node id against the id grammar (``NODE_ID``) and
     reads only each node's transaction from it; every check that can reject
@@ -431,7 +438,7 @@ class _Simulation:
         self.component_code = self._components.code
         self._events = _Interner()
         self.events: list[SimEvent] = self._events.values
-        self._outcomes = _Interner()
+        self.event_lanes: list[int] = []  # event code -> its transaction's index
         # component code -> the steps it enables
         self._local_steps: dict[int, list[tuple[int, int, int]]] = {}
         # step -> (its footprint, the getter of their codes, {codes: (codes
@@ -440,7 +447,6 @@ class _Simulation:
         # each transaction's footprint of itself alone, and its getter
         self._own = [((tk,), itemgetter(tk)) for tk in range(len(self.tks))]
         self._node_events: dict[tuple[int, bool], int] = {}
-        self._outcome_of_shadows: dict[tuple[int, ...], int] = {}
         # partial-order reduction, made on the first reduced state with
         # _reach_masks and _entry_masks: per transaction, component code ->
         # (its sorted steps if every one touches the transaction alone, the
@@ -545,20 +551,10 @@ class _Simulation:
         if code is None:
             meta, _ = self._meta(node)
             code = self._events.code(SimEvent(meta.tk, meta.act, meta.role, inverse))
+            if code == len(self.event_lanes):
+                self.event_lanes.append(self.tk_of[node])
             self._node_events[(node, inverse)] = code
         return code
-
-    def outcome_code(self, state: tuple[int, ...]) -> int:
-        components = self.components
-        shadows = tuple(components[code][_SHADOW] for code in state)
-        code = self._outcome_of_shadows.get(shadows)
-        if code is None:
-            code = self._outcome_of_shadows[shadows] = self._outcomes.code(self.outcomes(state))
-        return code
-
-    def trace(self, events: tuple[int, ...], outcome: int) -> SimTrace:
-        """Decode an event-code tuple and an outcome code."""
-        return SimTrace(tuple(self.events[code] for code in events), self._outcomes.values[outcome])
 
     # -- state ------------------------------------------------------------
 
@@ -1048,36 +1044,38 @@ class _Simulation:
 # ---------------------------------------------------------------------------
 
 
-def _explore(
-    sim: _Simulation,
-    max_states: int,
-    lane_of: Callable[[int], int],
-    leaves: Callable[[tuple[int, ...]], tuple[int, ...]],
-    reduced: bool = False,
-) -> tuple[tuple[frozenset, ...], int]:
-    """Explore every interleaving, depth first with a memo: the root's suffix
-    sets, one per lane, and the number of states explored.
+# the phases a leaf records, by index
+_PHASES = tuple(Phase)
+_PHASE_INDEX = {phase: index for index, phase in enumerate(_PHASES)}
 
-    With ``reduced``, on a network of two or more transactions, a
-    non-quiescent state where ``persistent_steps`` names a transaction has
-    only that transaction's steps explored.  This keeps every lane set when
-    each lane holds one transaction's events, and every step that raises
-    ``SimulationError`` in the full search is still applied with the same
-    footprint codes.  Both rest on the state graph being acyclic, as a
-    compiled model's is: the full search reports any cycle, the reduced one
-    only those it meets.  It does not keep interleaved traces, so a single
-    lane of whole traces needs the full search.
 
-    A lane is a frozenset of ``(event codes, outcome code)`` suffixes.  A step
-    adds each event it emits only to the lane that ``lane_of`` gives its code,
-    and shares the other lanes' sets unchanged, so each lane holds the
-    projection of every suffix onto its own events.  At a quiescent state
-    each lane records an empty suffix with the lane's outcome code from
-    ``leaves``.  Lane sets and lane tuples are hash-consed, and the result of
-    prefixing each ``(emitted, child lanes)`` pair is cached, so equal suffix
-    sets are built once and merged by identity.
+def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], int]:
+    """Explore every run, depth first with a memo: each transaction's
+    projections and the number of states explored.
+
+    The memo keeps one lane per transaction, a frozenset of ``(event codes,
+    phase index)`` suffixes.  A step adds each event it emits only to its
+    transaction's lane (``event_lanes``), and shares the other lanes' sets
+    unchanged, so each lane holds the projection of every suffix onto its
+    transaction's events.  At a quiescent state, one where nothing but a
+    revocation trigger can happen, each lane records an empty suffix with
+    its transaction's phase, so an accepted run and its post-acceptance
+    revocation extensions are all recorded.  Lane sets and lane tuples are
+    hash-consed, and the result of prefixing each ``(emitted, child
+    lanes)`` pair is cached, so equal suffix sets are built once and merged
+    by identity.
+
+    On two or more transactions, a non-quiescent state where
+    ``persistent_steps`` names a transaction has only that transaction's
+    steps explored.  This keeps every lane set, since projection cannot
+    tell apart interleavings of different transactions' steps, and every
+    step that raises ``SimulationError`` without the reduction is still
+    applied with the same footprint codes.  Both rest on the state graph
+    being acyclic, as a compiled model's is; the search reports any cycle
+    it meets.
     """
-    reduced = reduced and len(sim.tks) > 1
+    reduced = len(sim.tks) > 1
+    lane_of = sim.event_lanes
     sets: dict[frozenset, frozenset] = {}
     tuples: dict[tuple, tuple] = {}
     # prefix results by (emitted, id of a lane tuple); the hash-consing
@@ -1090,12 +1088,12 @@ def _explore(
         if result is None:
             split: dict[int, list[int]] = {}
             for code in emitted:
-                split.setdefault(lane_of(code), []).append(code)
+                split.setdefault(lane_of[code], []).append(code)
             result = list(lanes)
             for lane, codes in split.items():
                 events = tuple(codes)
                 suffixes = frozenset(
-                    (events + suffix, outcome) for suffix, outcome in lanes[lane]
+                    (events + suffix, phase) for suffix, phase in lanes[lane]
                 )
                 result[lane] = sets.setdefault(suffixes, suffixes)
             result = tuple(result)
@@ -1103,7 +1101,7 @@ def _explore(
         return result
 
     def leaf(state: tuple[int, ...]) -> tuple:
-        singletons = (frozenset({((), outcome)}) for outcome in leaves(state))
+        singletons = (frozenset({((), _PHASE_INDEX[phase])}) for _, phase in sim.outcomes(state))
         lanes = tuple(sets.setdefault(suffixes, suffixes) for suffixes in singletons)
         return tuples.setdefault(lanes, lanes)
 
@@ -1166,29 +1164,31 @@ def _explore(
         onstack.discard(state)
         stack.pop()
 
-    return memo[root], len(memo)
+    # decode, leaving out a transaction's empty projection at Initial
+    events = sim.events
+    traces = frozenset(
+        SimTrace(tuple(map(events.__getitem__, codes)), ((tk, _PHASES[phase]),))
+        for tk, suffixes in zip(sim.tks, memo[root])
+        for codes, phase in suffixes
+        if codes or _PHASES[phase] is not _INITIAL
+    )
+    return traces, len(memo)
 
 
 def simulate_exhaustive(
     model: BpmnModel, bounds: Bounds = Bounds(), max_states: int = 1_000_000
 ) -> ExhaustiveResult:
-    """Explore every interleaving; return the deduplicated recorded traces.
+    """Explore every run; return each transaction's projections.
 
-    A trace is recorded at every quiescent state — one where nothing can
-    happen except an environment-triggered revocation — so an accepted run
-    and its post-acceptance revocation extensions are all members.
-
-    Only this function builds full interleaved traces: it explores with one
-    lane, whose suffixes keep every event and the run's outcome code, and
-    decodes the root's.  ``check_conformance`` explores per-transaction
-    projections instead.
+    A projection is one transaction's events, compensations included, with
+    its phase where the run stops, as a ``SimTrace`` whose only outcome is
+    that transaction's.  For one transaction a projection is the run's
+    trace.  A run that never starts a transaction adds no projection of it.
+    ``max_states`` bounds the states of the search (see ``_explore``).
     """
     sim = _Simulation(model, bounds)
-    (suffixes,), states = _explore(
-        sim, max_states, lambda code: 0, lambda state: (sim.outcome_code(state),)
-    )
-    traces = frozenset(sim.trace(events, outcome) for events, outcome in suffixes)
-    return ExhaustiveResult(traces=traces, states=states)
+    traces, states = _explore(sim, max_states)
+    return ExhaustiveResult(traces=traces, states=states, transactions=tuple(sim.tks))
 
 
 def simulate_random(
@@ -1265,26 +1265,14 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
-_PHASES = tuple(Phase)
-_PHASE_INDEX = {phase: index for index, phase in enumerate(_PHASES)}
-
-
-def _projection_lanes(
-    sim: _Simulation,
-) -> tuple[Callable[[int], int], Callable[[tuple[int, ...]], tuple[int, ...]]]:
-    """``lane_of`` and ``leaves`` for one lane per transaction: an event's
-    lane is its transaction's index, and a leaf records each transaction's
-    phase as its index in ``_PHASES``."""
-    lanes = {tk: lane for lane, tk in enumerate(sim.tks)}
-    events = sim.events
-
-    def lane_of(code: int) -> int:
-        return lanes[events[code].tk]
-
-    def phases(state: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(_PHASE_INDEX[phase] for _, phase in sim.outcomes(state))
-
-    return lane_of, phases
+def _projection_key(trace: SimTrace) -> tuple:
+    """A projection's place in a report: in ``_projection_order`` of its acts
+    and phase, then by its compensations and roles."""
+    ((tk, phase),) = trace.outcomes
+    return (
+        _projection_order((trace.acts_for(tk), phase)),
+        tuple((e.label(), e.role.value) for e in trace.events),
+    )
 
 
 def check_conformance(
@@ -1296,45 +1284,27 @@ def check_conformance(
     """Compare the model's per-transaction projections with the engine's
     language.
 
-    Exploration keeps one lane per transaction: the projection of every
-    suffix onto the transaction's events, with its phase where the run
-    stops.  Projection distributes over concatenation, so this is the set
-    of projections of the full traces, which are never built; for the same
-    reason the search may skip interleavings (see ``_explore``).  Each
-    transaction's projections, reduced to the fourteen acts, are
-    set-compared with ``enumerate_language``, and each distinct projection
-    is checked once for compensation order.  A run that never reaches a
-    transaction (empty projection, Initial phase) adds no projection, so a
-    transaction that no run reaches misses its whole language.
+    The projections are ``simulate_exhaustive``'s: the projection of every
+    run onto one transaction's events, with its phase where the run stops.
+    Each transaction's, reduced to the fourteen acts, are set-compared with
+    ``enumerate_language``, and each is checked once for compensation
+    order.  A transaction that no run reaches has no projection, so it
+    misses its whole language.
     """
-    sim = _Simulation(model, bounds)
-    lanes, states = _explore(sim, max_states, *_projection_lanes(sim), reduced=True)
+    result = simulate_exhaustive(model, bounds, max_states)
     expected = enumerate_language(alphabet, bounds)
 
+    produced: dict[str, list[SimTrace]] = {tk: [] for tk in result.transactions}
+    for trace in result.traces:
+        produced[trace.outcomes[0][0]].append(trace)
     missing: dict[str, frozenset] = {}
     unexpected: dict[str, frozenset] = {}
     violations: dict[str, None] = {}  # in first-seen order
-    count = 0
-    for tk, suffixes in zip(sim.tks, lanes):
-        projections = []
-        for codes, phase_code in suffixes:
-            events = tuple(map(sim.events.__getitem__, codes))
-            acts = tuple(e.act for e in events if not e.inverse)
-            projections.append((acts, _PHASES[phase_code], events))
-        # in _projection_order, then by the compensations and roles
-        projections.sort(
-            key=lambda p: (
-                _projection_order(p[:2]),
-                tuple((e.label(), e.role.value) for e in p[2]),
-            )
-        )
+    for tk, projections in produced.items():
         got = set()
-        for acts, phase, events in projections:
-            found = check_compensation_order(SimTrace(events, ((tk, phase),)))
-            violations.update(dict.fromkeys(found))
-            if acts or phase is not Phase.INITIAL:
-                got.add((acts, phase))
-                count += 1
+        for trace in sorted(projections, key=_projection_key):
+            violations.update(dict.fromkeys(check_compensation_order(trace)))
+            got.add((trace.acts_for(tk), trace.outcome_of(tk)))
         if got - expected:
             unexpected[tk] = frozenset(got - expected)
         if expected - got:
@@ -1346,8 +1316,8 @@ def check_conformance(
         missing=missing,
         unexpected=unexpected,
         compensation_violations=list(violations),
-        states=states,
-        traces=count,
+        states=result.states,
+        traces=len(result.traces),
     )
 
 

@@ -40,11 +40,11 @@ from demoflow.network import (
     load_network,
     validate_network,
 )
-from demoflow.simulator import Verdict, check_composition, check_conformance, simulate_exhaustive
+from demoflow.simulator import Verdict, check_composition, check_conformance
 from demoflow.xmlio import parse_model, serialize_model
 
 from conftest import make_solo_network
-from test_simulator import COMPOSITIONS
+from test_simulator import COMPOSITIONS, _full_traces
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -214,10 +214,9 @@ def test_criterion_4_single_transaction_conformance():
 def test_criterion_5_composition_ordering():
     with criterion(5, "all five composition shapes respect the dependency ordering"):
         for name, (net, _, _) in sorted(COMPOSITIONS.items()):
-            model = compile_network(net, DetailLevel.HAPPY_FLOW)
-            result = simulate_exhaustive(model)
-            assert result.traces, name
-            for trace in result.traces:
+            traces, _ = _full_traces(compile_network(net, DetailLevel.HAPPY_FLOW))
+            assert traces, name
+            for trace in traces:
                 assert check_composition(net, trace) == [], name
 
 

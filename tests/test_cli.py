@@ -72,6 +72,41 @@ def test_validate_malformed_document(tmp_path, capsys):
     assert "NetworkFormatError" in capsys.readouterr().err
 
 
+# the arguments each command that reads a network file takes after it
+_NETWORK_COMMANDS = {
+    "validate": [],
+    "generate": ["--level", "happy", "--out", "{out}"],
+    "simulate": ["--level", "happy"],
+    "conformance": ["--level", "happy"],
+}
+
+
+def _network_command(command: str, network, tmp_path) -> list[str]:
+    out = tmp_path / "out.bpmn"
+    return [command, str(network), *(arg.format(out=out) for arg in _NETWORK_COMMANDS[command])]
+
+
+@pytest.mark.parametrize("command", list(_NETWORK_COMMANDS))
+def test_non_list_dependencies_are_a_format_error(tmp_path, solo_file, capsys, command):
+    doc = json.loads(solo_file.read_text(encoding="utf-8"))
+    doc["dependencies"] = 5
+    solo_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(_network_command(command, solo_file, tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "error: NetworkFormatError: network: field 'dependencies' must be list, got int\n"
+    )
+    assert not (tmp_path / "out.bpmn").exists()
+
+
+@pytest.mark.parametrize("command", list(_NETWORK_COMMANDS))
+def test_network_nested_too_deeply_is_a_format_error(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    assert main(_network_command(command, deep, tmp_path)) == 1
+    assert capsys.readouterr().err == "error: NetworkFormatError: invalid JSON: nested too deeply\n"
+    assert not (tmp_path / "out.bpmn").exists()
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -282,6 +317,22 @@ def test_analyze_reads_a_non_decimal_ordinal_as_a_foreign_id(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--mapping", "--annotations"])
+def test_analyze_rejects_a_document_nested_too_deeply(tmp_path, solo_file, capsys, flag):
+    model_file = tmp_path / "solo.bpmn"
+    main(["generate", str(solo_file), "--level", "happy", "--out", str(model_file)])
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    report = tmp_path / "r.csv"
+    code = main([
+        "analyze", str(model_file), "--network", str(solo_file), flag, str(deep),
+        "--report", str(report),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: ValueError: {deep}: JSON nested too deeply\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flag", ["--mapping", "--annotations"])
 @pytest.mark.parametrize("document", ['{"a": 1}', "[1, 2]"])
 def test_analyze_rejects_a_document_that_is_not_a_list_of_objects(
     tmp_path, solo_file, capsys, flag, document
@@ -387,6 +438,22 @@ def test_simulate_exhaustive_trace_dump_is_pinned(tmp_path, solo_file):
     code = main(["simulate", str(solo_file), "--level", "complete", "--traces", str(traces)])
     assert code == 0
     assert hashlib.sha256(traces.read_bytes()).hexdigest() == SOLO_COMPLETE_TRACES_SHA256
+
+
+def test_simulate_composed_writes_one_line_per_projection(tmp_path, capsys):
+    traces = tmp_path / "traces.jsonl"
+    code = main(["simulate", str(FIXTURES / "poc1.json"), "--level", "happy", "--traces", str(traces)])
+    assert code == 0
+    assert capsys.readouterr().err == "4 trace(s) over 172 explored state(s)\n"
+    lines = traces.read_text(encoding="utf-8").splitlines()
+    assert lines == sorted(lines)
+    for tk, line in zip(["tk01", "tk02", "tk03", "tk04"], lines):
+        doc = json.loads(line)
+        assert {event["tk"] for event in doc["events"]} == {tk}
+        assert [event["act"] for event in doc["events"]] == [
+            "Request", "Promise", "Execute", "Declare", "Accept",
+        ]
+        assert doc["outcome"] == "Accepted"
 
 
 def test_simulate_bounds_flags(tmp_path, solo_file, capsys):
@@ -521,6 +588,24 @@ def chain2_rap_file(tmp_path):
     path = tmp_path / "chain2-rap.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def test_simulate_fan2_rap_dissent_finishes(tmp_path, chain2_rap_file, capsys):
+    # a fan of two RaP children: TK01 is the parent of TK02 and TK03
+    doc = json.loads(chain2_rap_file.read_text(encoding="utf-8"))
+    doc["actors"].append({"id": "A4", "name": "Actor 4"})
+    doc["transactions"].append({
+        "id": "TK03",
+        "name": "step 3",
+        "initiator": "A2",
+        "executor": "A4",
+        "result": {"id": "PK03", "phrase": "[product 3] has been made"},
+    })
+    doc["dependencies"].append({"parent": "TK01", "child": "TK03", "kind": "RaP"})
+    fan = tmp_path / "fan2-rap.json"
+    fan.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", str(fan), "--level", "dissent"]) == 0
+    assert capsys.readouterr().err == "32 trace(s) over 48065 explored state(s)\n"
 
 
 def test_conformance_prints_a_nonconformant_report(chain2_rap_file, capsys):

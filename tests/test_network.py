@@ -151,6 +151,45 @@ def test_parse_rejects_unknown_dependency_kind():
         parse_network(doc)
 
 
+@pytest.mark.parametrize(
+    "dependencies, kind",
+    [
+        (5, "int"),
+        (True, "bool"),
+        (1.5, "float"),
+        ("TK01", "str"),
+        ({"parent": "TK01", "child": "TK02", "kind": "RaP"}, "dict"),
+        # falsy values are no more an empty list than truthy ones
+        (0, "int"),
+        (False, "bool"),
+        ("", "str"),
+        ({}, "dict"),
+    ],
+)
+def test_parse_rejects_non_list_dependencies(dependencies, kind):
+    doc = json.loads((FIXTURES / "poc1.json").read_text())
+    doc["dependencies"] = dependencies
+    with pytest.raises(NetworkFormatError) as excinfo:
+        parse_network(doc)
+    assert str(excinfo.value) == f"network: field 'dependencies' must be list, got {kind}"
+
+
+@pytest.mark.parametrize("dependencies", ["absent", None, []])
+def test_parse_accepts_absent_null_and_empty_dependencies(dependencies):
+    doc = json.loads((FIXTURES / "poc1.json").read_text())
+    if dependencies == "absent":
+        del doc["dependencies"]
+    else:
+        doc["dependencies"] = dependencies
+    assert parse_network(doc).dependencies == ()
+
+
+def test_parse_rejects_json_nested_too_deeply():
+    with pytest.raises(NetworkFormatError) as excinfo:
+        parse_network("[" * 200_000)
+    assert str(excinfo.value) == "invalid JSON: nested too deeply"
+
+
 # --- validation rules --------------------------------------------------------
 
 def test_validate_empty_network_reports_no_root():

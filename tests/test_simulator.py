@@ -40,7 +40,6 @@ from demoflow.simulator import (
     _TRIGGER,
     _Working,
     _explore,
-    _projection_lanes,
     check_compensation_order,
     check_composition,
     check_conformance,
@@ -417,6 +416,67 @@ def test_deleted_accept_task_is_nonconformant(solo_net):
 
 
 # ---------------------------------------------------------------------------
+# The full-trace reference
+# ---------------------------------------------------------------------------
+
+
+def _full_traces(model, bounds=Bounds()) -> tuple[frozenset[SimTrace], int]:
+    """Every whole interleaved trace and the number of states: a depth-first
+    search with a memo of suffix sets, an explicit stack and no reduction.
+    A trace is recorded at every quiescent state, where nothing but a
+    revocation trigger can happen."""
+    sim = _Simulation(model, bounds)
+    # suffixes hold event codes and interned outcomes until the end, so
+    # the sets hash ints only
+    outcomes: dict[tuple, int] = {}
+    root = sim.initial()
+    memo: dict[tuple, frozenset] = {}
+    opened = set()
+    stack = [(root, None, None)]
+    while stack:
+        state, steps, successors = stack.pop()
+        if steps is None:
+            if state in memo:
+                continue
+            if state in opened:  # a descendant of itself
+                raise SimulationError("simulation state graph has a cycle")
+            opened.add(state)
+            steps = sim.steps(state)
+            successors = [sim.apply(state, step) for step in steps]
+            stack.append((state, steps, successors))
+            stack.extend((child, None, None) for child, _ in successors)
+            continue
+        suffixes = set()
+        if all(step[0] == _TRIGGER for step in steps):
+            suffixes.add(((), outcomes.setdefault(sim.outcomes(state), len(outcomes))))
+        for child, emitted in successors:
+            if emitted:
+                suffixes.update((emitted + tail, outcome) for tail, outcome in memo[child])
+            else:
+                suffixes |= memo[child]
+        memo[state] = frozenset(suffixes)
+    decoded = list(outcomes)
+    traces = frozenset(
+        SimTrace(tuple(map(sim.events.__getitem__, codes)), decoded[outcome])
+        for codes, outcome in memo[root]
+    )
+    return traces, len(memo)
+
+
+def _projections(traces) -> frozenset[SimTrace]:
+    """Each transaction's projection of each trace, as ``simulate_exhaustive``
+    reports them: its events with its phase, leaving out a transaction's
+    empty projection at Initial."""
+    projections = set()
+    for trace in traces:
+        for tk, phase in trace.outcomes:
+            events = tuple(e for e in trace.events if e.tk == tk)
+            if events or phase is not Phase.INITIAL:
+                projections.add(SimTrace(events, ((tk, phase),)))
+    return frozenset(projections)
+
+
+# ---------------------------------------------------------------------------
 # Composition topologies
 # ---------------------------------------------------------------------------
 
@@ -469,9 +529,9 @@ def test_composition_ordering_holds(name):
     net, expected_traces, expected_states = COMPOSITIONS[name]
     assert not validate_network(net)
     model = compile_network(net, DetailLevel.HAPPY_FLOW)
-    result = simulate_exhaustive(model)
-    assert (len(result.traces), result.states) == (expected_traces, expected_states)
-    for trace in result.traces:
+    traces, states = _full_traces(model)
+    assert (len(traces), states) == (expected_traces, expected_states)
+    for trace in traces:
         assert check_composition(net, trace) == []
         for tk, phase in trace.outcomes:
             assert phase is Phase.ACCEPTED, f"{name}: {tk} ended {phase}"
@@ -486,7 +546,7 @@ def test_composition_checker_spots_violations():
     assert check_composition(net, bogus) == []  # nothing happened, nothing violated
 
     model = compile_network(net, DetailLevel.HAPPY_FLOW)
-    (good,) = simulate_exhaustive(model).traces
+    ((good,), _) = _full_traces(model)
     # move the child's Request in front of everything
     events = list(good.events)
     child_request = next(
@@ -571,13 +631,18 @@ def _every_path_traces(model) -> set[SimTrace]:
     ids=["solo-happy", "solo-dissent", "chain2-rap-happy"],
 )
 def test_memo_matches_every_path_enumeration(solo_net, net, level):
+    # both memos: the reference's whole traces and the library's projections
     model = compile_network(net or solo_net, level)
-    assert simulate_exhaustive(model).traces == _every_path_traces(model)
+    every_path = _every_path_traces(model)
+    assert _full_traces(model)[0] == every_path
+    assert simulate_exhaustive(model).traces == _projections(every_path)
 
 
 def test_poc2_happy_counts_are_pinned(poc2_net):
-    result = simulate_exhaustive(compile_network(poc2_net, DetailLevel.HAPPY_FLOW))
-    assert (len(result.traces), result.states) == (252, 6363)
+    # the full-trace reference; the library's search finds 6 projections
+    # over 372 states (REFERENCE_STATES)
+    traces, states = _full_traces(compile_network(poc2_net, DetailLevel.HAPPY_FLOW))
+    assert (len(traces), states) == (252, 6363)
 
 
 # SHA-256 of the JSON lines of 20 seeded walks (seed 7) over poc1 at complete
@@ -671,12 +736,12 @@ def _reference_conformance(model, alphabet, bounds=Bounds()):
     interleaved trace one at a time: (missing, unexpected, the set of
     compensation violations, states, distinct (transaction, projection)
     pairs)."""
-    result = simulate_exhaustive(model, bounds)
+    traces, states = _full_traces(model, bounds)
     expected = enumerate_language(alphabet, bounds)
     produced: dict[str, set] = {}
     projections = set()
     violations = set()
-    for trace in result.traces:
+    for trace in traces:
         for tk, phase in trace.outcomes:
             acts = trace.acts_for(tk)
             if not acts and phase is Phase.INITIAL:
@@ -686,7 +751,7 @@ def _reference_conformance(model, alphabet, bounds=Bounds()):
         violations.update(check_compensation_order(trace))
     missing = {tk: frozenset(expected - got) for tk, got in produced.items() if expected - got}
     unexpected = {tk: frozenset(got - expected) for tk, got in produced.items() if got - expected}
-    return missing, unexpected, violations, result.states, len(projections)
+    return missing, unexpected, violations, states, len(projections)
 
 
 def _assert_matches_reference(model, alphabet, bounds=Bounds()) -> int:
@@ -770,6 +835,14 @@ def test_conformance_matches_the_full_trace_reference(request, case):
     assert _assert_matches_reference(model, LEVEL_ALPHABETS[level]) == REFERENCE_STATES[case]
 
 
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_projections_match_the_full_trace_reference(request, case):
+    model, _ = _reference_model(request, case)
+    result = simulate_exhaustive(model)
+    assert result.traces == _projections(_full_traces(model)[0])
+    assert result.states == REFERENCE_STATES[case]
+
+
 @st.composite
 def _trees(draw, size: int):
     """A network of one to ``size`` transactions, each child hanging off an
@@ -826,29 +899,35 @@ def test_frontier_fan3_rap_happy_is_conformant():
     assert (report.traces, report.states) == (4, 159)
 
 
+def test_frontier_fan2_rap_dissent_projections_are_pinned():
+    # a search that kept whole interleaved traces passed 2 GB here after
+    # about 4 minutes; the projections take the states conformance takes
+    model = compile_network(_fan_net(DependencyKind.RAP, 2), DetailLevel.WITH_DISSENT)
+    result = simulate_exhaustive(model)
+    assert (len(result.traces), result.states) == (32, 48065)
+    report = check_conformance(model, LEVEL_ALPHABETS[DetailLevel.WITH_DISSENT])
+    assert (report.traces, report.states) == (32, 48065)
+
+
 # ---------------------------------------------------------------------------
 # The partial-order reduction against the full search
 # ---------------------------------------------------------------------------
 
 
-def _explored_lanes(model, reduced: bool, bounds=Bounds()):
-    """The root lanes of the conformance search, with or without the
-    partial-order reduction, decoded to events and phases, and the states it
-    explored."""
+def _explored(model, reduced: bool, bounds=Bounds()):
+    """The projections of the library's search, with or without the
+    partial-order reduction, and the states it explored."""
     sim = _Simulation(model, bounds)
-    lanes, states = _explore(sim, 1_000_000, *_projection_lanes(sim), reduced=reduced)
-    decoded = tuple(
-        frozenset((tuple(map(sim.events.__getitem__, codes)), phase) for codes, phase in lane)
-        for lane in lanes
-    )
-    return decoded, states
+    if not reduced:
+        sim.persistent_steps = lambda state: None
+    return _explore(sim, 1_000_000)
 
 
 def _assert_reduction_keeps_the_lanes(model, bounds=Bounds()) -> tuple[int, int]:
-    """The reduced search's lanes are the full search's; returns the states
-    of each, the reduced search's first."""
-    full, full_states = _explored_lanes(model, False, bounds)
-    reduced, reduced_states = _explored_lanes(model, True, bounds)
+    """The reduced search's projections are the full search's; returns the
+    states of each, the reduced search's first."""
+    full, full_states = _explored(model, False, bounds)
+    reduced, reduced_states = _explored(model, True, bounds)
     assert reduced == full
     assert reduced_states <= full_states
     return reduced_states, full_states
@@ -900,7 +979,7 @@ def _entry_counted_states(model, bounds=Bounds()) -> int:
     sim = _Simulation(model, bounds)
     sim._build_reach_masks()
     sim.persistent_steps = lambda state: _entry_counted_steps(sim, state)
-    return _explore(sim, 1_000_000, *_projection_lanes(sim), reduced=True)[1]
+    return _explore(sim, 1_000_000)[1]
 
 
 def test_reduction_prefers_the_entry_counted_choice(poc1_net):
@@ -908,7 +987,7 @@ def test_reduction_prefers_the_entry_counted_choice(poc1_net):
     # them further
     model = compile_network(poc1_net, DetailLevel.HAPPY_FLOW)
     assert _entry_counted_states(model) == 199
-    assert _explored_lanes(model, True)[1] == REFERENCE_STATES["poc1-happy"]
+    assert _explored(model, True)[1] == REFERENCE_STATES["poc1-happy"]
 
 
 @settings(max_examples=50, deadline=None)
@@ -944,7 +1023,7 @@ def test_reduction_raises_the_same_re_entry_error(kind, message):
     errors = []
     for reduced in (False, True):
         with pytest.raises(SimulationError) as excinfo:
-            _explored_lanes(model, reduced)
+            _explored(model, reduced)
         errors.append(str(excinfo.value))
     assert errors[0] == errors[1]
     assert errors[0] == f"{message}, which the engine's bounded step forbids"
