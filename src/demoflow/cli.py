@@ -249,6 +249,8 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, SimulationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if getattr(exc, "witness", ()):
+            print(f"witness: {'; '.join(exc.witness)}", file=sys.stderr)
         return 1
     except MemoryError:
         pass  # reported below, once the exception and the tables it holds are freed

@@ -7,10 +7,9 @@ node that fires moves its transaction's shadow, a row of the engine's
 bounded-step table (``bounded_table``) packed with a lock, which also
 decides which revocation triggers and loop branches are open; a model that
 lets an act happen out of order or past its loop bound fails loudly.
-Exhaustive exploration is one depth-first search with a memo of suffix sets,
-kept in one lane per transaction: a lane holds only that transaction's
-projected events and its final phase, so its memory follows each
-transaction's language, not the number of interleavings.
+Exhaustive exploration is one depth-first search over states paired with
+each transaction's history, its events so far; every quiescent state
+records each history with its transaction's phase.
 ``simulate_exhaustive`` reports these per-transaction projections (for one
 transaction, its traces), and conformance checking compares each
 transaction's, reduced to the fourteen acts, with the engine's enumerated
@@ -29,20 +28,20 @@ footprint's codes: a miss runs the step on those components alone, and
 every later state that shares them replays it.  Random walks and the
 exhaustive search take this one step.
 
-On two or more transactions the search uses a partial-order reduction: its
-lanes cannot tell apart two interleavings of steps of different
+On two or more transactions the search uses a partial-order reduction: the
+histories cannot tell apart two interleavings of steps of different
 transactions.  At a state where some transaction X's enabled steps all
 touch X alone, and no other transaction can reach a step that touches X,
 only X's steps are explored (a persistent set).  Those steps commute with
 all that the others can do, and X's component stays frozen until one is
 taken, so every projection, quiescent state and error of the search without
-the reduction is kept.  What a
-transaction can reach is counted from its marked nodes and its messages in
-flight only: a token enters it from another transaction only by a step that
-transaction can reach, whose reach already holds all that the entry leads
-to.  Where several transactions qualify, the first one that also qualifies
-when the entries into each transaction are counted in its reach is
-preferred, and failing that the first one.
+the reduction is kept.  What a transaction can reach is counted from its
+marked nodes and its messages in flight only: a token enters it from
+another transaction only by a step that transaction can reach, whose reach
+already holds all that the entry leads to.  Where several transactions
+qualify, the first one that also qualifies when the entries into each
+transaction are counted in its reach is preferred, and failing that the
+first one.
 
 Node ids give each node's transaction, role and act; control beyond the
 graph (splice entries and exits, stale resumptions, the revocation zone and
@@ -93,7 +92,11 @@ from .network import DependencyKind, TransactionNetwork
 
 
 class SimulationError(RuntimeError):
-    """The model broke a simulation invariant (or is not simulatable)."""
+    """The model broke a simulation invariant (or is not simulatable).  From
+    a step of the exhaustive search, its ``witness`` lists the steps from the
+    initial state up to that one."""
+
+    witness: tuple[str, ...] = ()
 
 
 class StateSpaceLimitExceeded(SimulationError):
@@ -161,8 +164,9 @@ class SimTrace:
 
 @dataclass
 class ExhaustiveResult:
-    """Each transaction's projections, the states explored, and the model's
-    transactions in order, which names those that no run starts."""
+    """Each transaction's projections, the states searched (see
+    ``_explore``), and the model's transactions in order, which names those
+    that no run starts."""
 
     traces: frozenset[SimTrace]
     states: int
@@ -566,12 +570,25 @@ class _Simulation:
             for nodes in self.tk_nodes
         )
 
+    def phase(self, code: int) -> Phase:
+        """The phase of a component's transaction."""
+        return self.states[self.components[code][_SHADOW] >> 2].state.phase
+
     def outcomes(self, state: tuple[int, ...]) -> tuple[tuple[str, Phase], ...]:
-        components, states = self.components, self.states
-        return tuple(
-            (tk, states[components[code][_SHADOW] >> 2].state.phase)
-            for tk, code in zip(self.tks, state)
-        )
+        return tuple(zip(self.tks, map(self.phase, state)))
+
+    def describe(self, step: tuple[int, int, int]) -> str:
+        """``fire <node>`` (``-> <target>`` for a gateway's branch),
+        ``deliver <source> -> <target>`` or ``trigger <node>``."""
+        op, node, arg = step
+        ids = self.ids
+        if op == _DELIVER:
+            return f"deliver {ids[node]} -> {ids[arg]}"
+        if op == _TRIGGER:
+            return f"trigger {ids[node]}"
+        if self.kinds[node] is _XOR:
+            return f"fire {ids[node]} -> {ids[self.target[self._branches(node)[arg]]]}"
+        return f"fire {ids[node]}"
 
     # -- step enumeration --------------------------------------------------
 
@@ -1044,135 +1061,109 @@ class _Simulation:
 # ---------------------------------------------------------------------------
 
 
-# the phases a leaf records, by index
-_PHASES = tuple(Phase)
-_PHASE_INDEX = {phase: index for index, phase in enumerate(_PHASES)}
-
-
 def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], int]:
-    """Explore every run, depth first with a memo: each transaction's
-    projections and the number of states explored.
+    """Explore every run, depth first with a visited set: each
+    transaction's projections and the number of states searched.
 
-    The memo keeps one lane per transaction, a frozenset of ``(event codes,
-    phase index)`` suffixes.  A step adds each event it emits only to its
-    transaction's lane (``event_lanes``), and shares the other lanes' sets
-    unchanged, so each lane holds the projection of every suffix onto its
-    transaction's events.  At a quiescent state, one where nothing but a
-    revocation trigger can happen, each lane records an empty suffix with
-    its transaction's phase, so an accepted run and its post-acceptance
-    revocation extensions are all recorded.  Lane sets and lane tuples are
-    hash-consed, and the result of prefixing each ``(emitted, child
-    lanes)`` pair is cached, so equal suffix sets are built once and merged
-    by identity.
+    A searched state is a simulation state plus each transaction's history,
+    the run's events so far projected onto it.  Histories are the nodes of
+    one trie of ``(parent history, event code)`` pairs, the empty history
+    being 0; a step extends the history of each emitted event's transaction
+    (``event_lanes``).  At a quiescent state, one where nothing but a
+    revocation trigger can happen, each transaction's history is recorded
+    with its component, so an accepted run and its post-acceptance
+    revocation extensions are all recorded, and decoded along the parent
+    pointers at the end.  Where a table row is reached by one history only,
+    as at ``happy`` and ``dissent``, each simulation state is searched once.
 
     On two or more transactions, a non-quiescent state where
     ``persistent_steps`` names a transaction has only that transaction's
-    steps explored.  This keeps every lane set, since projection cannot
-    tell apart interleavings of different transactions' steps, and every
-    step that raises ``SimulationError`` without the reduction is still
-    applied with the same footprint codes.  Both rest on the state graph
-    being acyclic, as a compiled model's is; the search reports any cycle
-    it meets.
+    steps explored.  This keeps every projection, since no history tells
+    apart interleavings of different transactions' steps, and every step
+    that raises ``SimulationError`` without the reduction is still applied
+    with the same footprint codes.  A frame applies all its steps when it
+    opens; the error's ``witness`` lists the steps from the initial state
+    along the stack to the one that raised.  Both rest on the state graph
+    being acyclic, as a compiled model's is; the search reports any cycle it
+    meets.  A cycle of simulation states is one of searched states too: it
+    emits no act, as an act moves its row forward, and so no compensation,
+    as only an act clears a compensated task.
     """
-    reduced = len(sim.tks) > 1
+    lanes = len(sim.tks)
+    reduced = lanes > 1
     lane_of = sim.event_lanes
-    sets: dict[frozenset, frozenset] = {}
-    tuples: dict[tuple, tuple] = {}
-    # prefix results by (emitted, id of a lane tuple); the hash-consing
-    # tables keep every lane tuple, so its id stays unique
-    prefixed: dict[tuple[tuple[int, ...], int], tuple] = {}
-
-    def prefix(emitted: tuple[int, ...], lanes: tuple) -> tuple:
-        key = (emitted, id(lanes))
-        result = prefixed.get(key)
-        if result is None:
-            split: dict[int, list[int]] = {}
-            for code in emitted:
-                split.setdefault(lane_of[code], []).append(code)
-            result = list(lanes)
-            for lane, codes in split.items():
-                events = tuple(codes)
-                suffixes = frozenset(
-                    (events + suffix, phase) for suffix, phase in lanes[lane]
-                )
-                result[lane] = sets.setdefault(suffixes, suffixes)
-            result = tuple(result)
-            result = prefixed[key] = tuples.setdefault(result, result)
-        return result
-
-    def leaf(state: tuple[int, ...]) -> tuple:
-        singletons = (frozenset({((), _PHASE_INDEX[phase])}) for _, phase in sim.outcomes(state))
-        lanes = tuple(sets.setdefault(suffixes, suffixes) for suffixes in singletons)
-        return tuples.setdefault(lanes, lanes)
-
-    def merge(column: tuple[frozenset, ...]) -> frozenset:
-        distinct = {id(suffixes): suffixes for suffixes in column}
-        if len(distinct) == 1:
-            return column[0]
-        union = frozenset().union(*distinct.values())
-        return sets.setdefault(union, union)
-
-    root = sim.initial()
-    memo: dict[tuple[int, ...], tuple] = {}
+    trie = _Interner()  # a history's (parent history, last event code)
+    trie.code(None)  # the empty history, 0
+    extend = trie.code
+    visited: set[tuple[int, ...]] = set()
     onstack: set[tuple[int, ...]] = set()
+    ends: set[tuple[int, int, int]] = set()  # (transaction, history, component)
     stack: list[list] = []
 
-    def open_frame(state: tuple[int, ...]) -> None:
-        if len(memo) + len(onstack) >= max_states:
-            raise StateSpaceLimitExceeded(
-                f"more than {max_states} states explored"
-            )
+    def open_frame(key: tuple[int, ...]) -> None:
+        if len(visited) >= max_states:
+            raise StateSpaceLimitExceeded(f"more than {max_states} states explored")
+        state, path = key[:lanes], key[lanes:]
         steps = sim.persistent_steps(state) if reduced else None
         if steps is None:
             steps = sim.steps(state)
             # steps sort by operation and triggers sort last, so the first
             # step tells whether only triggers are left
-            quiescent = not steps or steps[0][0] == _TRIGGER
-        else:
-            quiescent = False  # a persistent set holds no trigger
-        successors = [sim.apply(state, step) for step in steps]
-        onstack.add(state)
-        # the last field collects the distinct suffix lane tuples by identity
-        stack.append([state, successors, quiescent, 0, {}])
+            if not steps or steps[0][0] == _TRIGGER:
+                ends.update(zip(range(lanes), path, state))
+        successors = []
+        for step in steps:
+            try:
+                child, emitted = sim.apply(state, step)
+            except SimulationError as exc:
+                taken = [frame[1][frame[3] - 1] for frame in stack]
+                exc.witness = tuple(map(sim.describe, taken + [step]))
+                raise
+            if emitted:
+                extended = list(path)
+                for code in emitted:
+                    lane = lane_of[code]
+                    extended[lane] = extend((extended[lane], code))
+                child += tuple(extended)
+            else:
+                child += path
+            successors.append(child)
+        visited.add(key)
+        onstack.add(key)
+        stack.append([key, steps, successors, 0])
 
-    open_frame(root)
+    open_frame(sim.initial() + (0,) * lanes)
     while stack:
         frame = stack[-1]
-        state, successors, quiescent, index, collected = frame
+        _, _, successors, index = frame
         if index < len(successors):
-            child, emitted = successors[index]
-            lanes = memo.get(child)
-            if lanes is not None:
-                if emitted:
-                    lanes = prefix(emitted, lanes)
-                collected[id(lanes)] = lanes
-                frame[3] += 1
-            elif child in onstack:
+            frame[3] = index + 1
+            child = successors[index]
+            if child in onstack:
                 raise SimulationError("simulation state graph has a cycle")
-            else:
+            if child not in visited:
                 open_frame(child)
-            continue
-        if quiescent:
-            lanes = leaf(state)
-            collected[id(lanes)] = lanes
-        if len(collected) == 1:
-            (lanes,) = collected.values()
         else:
-            lanes = tuple(map(merge, zip(*collected.values())))
-            lanes = tuples.setdefault(lanes, lanes)
-        memo[state] = lanes
-        onstack.discard(state)
-        stack.pop()
+            onstack.discard(frame[0])
+            stack.pop()
 
-    # decode, leaving out a transaction's empty projection at Initial
-    events = sim.events
+    events, parents = sim.events, trie.values
+
+    def decode(history: int) -> tuple[SimEvent, ...]:
+        decoded = []
+        while history:
+            history, code = parents[history]
+            decoded.append(events[code])
+        return tuple(reversed(decoded))
+
+    # leave out a transaction's empty projection at Initial
+    projections = {(tk, history, sim.phase(code)) for tk, history, code in ends}
     traces = frozenset(
-        SimTrace(tuple(map(events.__getitem__, codes)), ((tk, _PHASES[phase]),))
-        for tk, suffixes in zip(sim.tks, memo[root])
-        for codes, phase in suffixes
-        if codes or _PHASES[phase] is not _INITIAL
+        SimTrace(decode(history), ((sim.tks[tk], phase),))
+        for tk, history, phase in projections
+        if history or phase is not _INITIAL
     )
-    return traces, len(memo)
+    return traces, len(visited)
 
 
 def simulate_exhaustive(
@@ -1184,7 +1175,8 @@ def simulate_exhaustive(
     its phase where the run stops, as a ``SimTrace`` whose only outcome is
     that transaction's.  For one transaction a projection is the run's
     trace.  A run that never starts a transaction adds no projection of it.
-    ``max_states`` bounds the states of the search (see ``_explore``).
+    ``max_states`` bounds the searched states, each a state with every
+    transaction's history (see ``_explore``).
     """
     sim = _Simulation(model, bounds)
     traces, states = _explore(sim, max_states)
@@ -1243,7 +1235,8 @@ class ConformanceReport:
     missing: dict[str, frozenset]  # language members the model never produced
     unexpected: dict[str, frozenset]  # produced behaviour outside the language
     compensation_violations: list[str]
-    # states explored, with the partial-order reduction (see _explore)
+    # (state, histories) pairs searched, with the partial-order reduction
+    # (see _explore)
     states: int
     # distinct (transaction, projection) pairs the model produced, where a
     # projection is the transaction's events, compensations included, and

@@ -419,7 +419,7 @@ def test_simulate_exhaustive_trace_dump(tmp_path, solo_file, capsys):
         ]
     )
     assert code == 0
-    assert "372 trace(s) over 5319 explored state(s)" in capsys.readouterr().err
+    assert "372 trace(s) over 9987 explored state(s)" in capsys.readouterr().err
     lines = traces.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 372
     assert lines == sorted(lines)
@@ -617,17 +617,33 @@ def test_conformance_prints_a_nonconformant_report(chain2_rap_file, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "conformance"])
+def test_search_error_prints_its_witness(chain2_rap_file, command, capsys):
+    # a child's exit re-enters its parent at complete (ROADMAP item 3)
+    assert main([command, str(chain2_rap_file), "--level", "complete"]) == 1
+    err = capsys.readouterr().err
+    error, witness = err.splitlines()
+    assert error == (
+        "error: SimulationError: model lets Execute happen at tk01_e_execute_task "
+        "in phase Executed, which the engine's bounded step forbids"
+    )
+    steps = witness.removeprefix("witness: ").split("; ")
+    assert steps[0] == "fire tk01_i_entry_start"
+    assert steps[-1] == "fire tk01_e_execute_task"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "conformance"])
 def test_max_states_bound_is_inclusive(solo_file, command, capsys):
-    # the solo network at complete has 5319 states
-    assert main([command, str(solo_file), "--level", "complete", "--max-states", "5319"]) == 0
-    assert "5319" in capsys.readouterr().err
+    # the solo network at complete has 9987 searched states
+    assert main([command, str(solo_file), "--level", "complete", "--max-states", "9987"]) == 0
+    assert "9987" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "conformance"])
 def test_exhausted_state_bound_exits_inconclusive(solo_file, command, capsys):
-    assert main([command, str(solo_file), "--level", "complete", "--max-states", "5318"]) == 3
+    assert main([command, str(solo_file), "--level", "complete", "--max-states", "9986"]) == 3
     err = capsys.readouterr().err
-    assert err == "inconclusive: more than 5318 states explored\n"
+    assert err == "inconclusive: more than 9986 states explored\n"
 
 
 @pytest.mark.parametrize(

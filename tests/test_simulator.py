@@ -50,11 +50,15 @@ from demoflow.simulator import (
 
 HAPPY_ACTS = (Act.REQUEST, Act.PROMISE, Act.EXECUTE, Act.DECLARE, Act.ACCEPT)
 
-# (traces, states) of the one-transaction collaboration per detail level.
+# (traces, states) of the one-transaction collaboration per detail level.  A
+# searched state is a model state with each transaction's history: at happy
+# and dissent a history is a function of the table row, so each model state
+# is searched once; at complete 5,319 model states (the full-trace
+# reference's count) are reached by 9,987 (state, histories) pairs.
 SOLO_EXPECTED = {
     DetailLevel.HAPPY_FLOW: (1, 17),
     DetailLevel.WITH_DISSENT: (10, 117),
-    DetailLevel.COMPLETE: (372, 5319),
+    DetailLevel.COMPLETE: (372, 9987),
 }
 
 
@@ -599,7 +603,7 @@ def test_two_transaction_chain_is_conformant_at_complete(kind):
 
 
 # ---------------------------------------------------------------------------
-# The memo against a brute-force enumeration, and pinned exploration results
+# The searches against a brute-force enumeration, and pinned exploration results
 # ---------------------------------------------------------------------------
 
 
@@ -631,11 +635,18 @@ def _every_path_traces(model) -> set[SimTrace]:
     ids=["solo-happy", "solo-dissent", "chain2-rap-happy"],
 )
 def test_memo_matches_every_path_enumeration(solo_net, net, level):
-    # both memos: the reference's whole traces and the library's projections
+    # both searches: the reference's whole traces and the library's projections
     model = compile_network(net or solo_net, level)
     every_path = _every_path_traces(model)
     assert _full_traces(model)[0] == every_path
     assert simulate_exhaustive(model).traces == _projections(every_path)
+
+
+def test_full_trace_reference_counts_model_states(solo_net):
+    # the reference searches each model state once; the library's search
+    # counts (state, histories) pairs, 9,987 here (SOLO_EXPECTED)
+    traces, states = _full_traces(compile_network(solo_net, DetailLevel.COMPLETE))
+    assert (len(traces), states) == (372, 5319)
 
 
 def test_poc2_happy_counts_are_pinned(poc2_net):
@@ -734,9 +745,8 @@ def test_mixed_tree_complete_walks_are_pinned():
 def _reference_conformance(model, alphabet, bounds=Bounds()):
     """What ``check_conformance`` must find, computed from every full
     interleaved trace one at a time: (missing, unexpected, the set of
-    compensation violations, states, distinct (transaction, projection)
-    pairs)."""
-    traces, states = _full_traces(model, bounds)
+    compensation violations, distinct (transaction, projection) pairs)."""
+    traces, _ = _full_traces(model, bounds)
     expected = enumerate_language(alphabet, bounds)
     produced: dict[str, set] = {}
     projections = set()
@@ -751,15 +761,15 @@ def _reference_conformance(model, alphabet, bounds=Bounds()):
         violations.update(check_compensation_order(trace))
     missing = {tk: frozenset(expected - got) for tk, got in produced.items() if expected - got}
     unexpected = {tk: frozenset(got - expected) for tk, got in produced.items() if got - expected}
-    return missing, unexpected, violations, states, len(projections)
+    return missing, unexpected, violations, len(projections)
 
 
 def _assert_matches_reference(model, alphabet, bounds=Bounds()) -> int:
     """Check ``check_conformance`` against the reference; returns the states
     it explored, which the partial-order reduction keeps at or below the
-    full search's."""
+    library's search without it."""
     report = check_conformance(model, alphabet, bounds)
-    missing, unexpected, violations, states, projections = _reference_conformance(
+    missing, unexpected, violations, projections = _reference_conformance(
         model, alphabet, bounds
     )
     assert report.missing == missing
@@ -767,7 +777,7 @@ def _assert_matches_reference(model, alphabet, bounds=Bounds()) -> int:
     assert set(report.compensation_violations) == violations
     assert len(report.compensation_violations) == len(violations)
     assert report.traces == projections
-    assert report.states <= states
+    assert report.states <= _explored(model, False, bounds)[1]
     conformant = not (missing or unexpected or violations)
     assert report.verdict is (Verdict.CONFORMANT if conformant else Verdict.NONCONFORMANT)
     return report.states
@@ -802,12 +812,13 @@ REFERENCE_CASES = {
 }
 
 # the states check_conformance explores per case, with the partial-order
-# reduction; the full search's are SOLO_EXPECTED's, COMPOSITIONS' and 615
-# (poc1), 6,363 (poc2), 1,453 and 1,409 (chain2 at dissent)
+# reduction; the full-trace reference's are SOLO_EXPECTED's (5,319 at
+# complete), COMPOSITIONS' and 615 (poc1), 6,363 (poc2), 1,453 and 1,409
+# (chain2 at dissent)
 REFERENCE_STATES = {
     "solo-happy": 17,
     "solo-dissent": 117,
-    "solo-complete": 5319,
+    "solo-complete": 9987,
     "poc1-happy": 172,
     "poc2-happy": 372,
     "chain2-rap": 30,
@@ -817,7 +828,7 @@ REFERENCE_STATES = {
     "chain2-rad": 37,
     "chain2-rap-dissent": 805,
     "chain2-rae-dissent": 777,
-    "solo-complete-misordered": 5319,
+    "solo-complete-misordered": 9987,
 }
 
 
@@ -1027,6 +1038,53 @@ def test_reduction_raises_the_same_re_entry_error(kind, message):
         errors.append(str(excinfo.value))
     assert errors[0] == errors[1]
     assert errors[0] == f"{message}, which the engine's bounded step forbids"
+
+
+# ---------------------------------------------------------------------------
+# Errors the search reports: a cycle, and a step's witness
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "explore",
+    [
+        simulate_exhaustive,
+        lambda model: check_conformance(model, LEVEL_ALPHABETS[DetailLevel.WITH_DISSENT]),
+    ],
+    ids=["simulate", "conformance"],
+)
+def test_search_reports_a_cycle(solo_net, explore):
+    # a self-loop on the initiator's verdict gateway, which emits no event
+    model = compile_network(solo_net, DetailLevel.WITH_DISSENT)
+    model.pools[0].flows.append(
+        SequenceFlow("sf_loop", "tk01_i_verdict_xor", "tk01_i_verdict_xor")
+    )
+    with pytest.raises(SimulationError) as excinfo:
+        explore(model)
+    assert str(excinfo.value) == "simulation state graph has a cycle"
+
+
+def _enabled(sim, state, description):
+    """The enabled step of ``state`` that ``describe`` writes as ``description``."""
+    (step,) = [step for step in sim.steps(state) if sim.describe(step) == description]
+    return step
+
+
+def test_search_error_carries_a_replayable_witness():
+    # the re-entry defect of test_two_transaction_chain_is_conformant_at_complete
+    model = compile_network(_chain_net(DependencyKind.RAP, 2), DetailLevel.COMPLETE)
+    with pytest.raises(SimulationError) as excinfo:
+        simulate_exhaustive(model)
+    *leading, last = excinfo.value.witness
+    # replayed from the initial state, every step but the last succeeds
+    sim = _Simulation(model, Bounds())
+    state = sim.initial()
+    for description in leading:
+        state, _ = sim.apply(state, _enabled(sim, state, description))
+    with pytest.raises(SimulationError) as replayed:
+        sim.apply(state, _enabled(sim, state, last))
+    assert str(replayed.value) == str(excinfo.value)
+    assert last == "fire tk01_e_execute_task"
 
 
 # ---------------------------------------------------------------------------
