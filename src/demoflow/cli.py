@@ -27,6 +27,7 @@ from .coverage import classify_acts, render_matrix
 from .engine import Bounds
 from .network import Severity, load_network, validate_network
 from .simulator import (
+    MAX_STATES,
     SimulationError,
     StateSpaceLimitExceeded,
     Verdict,
@@ -167,7 +168,7 @@ def _add_max_states(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-states",
         type=_positive_int,
-        default=1_000_000,
+        default=MAX_STATES,
         metavar="N",
         help="give up as inconclusive (exit 3) after exploring N states",
     )

@@ -24,10 +24,10 @@ act.
               lands (LANDING_PHASE)
 
 Transactions share pools by actor: a child transaction's initiator fragment
-is spliced into its parent's executor flow (after the promise for RaP, after
-execution for RaE, after the declaration for RaD — asynchronously in the
-RaD case).  All ids are deterministic functions of the network, so compiling
-twice yields identical models.
+is spliced into its parent's executor flow after the act its dependency
+kind's rule names, inside that flow or beside it (``DEPENDENCY_RULES``).
+All ids are deterministic functions of the network, so compiling twice
+yields identical models.
 """
 
 from __future__ import annotations
@@ -62,9 +62,11 @@ from .model import (
     ROLE_TAG,
     SLUG_FOR_ACT,
     SequenceFlow,
+    slugify_actor,
     slugify_tk,
 )
 from .network import (
+    DEPENDENCY_RULES,
     DependencyKind,
     Severity,
     Transaction,
@@ -110,6 +112,9 @@ _EPISODE_ORDER = (
     Act.REVOKE_PROMISE,
     Act.REVOKE_DECLARE,
 )
+
+# The phase each act moves its transaction into.
+_PHASE_AFTER = {act: target for (_, act, _), target in _TRANSITIONS.items()}
 
 
 @dataclass
@@ -434,25 +439,26 @@ def _add_episode(
 
 
 def _splice(parent_frag: _Fragment, children: list[_Fragment], kind: DependencyKind) -> None:
-    """Wire child initiator fragments into the parent executor flow, under
-    the ``spawn`` and ``phase:`` guards."""
-    anchor = {
-        DependencyKind.RAP: parent_frag.marks["promise"],
-        DependencyKind.RAE: parent_frag.marks["execute"],
-        DependencyKind.RAD: parent_frag.marks["declare"],
-    }[kind]
+    """Wire child initiator fragments into the parent executor flow after
+    the act that opens them, under the ``spawn`` and ``phase:`` guards; the
+    kind's rule (``DEPENDENCY_RULES``) says which act and whether the
+    parent waits for the children's Accept."""
+    rule = DEPENDENCY_RULES[kind]
+    slug = kind.value.lower()
+    anchor = parent_frag.marks[SLUG_FOR_ACT[rule.opens]]
     continuation = parent_frag.disconnect(anchor)
 
-    if kind is DependencyKind.RAD:
+    if not rule.waits:
         # asynchronous: children get their own branch and keep their end event
-        split = parent_frag.add("rad", NodeKind.PARALLEL_GATEWAY)
+        split = parent_frag.add(slug, NodeKind.PARALLEL_GATEWAY)
         parent_frag.connect(anchor, split)
         parent_frag.connect(split, continuation)
         for child in children:
             parent_frag.connect(split, child.marks["entry"], label="spawn")
         return
 
-    slug, gate = ("rap", "phase:promised") if kind is DependencyKind.RAP else ("rae", "phase:executed")
+    # the parent resumes only in the phase the opening act left it in
+    gate = "phase:" + _PHASE_AFTER[rule.opens].value.lower()
     for child in children:
         # the child completes into the parent flow instead of its own end event
         child.remove_node(child.marks["done"])
@@ -512,7 +518,7 @@ def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnMo
                 fragments[(dep.child, Role.INITIATOR)]
             )
         parent_frag = fragments[(tk_id, Role.EXECUTOR)]
-        for kind in (DependencyKind.RAP, DependencyKind.RAE, DependencyKind.RAD):
+        for kind in DEPENDENCY_RULES:
             children = by_kind.get(kind)
             if children:
                 children.sort(key=lambda f: f.tk_slug)
@@ -520,8 +526,8 @@ def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnMo
 
     pools = {
         actor: Pool(
-            id=f"pool_{actor.lower()}",
-            process_id=f"proc_{actor.lower()}",
+            id=f"pool_{slugify_actor(actor)}",
+            process_id=f"proc_{slugify_actor(actor)}",
             name=net.actor(actor).name,
             actor_id=actor,
         )

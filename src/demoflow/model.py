@@ -66,6 +66,11 @@ def slugify_tk(tk_id: str) -> str:
     return tk_id.lower().replace("_", "")
 
 
+def slugify_actor(actor_id: str) -> str:
+    """Actor id as used in pool and process ids: lowercased."""
+    return actor_id.lower()
+
+
 class NodeMeta(NamedTuple):
     tk: str  # slugified transaction id
     role: Role
@@ -118,9 +123,11 @@ class SequenceFlow:
     - ``rerequest`` / ``redeclare``: a loop branch, open while the loop's
       Request / Declare is still allowed;
     - ``performed:<act>``: a decision branch, open once the act was performed;
-    - ``phase:promised`` / ``phase:executed``: a child's exit into its parent
-      (or a splice join's outgoing flow); a token arriving while the target's
-      transaction is in another phase is stale and dropped;
+    - ``phase:<phase>``: a child's exit into its parent (or a splice join's
+      outgoing flow), naming the phase the dependency's opening act leaves
+      the parent in (see ``network.DEPENDENCY_RULES``); a token arriving
+      while the target's transaction is in another phase is stale and
+      dropped;
     - ``spawn``: a parent's entry into a child; once the child has started,
       the token takes the child's exit flow instead, or is dropped without one;
     - ``reposition``: a reposition split's landing flow; it bounds the

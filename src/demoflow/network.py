@@ -3,8 +3,7 @@
 A network is a set of actors, a set of business transactions (each with an
 initiating and an executing actor and a product phrase), and parent->child
 dependencies that say when a child transaction is started relative to its
-parent: after the parent's promise (RaP), after its execution (RaE), or
-after its declaration (RaD).
+parent; ``DEPENDENCY_RULES`` states each kind's rule.
 """
 
 from __future__ import annotations
@@ -14,7 +13,10 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
+
+from .engine import Act
+from .model import slugify_actor, slugify_tk
 
 ID_PATTERN = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -39,6 +41,23 @@ class DependencyKind(Enum):
     RAP = "RaP"
     RAE = "RaE"
     RAD = "RaD"
+
+
+class DependencyRule(NamedTuple):
+    opens: Act  # the parent act after which the child is requested
+    waits: bool  # whether the parent goes on past that act only once the child accepted
+
+
+#: Each dependency kind's rule, in the order the compiler splices the kinds
+#: into a parent (after Promise, Execute or Declare; Dietz, Enterprise
+#: Ontology, 2006).  RaP and RaE children run inside the parent's flow, so
+#: the parent's next act, and so its Declare, waits for their Accept; RaD
+#: children run beside it.
+DEPENDENCY_RULES: dict[DependencyKind, DependencyRule] = {
+    DependencyKind.RAP: DependencyRule(Act.PROMISE, waits=True),
+    DependencyKind.RAE: DependencyRule(Act.EXECUTE, waits=True),
+    DependencyKind.RAD: DependencyRule(Act.DECLARE, waits=False),
+}
 
 
 @dataclass(frozen=True)
@@ -230,15 +249,8 @@ def load_network(path: Union[str, Path]) -> TransactionNetwork:
     return parse_network(Path(path).read_text(encoding="utf-8"))
 
 
-def validate_network(
-    net: TransactionNetwork, composition_breach_warning: bool = False
-) -> list[Violation]:
-    """Check semantic well-formedness; returns an empty list iff the net is sound.
-
-    composition_breach_warning downgrades the child-initiator-must-equal-
-    parent-executor rule from Error to Warning for networks that intentionally
-    hand a child transaction to a different actor.
-    """
+def validate_network(net: TransactionNetwork) -> list[Violation]:
+    """Check semantic well-formedness; returns an empty list iff the net is sound."""
     violations: list[Violation] = []
 
     def add(rule: str, subjects: Iterable[str], severity: Severity, message: str) -> None:
@@ -293,15 +305,32 @@ def validate_network(
                 "a transaction may have at most one parent dependency",
             )
 
+    # distinct ids that the compiler would write as one: transactions share a
+    # node-id prefix, actors a pool and process id
+    for items, slug, noun in (
+        (net.transactions, slugify_tk, "transaction"),
+        (net.actors, slugify_actor, "actor"),
+    ):
+        by_slug: dict[str, list[str]] = {}
+        for item in items:
+            by_slug.setdefault(slug(item.id), []).append(item.id)
+        for token, ids in by_slug.items():
+            if len(ids) > 1:
+                add(
+                    "IdCollision",
+                    ids,
+                    Severity.ERROR,
+                    f"{noun} ids {', '.join(ids)} are all written as {token!r} in the BPMN",
+                )
+
     tk_index = {t.id: t for t in net.transactions}
-    breach_severity = Severity.WARNING if composition_breach_warning else Severity.ERROR
     for dep in net.dependencies:
         parent, child = tk_index[dep.parent], tk_index[dep.child]
         if child.initiator != parent.executor:
             add(
                 "CompositionRuleBreach",
                 (dep.parent, dep.child),
-                breach_severity,
+                Severity.ERROR,
                 f"child initiator {child.initiator} must be the parent executor {parent.executor}",
             )
 

@@ -88,7 +88,7 @@ from .model import (
     parse_node_id,
     slugify_tk,
 )
-from .network import DependencyKind, TransactionNetwork
+from .network import DEPENDENCY_RULES, TransactionNetwork
 
 
 class SimulationError(RuntimeError):
@@ -101,6 +101,13 @@ class SimulationError(RuntimeError):
 
 class StateSpaceLimitExceeded(SimulationError):
     pass
+
+
+# the default bound on an exhaustive search's states
+MAX_STATES = 1_000_000
+
+# a random walk's steps before it is cut off as exhausted
+_MAX_WALK_STEPS = 100_000
 
 
 # the phases a ``phase:<phase>`` guard can name
@@ -443,7 +450,7 @@ class _Simulation:
         self._events = _Interner()
         self.events: list[SimEvent] = self._events.values
         self.event_lanes: list[int] = []  # event code -> its transaction's index
-        # component code -> the steps it enables
+        # component code -> the steps it enables, sorted (see _steps_of)
         self._local_steps: dict[int, list[tuple[int, int, int]]] = {}
         # step -> (its footprint, the getter of their codes, {codes: (codes
         # after, event codes)})
@@ -594,21 +601,28 @@ class _Simulation:
 
     def steps(self, state: tuple[int, ...]) -> list[tuple[int, int, int]]:
         """The enabled steps in sorted order: the union of the steps each
-        component enables, which are computed once per component."""
+        component enables (``_steps_of``)."""
         out: list[tuple[int, int, int]] = []
         local_steps = self._local_steps
         for code in state:
+            # a hit skips the call, which would cost as much as the rest of the loop
             local = local_steps.get(code)
-            if local is None:
-                local = local_steps[code] = self._component_steps(code)
-            out += local
-        out.sort()
+            out += self._steps_of(code) if local is None else local
+        out.sort()  # a merge of sorted runs
         return out
 
+    def _steps_of(self, code: int) -> list[tuple[int, int, int]]:
+        """The steps a component enables in sorted order, listed once per
+        component; the caller must not change the list."""
+        steps = self._local_steps.get(code)
+        if steps is None:
+            steps = self._local_steps[code] = self._component_steps(code)
+        return steps
+
     def _component_steps(self, code: int) -> list[tuple[int, int, int]]:
-        """The steps one transaction's component enables.  The build keeps
-        every message and every event-based gateway inside one transaction,
-        so enabling reads no other component."""
+        """The steps one transaction's component enables, sorted.  The build
+        keeps every message and every event-based gateway inside one
+        transaction, so enabling reads no other component."""
         tokens, in_flight, _, _, spawned, shadow = self.components[code]
         need, kinds, unlockable = self.need, self.kinds, self.unlockable
         locked = shadow & _LOCK
@@ -649,6 +663,7 @@ class _Simulation:
                     if self._allows(shadow, trigger):
                         out.append((_TRIGGER, trigger, 0))
 
+        out.sort()
         return out
 
     def _branches(self, node: int) -> list[int]:
@@ -734,13 +749,11 @@ class _Simulation:
     def _solo(self, code: int) -> list[tuple[int, int, int]]:
         """The component's steps in sorted order if each is a non-trigger
         step that reads and writes its own transaction alone, else none."""
-        steps = self._local_steps.get(code)
-        if steps is None:
-            steps = self._local_steps[code] = self._component_steps(code)
+        steps = self._steps_of(code)
         for step in steps:
             if step[0] == _TRIGGER or len(self._footprint(step)[0]) > 1:
                 return []
-        return sorted(steps)
+        return steps
 
     def _touch_mask(self, code: int) -> int:
         """The transactions, as a bitset, in the footprint of some step at a
@@ -1085,9 +1098,10 @@ def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], in
     opens; the error's ``witness`` lists the steps from the initial state
     along the stack to the one that raised.  Both rest on the state graph
     being acyclic, as a compiled model's is; the search reports any cycle it
-    meets.  A cycle of simulation states is one of searched states too: it
-    emits no act, as an act moves its row forward, and so no compensation,
-    as only an act clears a compensated task.
+    meets, with the steps along the stack to the one that closes it.  A
+    cycle of simulation states is one of searched states too: it emits no
+    act, as an act moves its row forward, and so no compensation, as only an
+    act clears a compensated task.
     """
     lanes = len(sim.tks)
     reduced = lanes > 1
@@ -1099,6 +1113,11 @@ def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], in
     onstack: set[tuple[int, ...]] = set()
     ends: set[tuple[int, int, int]] = set()  # (transaction, history, component)
     stack: list[list] = []
+
+    def witness(*last: tuple[int, int, int]) -> tuple[str, ...]:
+        """The steps taken from the initial state along the stack, then ``last``."""
+        taken = [frame[1][frame[3] - 1] for frame in stack]
+        return tuple(map(sim.describe, taken + list(last)))
 
     def open_frame(key: tuple[int, ...]) -> None:
         if len(visited) >= max_states:
@@ -1116,8 +1135,7 @@ def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], in
             try:
                 child, emitted = sim.apply(state, step)
             except SimulationError as exc:
-                taken = [frame[1][frame[3] - 1] for frame in stack]
-                exc.witness = tuple(map(sim.describe, taken + [step]))
+                exc.witness = witness(step)
                 raise
             if emitted:
                 extended = list(path)
@@ -1140,7 +1158,9 @@ def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], in
             frame[3] = index + 1
             child = successors[index]
             if child in onstack:
-                raise SimulationError("simulation state graph has a cycle")
+                error = SimulationError("simulation state graph has a cycle")
+                error.witness = witness()
+                raise error
             if child not in visited:
                 open_frame(child)
         else:
@@ -1167,7 +1187,7 @@ def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], in
 
 
 def simulate_exhaustive(
-    model: BpmnModel, bounds: Bounds = Bounds(), max_states: int = 1_000_000
+    model: BpmnModel, bounds: Bounds = Bounds(), max_states: int = MAX_STATES
 ) -> ExhaustiveResult:
     """Explore every run; return each transaction's projections.
 
@@ -1188,9 +1208,9 @@ def simulate_random(
     bounds: Bounds = Bounds(),
     seed: int = 0,
     runs: int = 100,
-    max_steps: int = 100_000,
 ) -> list[SimTrace]:
-    """Seeded random walks; each run records one trace at quiescence."""
+    """Seeded random walks; each run records one trace at quiescence, or
+    after ``_MAX_WALK_STEPS`` steps as exhausted."""
     sim = _Simulation(model, bounds)
     rng = random.Random(seed)
     traces = []
@@ -1198,7 +1218,7 @@ def simulate_random(
         state = sim.initial()
         events: list[int] = []
         exhausted = False
-        for _step in range(max_steps):
+        for _step in range(_MAX_WALK_STEPS):
             steps = sim.steps(state)
             if not steps:
                 break
@@ -1272,7 +1292,7 @@ def check_conformance(
     model: BpmnModel,
     alphabet: frozenset,
     bounds: Bounds = Bounds(),
-    max_states: int = 1_000_000,
+    max_states: int = MAX_STATES,
 ) -> ConformanceReport:
     """Compare the model's per-transaction projections with the engine's
     language.
@@ -1318,7 +1338,7 @@ def check_network_conformance(
     net: TransactionNetwork,
     level,
     bounds: Bounds = Bounds(),
-    max_states: int = 1_000_000,
+    max_states: int = MAX_STATES,
 ) -> ConformanceReport:
     """Compile ``net`` at ``level`` (or its value) and check it against its language."""
     from .compiler import DetailLevel, compile_network, LEVEL_ALPHABETS
@@ -1328,18 +1348,11 @@ def check_network_conformance(
     return check_conformance(model, LEVEL_ALPHABETS[level], bounds, max_states)
 
 
-_GATE_ACT = {
-    DependencyKind.RAP: Act.PROMISE,
-    DependencyKind.RAE: Act.EXECUTE,
-    DependencyKind.RAD: Act.DECLARE,
-}
-
-
 def check_composition(net: TransactionNetwork, trace: SimTrace) -> list[str]:
-    """Cross-transaction ordering rules implied by the dependency kinds.
+    """The dependency rules (``DEPENDENCY_RULES``) a full trace breaks.
 
-    A child may be requested only after its parent promised (RaP), executed
-    (RaE) or declared (RaD); and for the synchronous kinds the parent may
+    A child may be requested only after its parent performed the act that
+    opens it; and where the parent waits for the child, the parent may
     declare only after the child accepted.
     """
     first: dict[tuple[str, Act], int] = {}
@@ -1350,15 +1363,15 @@ def check_composition(net: TransactionNetwork, trace: SimTrace) -> list[str]:
     violations = []
     for dep in net.dependencies:
         parent, child = slugify_tk(dep.parent), slugify_tk(dep.child)
-        gate = _GATE_ACT[dep.kind]
+        rule = DEPENDENCY_RULES[dep.kind]
         child_request = first.get((child, Act.REQUEST))
         if child_request is not None:
-            parent_gate = first.get((parent, gate))
-            if parent_gate is None or child_request < parent_gate:
+            parent_opens = first.get((parent, rule.opens))
+            if parent_opens is None or child_request < parent_opens:
                 violations.append(
-                    f"{dep.child} was requested before {dep.parent} performed {gate.value}"
+                    f"{dep.child} was requested before {dep.parent} performed {rule.opens.value}"
                 )
-        if dep.kind in (DependencyKind.RAP, DependencyKind.RAE):
+        if rule.waits:
             parent_declare = first.get((parent, Act.DECLARE))
             child_accept = first.get((child, Act.ACCEPT))
             if parent_declare is not None and (

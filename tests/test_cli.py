@@ -187,6 +187,31 @@ def test_generate_rejects_a_name_xml_cannot_carry(tmp_path, capsys, name):
     assert "error: NonXmlName [A01]: actor name contains U+" in capsys.readouterr().err
 
 
+def _colliding(doc: dict, ids: str) -> dict:
+    """``doc`` with a second transaction, or actor, whose id the compiler
+    writes as the first's."""
+    if ids == "transactions":
+        doc["transactions"].append(dict(doc["transactions"][0], id="TK_01", result={
+            "id": "PK02", "phrase": "[order] has been re-fulfilled",
+        }))
+    else:
+        doc["actors"].append({"id": "a", "name": "Second customer"})
+        doc["transactions"][0]["executor"] = "a"
+    return doc
+
+
+@pytest.mark.parametrize("ids", ["transactions", "actors"])
+def test_generate_rejects_ids_that_compile_alike(tmp_path, solo_file, capsys, ids):
+    doc = _colliding(json.loads(solo_file.read_text(encoding="utf-8")), ids)
+    solo_file.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "x.bpmn"
+    assert main(["validate", str(solo_file)]) == 1
+    assert main(["generate", str(solo_file), "--level", "happy", "--out", str(out)]) == 1
+    assert not out.exists()
+    expected = "[TK01, TK_01]" if ids == "transactions" else "[A, a]"
+    assert capsys.readouterr().err.count(f"error: IdCollision {expected}") == 2
+
+
 def test_generate_rejects_unknown_level(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["generate", str(FIXTURES / "poc1.json"), "--level", "extreme", "--out", "x"])

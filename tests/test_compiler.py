@@ -31,7 +31,9 @@ from demoflow.engine import (
     rollback_chain,
 )
 from demoflow.model import ROLE_TAG, SLUG_FOR_ACT, NodeKind, lint_model, parse_node_id
-from demoflow.network import load_network
+from demoflow.network import DependencyKind, load_network
+
+from test_simulator import _fan_net
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -173,8 +175,13 @@ def test_splice_and_reposition_guards(poc2_net):
     guarded = {}
     for flow in flows:
         guarded.setdefault(flow.label, []).append(flow)
-    assert sorted((f.source[:4], f.target[:4]) for f in guarded["spawn"]) == [
-        ("tk01", "tk02"), ("tk01", "tk06"), ("tk02", "tk03"), ("tk03", "tk04"), ("tk03", "tk05"),
+    # each from the act that opens the child, or from a split after it
+    assert sorted((f.source, f.target) for f in guarded["spawn"]) == [
+        ("tk01_e_execute_task", "tk06_i_entry_par"),
+        ("tk01_e_promise_sendtask", "tk02_i_entry_par"),
+        ("tk02_e_execute_task", "tk03_i_entry_par"),
+        ("tk03_e_rap_par", "tk04_i_entry_par"),
+        ("tk03_e_rap_par", "tk05_i_entry_par"),
     ]
     # single children resume the parent directly; TK03's two join first
     assert sorted((f.source, f.target) for f in guarded["phase:promised"]) == [
@@ -192,6 +199,64 @@ def test_splice_and_reposition_guards(poc2_net):
     )
     happy = compile_network(poc2_net, DetailLevel.HAPPY_FLOW)
     assert not any(f.label == "reposition" for pool in happy.pools for f in pool.flows)
+
+
+# The splice of one parent and one or two children of each kind at happy:
+# the flows out of the opening act, across transactions and through the
+# kind's gateways.  RaP and RaE children run inside the parent's flow and
+# give up their end events; RaD children run beside it and keep theirs.
+SPLICES = {
+    (DependencyKind.RAP, 1): [
+        ("tk01_e_promise_sendtask", "tk02_i_request_sendtask", "spawn"),
+        ("tk02_i_accept_sendtask", "tk01_e_execute_task", "phase:promised"),
+    ],
+    (DependencyKind.RAP, 2): [
+        ("tk01_e_promise_sendtask", "tk01_e_rap_par", ""),
+        ("tk01_e_rap_par", "tk02_i_request_sendtask", "spawn"),
+        ("tk01_e_rap_par", "tk03_i_request_sendtask", "spawn"),
+        ("tk01_e_rap_par_2", "tk01_e_execute_task", "phase:promised"),
+        ("tk02_i_accept_sendtask", "tk01_e_rap_par_2", ""),
+        ("tk03_i_accept_sendtask", "tk01_e_rap_par_2", ""),
+    ],
+    (DependencyKind.RAE, 1): [
+        ("tk01_e_execute_task", "tk02_i_request_sendtask", "spawn"),
+        ("tk02_i_accept_sendtask", "tk01_e_declare_sendtask", "phase:executed"),
+    ],
+    (DependencyKind.RAE, 2): [
+        ("tk01_e_execute_task", "tk01_e_rae_par", ""),
+        ("tk01_e_rae_par", "tk02_i_request_sendtask", "spawn"),
+        ("tk01_e_rae_par", "tk03_i_request_sendtask", "spawn"),
+        ("tk01_e_rae_par_2", "tk01_e_declare_sendtask", "phase:executed"),
+        ("tk02_i_accept_sendtask", "tk01_e_rae_par_2", ""),
+        ("tk03_i_accept_sendtask", "tk01_e_rae_par_2", ""),
+    ],
+    (DependencyKind.RAD, 1): [
+        ("tk01_e_declare_sendtask", "tk01_e_rad_par", ""),
+        ("tk01_e_rad_par", "tk01_e_accept_catch", ""),
+        ("tk01_e_rad_par", "tk02_i_request_sendtask", "spawn"),
+    ],
+    (DependencyKind.RAD, 2): [
+        ("tk01_e_declare_sendtask", "tk01_e_rad_par", ""),
+        ("tk01_e_rad_par", "tk01_e_accept_catch", ""),
+        ("tk01_e_rad_par", "tk02_i_request_sendtask", "spawn"),
+        ("tk01_e_rad_par", "tk03_i_request_sendtask", "spawn"),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind,children", SPLICES, ids=[f"{k.value}-{n}" for k, n in SPLICES])
+def test_splice_anchor_and_guard_per_kind(kind, children):
+    model = compile_network(_fan_net(kind, children), DetailLevel.HAPPY_FLOW)
+    anchor = SPLICES[kind, children][0][0]
+    spliced = sorted(
+        (f.source, f.target, f.label)
+        for pool in model.pools
+        for f in pool.flows
+        if f.source == anchor or f.source[:4] != f.target[:4] or "_par" in f.source + f.target
+    )
+    assert spliced == SPLICES[kind, children]
+    child_ends = {n.id for n in model.all_nodes() if n.id.endswith("_i_done_end")} - {"tk01_i_done_end"}
+    assert len(child_ends) == (children if kind is DependencyKind.RAD else 0)
 
 
 def test_compile_rejects_invalid_network():

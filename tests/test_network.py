@@ -20,6 +20,7 @@ from demoflow.network import (
     Severity,
     Transaction,
     TransactionNetwork,
+    Violation,
     execution_order,
     load_network,
     parse_network,
@@ -266,20 +267,33 @@ def test_validate_multiple_parents():
     assert "MultipleParents" in _rules(validate_network(_net(tks, deps)))
 
 
-def test_validate_composition_rule_breach_severity_flag():
+def test_validate_composition_rule_breach_is_an_error():
     # child initiated by someone other than the parent's executor
     tks = [_tk("T1", "A1", "A2"), _tk("T2", "A3", "A4")]
     deps = [Dependency("T1", "T2", DependencyKind.RAP)]
-    net = _net(tks, deps)
-    errors = validate_network(net)
+    errors = validate_network(_net(tks, deps))
     assert any(
         v.rule == "CompositionRuleBreach" and v.severity is Severity.ERROR for v in errors
     )
-    warnings = validate_network(net, composition_breach_warning=True)
-    assert any(
-        v.rule == "CompositionRuleBreach" and v.severity is Severity.WARNING
-        for v in warnings
-    )
+
+
+@pytest.mark.parametrize(
+    "transactions,subjects,message",
+    [
+        # both would write their nodes as t1_...
+        (
+            [_tk("T1", "A1", "A2"), _tk("T_1", "A1", "A2")],
+            ("T1", "T_1"),
+            "transaction ids T1, T_1 are all written as 't1' in the BPMN",
+        ),
+        # both would become pool_a and proc_a
+        ([_tk("T1", "A", "a")], ("A", "a"), "actor ids A, a are all written as 'a' in the BPMN"),
+    ],
+    ids=["transactions", "actors"],
+)
+def test_validate_ids_that_compile_alike(transactions, subjects, message):
+    (violation,) = validate_network(_net(transactions))
+    assert violation == Violation("IdCollision", subjects, Severity.ERROR, message)
 
 
 def test_validate_cycle_detected_once():

@@ -21,6 +21,7 @@ from demoflow.engine import (
 )
 from demoflow.model import FlowNode, NodeKind, SequenceFlow, parse_node_id
 from demoflow.network import (
+    DEPENDENCY_RULES,
     Actor,
     Dependency,
     DependencyKind,
@@ -541,25 +542,43 @@ def test_composition_ordering_holds(name):
             assert phase is Phase.ACCEPTED, f"{name}: {tk} ended {phase}"
 
 
-def test_composition_checker_spots_violations():
-    net = _chain_net(DependencyKind.RAP, 2)
+def _moved(trace: SimTrace, event: SimEvent, before: SimEvent) -> SimTrace:
+    """``trace`` with ``event`` taken out and put back just before ``before``."""
+    events = [e for e in trace.events if e != event]
+    events.insert(events.index(before), event)
+    return SimTrace(tuple(events), trace.outcomes)
+
+
+# each kind's row of DEPENDENCY_RULES: the parent act that opens the child,
+# and whether the parent waits for the child's Accept
+@pytest.mark.parametrize(
+    "kind,opens,waits",
+    [
+        (DependencyKind.RAP, Act.PROMISE, True),
+        (DependencyKind.RAE, Act.EXECUTE, True),
+        (DependencyKind.RAD, Act.DECLARE, False),
+    ],
+    ids=["RaP", "RaE", "RaD"],
+)
+def test_composition_checker_spots_violations(kind, opens, waits):
+    assert DEPENDENCY_RULES[kind] == (opens, waits)
+    net = _chain_net(kind, 2)
     bogus = SimTrace(
         events=tuple(),
         outcomes=(("tk01", Phase.INITIAL), ("tk02", Phase.INITIAL)),
     )
     assert check_composition(net, bogus) == []  # nothing happened, nothing violated
 
-    model = compile_network(net, DetailLevel.HAPPY_FLOW)
-    ((good,), _) = _full_traces(model)
-    # move the child's Request in front of everything
-    events = list(good.events)
-    child_request = next(
-        e for e in events if e.tk == "tk02" and e.act is Act.REQUEST
-    )
-    events.remove(child_request)
-    reordered = SimTrace((child_request, *events), good.outcomes)
-    problems = check_composition(net, reordered)
-    assert any("TK02" in p and "Promise" in p for p in problems)
+    traces, _ = _full_traces(compile_network(net, DetailLevel.HAPPY_FLOW))
+    good = min(traces, key=lambda trace: [e.label() for e in trace.events])
+    assert check_composition(net, good) == []
+    event = {(e.tk, e.act): e for e in good.events}  # a happy flow performs each act once
+    # the child requested just before the parent's opening act
+    early = _moved(good, event["tk02", Act.REQUEST], event["tk01", opens])
+    assert f"TK02 was requested before TK01 performed {opens.value}" in check_composition(net, early)
+    # the parent declares just before the child accepts
+    hasty = _moved(good, event["tk01", Act.DECLARE], event["tk02", Act.ACCEPT])
+    assert ("TK01 declared before TK02 was accepted" in check_composition(net, hasty)) is waits
 
 
 def test_never_started_transaction_is_nonconformant():
@@ -1062,6 +1081,13 @@ def test_search_reports_a_cycle(solo_net, explore):
     with pytest.raises(SimulationError) as excinfo:
         explore(model)
     assert str(excinfo.value) == "simulation state graph has a cycle"
+    # the witness replays from the initial state into a state already on its path
+    sim = _Simulation(model, Bounds())
+    path = [sim.initial()]
+    for description in excinfo.value.witness:
+        path.append(sim.apply(path[-1], _enabled(sim, path[-1], description))[0])
+    assert excinfo.value.witness[-1] == "fire tk01_i_verdict_xor -> tk01_i_verdict_xor"
+    assert path[-1] in path[:-1]
 
 
 def _enabled(sim, state, description):
