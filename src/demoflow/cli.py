@@ -25,7 +25,7 @@ from pathlib import Path
 from .compiler import DetailLevel, compile_network
 from .coverage import classify_acts, render_matrix
 from .engine import Bounds
-from .network import Severity, load_network, validate_network
+from .network import load_network, validate_network
 from .simulator import (
     MAX_STATES,
     SimulationError,
@@ -37,13 +37,11 @@ from .simulator import (
 )
 from .xmlio import parse_model, serialize_model
 
-def _fail(violations) -> bool:
-    """Print violations to stderr; return True when any is an error."""
-    failed = False
+def _fail(violations: list) -> bool:
+    """Print violations to stderr; return True when there are any."""
     for violation in violations:
         print(violation, file=sys.stderr)
-        failed = failed or violation.severity is Severity.ERROR
-    return failed
+    return bool(violations)
 
 
 def _load_json(path: str):

@@ -68,7 +68,6 @@ from .model import (
 from .network import (
     DEPENDENCY_RULES,
     DependencyKind,
-    Severity,
     Transaction,
     TransactionNetwork,
     execution_order,
@@ -116,6 +115,28 @@ _EPISODE_ORDER = (
 # The phase each act moves its transaction into.
 _PHASE_AFTER = {act: target for (_, act, _), target in _TRANSITIONS.items()}
 
+# Node-name templates; "{}" takes the transaction's name.
+_SEND_NAMES = {act: f"{act.value} {{}}" for act in Act}
+_CATCH_NAMES = {act: f"Receive {act.value} {{}}" for act in Act}
+_CONSIDER_NAMES = {act: f"Consider {act.value} {{}}" for act in _EPISODE_ORDER}
+
+# Node names without a transaction, one string each.
+_INVERSE_NAMES = {act: f"{act.value}⁻¹" for act in CORE_ACTS}
+_COMPENSATE_NAMES = {act: f"Compensate {act.value}" for act in CORE_ACTS}
+
+
+class _Names(dict):
+    """One transaction's node names by template, each formatted once, so
+    that a model holds one string per distinct name."""
+
+    def __init__(self, tk_name: str) -> None:
+        super().__init__()
+        self.tk_name = tk_name
+
+    def __missing__(self, template: str) -> str:
+        name = self[template] = template.format(self.tk_name)
+        return name
+
 
 @dataclass
 class _Fragment:
@@ -123,6 +144,7 @@ class _Fragment:
 
     tk_slug: str
     role: Role
+    names: _Names  # shared by both sides of the transaction
     nodes: list[FlowNode] = field(default_factory=list)
     flows: list[SequenceFlow] = field(default_factory=list)
     associations: list[Association] = field(default_factory=list)
@@ -173,16 +195,8 @@ class _Fragment:
         """Attach a compensation boundary + handler pair to a task."""
         slug = SLUG_FOR_ACT[act]
         boundary = self.add(slug, NodeKind.COMPENSATION_BOUNDARY, attached_to=task_id)
-        handler = self.add(slug, NodeKind.COMPENSATION_HANDLER, name=f"{act.value}⁻¹")
+        handler = self.add(slug, NodeKind.COMPENSATION_HANDLER, name=_INVERSE_NAMES[act])
         self.associations.append(Association(f"as_{boundary}__{handler}", boundary, handler))
-
-
-def _send_name(act: Act, tk: Transaction) -> str:
-    return f"{act.value} {tk.name}"
-
-
-def _catch_name(act: Act, tk: Transaction) -> str:
-    return f"Receive {act.value} {tk.name}"
 
 
 # The slug of a side's gateway in a phase with several moves: (where this side
@@ -202,7 +216,7 @@ _Moves = dict[Phase, list[tuple[Act, Role, Phase]]]
 
 class _Side(NamedTuple):
     """One side of a transaction at one level, nodes by index: each node is
-    (slug, kind, name format taking the transaction's name)."""
+    (slug, kind, name template taking the transaction's name)."""
 
     nodes: list[tuple[str, NodeKind, str]]
     flows: list[tuple[int, int, str]]
@@ -261,10 +275,10 @@ def _derive_side(moves: _Moves, role: Role) -> _Side:
                 continue
             if performer is role:
                 kind = NodeKind.TASK if act is Act.EXECUTE else NodeKind.SEND_TASK
-                node = acts[act] = add(slug, kind, f"{act.value} {{}}")
+                node = acts[act] = add(slug, kind, _SEND_NAMES[act])
             else:
                 kind = NodeKind.MESSAGE_START_EVENT if phase is Phase.INITIAL else NodeKind.MESSAGE_CATCH
-                node = add(slug, kind, f"Receive {act.value} {{}}")
+                node = add(slug, kind, _CATCH_NAMES[act])
                 catches.setdefault(act, []).append(node)
             sits.setdefault(phase, node)
             if prev is not None:  # else node is the message start event
@@ -308,10 +322,11 @@ def _build_transaction(tk: Transaction, level: DetailLevel) -> tuple[dict[Role, 
     """Both sides of ``tk`` and their message flows, replayed from the level's projection."""
     sides, messages = _PROJECTIONS[level]
     tk_slug = slugify_tk(tk.id)
+    names = _Names(tk.name)
     frags = {}
     for role, side in sides.items():
-        frag = frags[role] = _Fragment(tk_slug, role)
-        ids = [frag.add(slug, kind, name.format(tk.name)) for slug, kind, name in side.nodes]
+        frag = frags[role] = _Fragment(tk_slug, role, names)
+        ids = [frag.add(slug, kind, names[template]) for slug, kind, template in side.nodes]
         for source, target, label in side.flows:
             frag.connect(ids[source], ids[target], label)
         frag.marks = {key: ids[node] for key, node in side.marks.items()}
@@ -322,8 +337,8 @@ def _build_transaction(tk: Transaction, level: DetailLevel) -> tuple[dict[Role, 
     return frags, message_flows
 
 
-def _add_revocation_zones(frags: dict[Role, _Fragment], tk: Transaction) -> list[MessageFlow]:
-    """Build the revocation zone into both sides of ``tk``; returns its message flows.
+def _add_revocation_zones(frags: dict[Role, _Fragment]) -> list[MessageFlow]:
+    """Build the revocation zone into both sides of a transaction; returns its message flows.
 
     Each side's zone is armed by an entry parallel gateway next to the start
     and waits at an event-based gateway; the core-act tasks a side performs
@@ -345,14 +360,13 @@ def _add_revocation_zones(frags: dict[Role, _Fragment], tk: Transaction) -> list
                 frag.compensable(frag.marks[SLUG_FOR_ACT[act]], act)
     for revocation in _EPISODE_ORDER:
         revoker = REVOKER[revocation]
-        _add_episode(frags[revoker], frags[revoker.other], tk, revocation, messages)
+        _add_episode(frags[revoker], frags[revoker.other], revocation, messages)
     return messages
 
 
 def _add_episode(
     revoker: _Fragment,
     decider: _Fragment,
-    tk: Transaction,
     revocation: Act,
     messages: list[MessageFlow],
 ) -> None:
@@ -366,16 +380,17 @@ def _add_episode(
     ``LANDING_PHASE``, in a reposition message from the side holding the
     turn and a split on each side back to the zone and to where it waits in
     that phase.  A send task and its catch are made together, with their
-    message flow.
+    message flow; their names are templates taking the transaction's name.
     """
     slug = SLUG_FOR_ACT[revocation]
     allowed = f"performed:{SLUG_FOR_ACT[REVOCATION_TARGET[revocation]]}"
+    names = revoker.names
 
     def message(
-        sender: _Fragment, receiver: _Fragment, msg_slug: str, send_name: str, catch_name: str
+        sender: _Fragment, receiver: _Fragment, msg_slug: str, send_template: str, catch_template: str
     ) -> tuple[str, str]:
-        send = sender.add(msg_slug, NodeKind.SEND_TASK, name=send_name)
-        catch = receiver.add(msg_slug, NodeKind.MESSAGE_CATCH, name=catch_name)
+        send = sender.add(msg_slug, NodeKind.SEND_TASK, name=names[send_template])
+        catch = receiver.add(msg_slug, NodeKind.MESSAGE_CATCH, name=names[catch_template])
         messages.append(MessageFlow(f"mf_{send}__{catch}", send, catch))
         return send, catch
 
@@ -384,13 +399,13 @@ def _add_episode(
         frag.connect(frag.last, node, label=allowed if frag.last == decide else "")
         frag.last = node
 
-    def pass_turn(sender: _Fragment, receiver: _Fragment, *names: str) -> None:
-        send, catch = message(sender, receiver, *names)
+    def pass_turn(sender: _Fragment, receiver: _Fragment, *slug_and_templates: str) -> None:
+        send, catch = message(sender, receiver, *slug_and_templates)
         extend(sender, send)
         extend(receiver, catch)
 
-    trigger = revoker.add(slug, NodeKind.MESSAGE_CATCH, name=f"Consider {revocation.value} {tk.name}")
-    send, catch = message(revoker, decider, slug, _send_name(revocation, tk), _catch_name(revocation, tk))
+    trigger = revoker.add(slug, NodeKind.MESSAGE_CATCH, name=names[_CONSIDER_NAMES[revocation]])
+    send, catch = message(revoker, decider, slug, _SEND_NAMES[revocation], _CATCH_NAMES[revocation])
     wait = revoker.add(slug, NodeKind.EVENT_BASED_GATEWAY)
     decide = decider.add(slug, NodeKind.EXCLUSIVE_GATEWAY)
     revoker.last, decider.last = revoker.marks["revoke"], decider.marks["revoke"]
@@ -399,11 +414,11 @@ def _add_episode(
     for node in (catch, decide):
         extend(decider, node)
 
-    allow = ("allow", _send_name(Act.ALLOW, tk), _catch_name(Act.ALLOW, tk))
+    allow = ("allow", _SEND_NAMES[Act.ALLOW], _CATCH_NAMES[Act.ALLOW])
     handoffs = iter((
         allow,
-        ("ackgo", f"Start joint rollback {tk.name}", f"Receive joint rollback {tk.name}"),
-        ("ackdone", f"Finish joint rollback {tk.name}", f"Receive joint rollback {tk.name}"),
+        ("ackgo", "Start joint rollback {}", "Receive joint rollback {}"),
+        ("ackdone", "Finish joint rollback {}", "Receive joint rollback {}"),
     ))
     turn, other = decider, revoker
     for act in rollback_chain(_FULLY_PERFORMED, revocation):
@@ -413,7 +428,7 @@ def _add_episode(
             if handoff is allow:
                 # the refusal branches off beside the Allow and back to the zone
                 srefuse, crefuse = message(
-                    decider, revoker, "refuse", _send_name(Act.REFUSE, tk), _catch_name(Act.REFUSE, tk)
+                    decider, revoker, "refuse", _SEND_NAMES[Act.REFUSE], _CATCH_NAMES[Act.REFUSE]
                 )
                 decider.connect(decide, srefuse, label="refuse")
                 decider.connect(srefuse, decider.marks["revoke"])
@@ -422,15 +437,15 @@ def _add_episode(
             turn, other = other, turn
         extend(turn, turn.add(
             slug, NodeKind.COMPENSATION_THROW,
-            name=f"Compensate {act.value}", compensates=turn.marks[SLUG_FOR_ACT[act]],
+            name=_COMPENSATE_NAMES[act], compensates=turn.marks[SLUG_FOR_ACT[act]],
         ))
 
     landing = LANDING_PHASE[revocation]
     if landing is Phase.TERMINATED:
         for frag in (turn, other):
-            extend(frag, frag.add("terminated", NodeKind.TERMINATE_END_EVENT, name=f"{tk.name} terminated"))
+            extend(frag, frag.add("terminated", NodeKind.TERMINATE_END_EVENT, name=names["{} terminated"]))
         return
-    pass_turn(turn, other, _REPOSITION_SLUG[landing], f"Reposition {tk.name}", f"Receive reposition {tk.name}")
+    pass_turn(turn, other, _REPOSITION_SLUG[landing], "Reposition {}", "Receive reposition {}")
     for frag in (turn, other):
         split = frag.add(slug, NodeKind.PARALLEL_GATEWAY)
         extend(frag, split)
@@ -479,7 +494,7 @@ def _splice(parent_frag: _Fragment, children: list[_Fragment], kind: DependencyK
 def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnModel:
     """Compile a validated network into a collaboration at ``level`` (or its value)."""
     level = DetailLevel(level)
-    errors = [v for v in validate_network(net) if v.severity is Severity.ERROR]
+    errors = validate_network(net)
     if errors:
         raise CompileError(
             "network is not valid: " + "; ".join(str(v) for v in errors)
@@ -496,7 +511,7 @@ def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnMo
         frags, flows = _build_transaction(tk, level)
         message_flows += flows
         if level is DetailLevel.COMPLETE:
-            message_flows += _add_revocation_zones(frags, tk)
+            message_flows += _add_revocation_zones(frags)
         for role, frag in frags.items():
             fragments[(tk_id, role)] = frag
             hosts.append((tk.initiator if role is Role.INITIATOR else tk.executor, frag))

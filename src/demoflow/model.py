@@ -20,6 +20,7 @@ re-parsed models identically.  Control beyond the graph itself is carried by flo
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
@@ -106,7 +107,7 @@ def parse_node_id(node_id: str) -> Optional[NodeMeta]:
     return NodeMeta(tk, _ROLE_TAGS[role_tag], slug, _KIND_TAGS[kind_tag], ordinal)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowNode:
     id: str
     kind: NodeKind
@@ -115,7 +116,7 @@ class FlowNode:
     compensates: Optional[str] = None  # compensation throws: the task to undo
 
 
-@dataclass
+@dataclass(slots=True)
 class SequenceFlow:
     """A sequence flow.  Its ``label``, written as the flow's ``name``, is a
     guard the simulator obeys:
@@ -142,21 +143,21 @@ class SequenceFlow:
     label: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageFlow:
     id: str
     source: str
     target: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Association:
     id: str
     source: str  # boundary event
     target: str  # compensation handler
 
 
-@dataclass
+@dataclass(slots=True)
 class Pool:
     id: str
     process_id: str
@@ -167,7 +168,7 @@ class Pool:
     associations: list[Association] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class BpmnModel:
     id: str
     pools: list[Pool] = field(default_factory=list)
@@ -221,6 +222,17 @@ def lint_model(model: BpmnModel) -> list[LintFinding]:
 
     def add(rule: str, subjects: Iterable[str], message: str) -> None:
         findings.append(LintFinding(rule, tuple(subjects), message))
+
+    # nodes, sequence flows, message flows and associations share one XML id space
+    ids = [node.id for node in model.all_nodes()]
+    for pool in model.pools:
+        ids += [flow.id for flow in pool.flows]
+        ids += [assoc.id for assoc in pool.associations]
+    ids += [flow.id for flow in model.message_flows]
+    if len(set(ids)) < len(ids):
+        for element_id, count in Counter(ids).items():
+            if count > 1:
+                add("DuplicateId", (element_id,), f"{count} model elements share this id")
 
     index = model.node_index()
     pool_of = model.pool_of()

@@ -88,20 +88,14 @@ class Dependency:
     kind: DependencyKind
 
 
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
 @dataclass(frozen=True)
 class Violation:
     rule: str
     subjects: tuple[str, ...]
-    severity: Severity
     message: str
 
     def __str__(self) -> str:
-        return f"{self.severity.value}: {self.rule} [{', '.join(self.subjects)}]: {self.message}"
+        return f"error: {self.rule} [{', '.join(self.subjects)}]: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -253,24 +247,23 @@ def validate_network(net: TransactionNetwork) -> list[Violation]:
     """Check semantic well-formedness; returns an empty list iff the net is sound."""
     violations: list[Violation] = []
 
-    def add(rule: str, subjects: Iterable[str], severity: Severity, message: str) -> None:
-        violations.append(Violation(rule, tuple(subjects), severity, message))
+    def add(rule: str, subjects: Iterable[str], message: str) -> None:
+        violations.append(Violation(rule, tuple(subjects), message))
 
     if not net.transactions:
-        add("NoRootTransaction", (), Severity.ERROR, "network has no transactions")
+        add("NoRootTransaction", (), "network has no transactions")
         return violations
 
     def check_name(subject: Union[Actor, Transaction], noun: str) -> None:
         # actor and transaction names are the only network text written into
         # the BPMN (as pool names and inside node names)
         if not subject.name.strip():
-            add("EmptyName", (subject.id,), Severity.ERROR, f"{noun} name must be non-empty")
+            add("EmptyName", (subject.id,), f"{noun} name must be non-empty")
         bad = NON_XML_CHAR.search(subject.name)
         if bad:
             add(
                 "NonXmlName",
                 (subject.id,),
-                Severity.ERROR,
                 f"{noun} name contains U+{ord(bad.group()):04X}, which XML 1.0 cannot carry",
             )
 
@@ -282,14 +275,12 @@ def validate_network(net: TransactionNetwork) -> list[Violation]:
             add(
                 "SelfLoopTransaction",
                 (tk.id, tk.initiator),
-                Severity.ERROR,
                 "initiator and executor must be distinct actors",
             )
         if not PHRASE_PATTERN.match(tk.result.phrase):
             add(
                 "BadResultPhrase",
                 (tk.id, tk.result.id),
-                Severity.ERROR,
                 "result phrase must contain exactly one non-empty [bracketed] segment",
             )
 
@@ -301,7 +292,6 @@ def validate_network(net: TransactionNetwork) -> list[Violation]:
             add(
                 "MultipleParents",
                 (child,) + tuple(d.parent for d in deps),
-                Severity.ERROR,
                 "a transaction may have at most one parent dependency",
             )
 
@@ -319,7 +309,6 @@ def validate_network(net: TransactionNetwork) -> list[Violation]:
                 add(
                     "IdCollision",
                     ids,
-                    Severity.ERROR,
                     f"{noun} ids {', '.join(ids)} are all written as {token!r} in the BPMN",
                 )
 
@@ -330,7 +319,6 @@ def validate_network(net: TransactionNetwork) -> list[Violation]:
             add(
                 "CompositionRuleBreach",
                 (dep.parent, dep.child),
-                Severity.ERROR,
                 f"child initiator {child.initiator} must be the parent executor {parent.executor}",
             )
 
@@ -348,7 +336,6 @@ def validate_network(net: TransactionNetwork) -> list[Violation]:
                     add(
                         "CycleDetected",
                         tuple(cycle),
-                        Severity.ERROR,
                         "dependency chain forms a cycle",
                     )
                 break
@@ -358,7 +345,6 @@ def validate_network(net: TransactionNetwork) -> list[Violation]:
         add(
             "NoRootTransaction",
             tuple(t.id for t in net.transactions),
-            Severity.ERROR,
             "every transaction has a parent; at least one root is required",
         )
 

@@ -259,6 +259,20 @@ def test_splice_anchor_and_guard_per_kind(kind, children):
     assert len(child_ends) == (children if kind is DependencyKind.RAD else 0)
 
 
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("kind,children", SPLICES, ids=[f"{k.value}-{n}" for k, n in SPLICES])
+def test_spliced_models_lint_clean(kind, children, level):
+    assert lint_model(compile_network(_fan_net(kind, children), level)) == []
+
+
+def test_equal_node_names_share_one_string(poc2_net):
+    nodes = compile_network(poc2_net, DetailLevel.COMPLETE).all_nodes()
+    first: dict[str, str] = {}
+    for node in nodes:
+        assert first.setdefault(node.name, node.name) is node.name, node.id
+    assert len(first) < len(nodes) / 2
+
+
 def test_compile_rejects_invalid_network():
     cyclic = load_network(FIXTURES / "cyclic.json")
     with pytest.raises(CompileError, match="CycleDetected"):

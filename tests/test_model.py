@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demoflow.compiler import DetailLevel, compile_network
 from demoflow.engine import Act, Role
 from demoflow.model import (
     ACT_SLUGS,
     Association,
     BpmnModel,
     FlowNode,
+    LintFinding,
     MessageFlow,
     NodeKind,
     NodeMeta,
@@ -319,3 +321,63 @@ def test_association_dangling_endpoint():
     nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
     associations = [Association("a0", "ghost", "n1")]
     assert "DanglingFlow" in _rules(_model(nodes, flows, associations=associations))
+
+
+@pytest.mark.parametrize("records", ["nodes", "flows"])
+def test_repeated_element_is_a_duplicate_id(poc1_net, records):
+    model = compile_network(poc1_net, DetailLevel.HAPPY_FLOW)
+    assert lint_model(model) == []
+    elements = getattr(model.pools[0], records)
+    elements.append(elements[0])
+    assert lint_model(model) == [
+        LintFinding("DuplicateId", (elements[0].id,), "2 model elements share this id")
+    ]
+
+
+def test_elements_of_different_kinds_share_one_id_space():
+    nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
+    nodes += [
+        FlowNode("b0", NodeKind.COMPENSATION_BOUNDARY, attached_to="n1"),
+        FlowNode("h0", NodeKind.COMPENSATION_HANDLER),
+    ]
+    second = Pool(
+        "pool_b",
+        "proc_b",
+        "B",
+        "B",
+        nodes=[FlowNode("m0", NodeKind.MESSAGE_START_EVENT), FlowNode("m1", NodeKind.END_EVENT)],
+        flows=[SequenceFlow("g0", "m0", "m1")],
+    )
+    model = _model(
+        nodes,
+        flows,
+        second_pool=second,
+        message_flows=[MessageFlow("n2", "n1", "m0")],  # a node's id
+        associations=[Association("f0", "b0", "h0")],  # a sequence flow's id
+    )
+    assert [f for f in lint_model(model) if f.rule == "DuplicateId"] == [
+        LintFinding("DuplicateId", ("n2",), "2 model elements share this id"),
+        LintFinding("DuplicateId", ("f0",), "2 model elements share this id"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Record layout
+# ---------------------------------------------------------------------------
+
+
+def test_model_records_are_slotted():
+    node = FlowNode("n0", NodeKind.TASK)
+    flow = SequenceFlow("f0", "n0", "n0")
+    pool = Pool("pool_a", "proc_a", "A", "A", nodes=[node], flows=[flow])
+    records = [
+        node,
+        flow,
+        MessageFlow("m0", "n0", "n0"),
+        Association("a0", "n0", "n0"),
+        pool,
+        BpmnModel("m", pools=[pool]),
+    ]
+    for record in records:
+        assert "__slots__" in type(record).__dict__, type(record).__name__
+        assert not hasattr(record, "__dict__"), type(record).__name__

@@ -17,7 +17,6 @@ from demoflow.network import (
     NetworkFormatError,
     NetworkStructureError,
     Result,
-    Severity,
     Transaction,
     TransactionNetwork,
     Violation,
@@ -228,14 +227,10 @@ NON_XML_CHARS = ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\udf
 def test_validate_rejects_names_xml_cannot_carry(char):
     actors = (Actor("A1", f"SOC{char}Dept"), Actor("A2", "SPFP"))
     violations = validate_network(_net([_tk("T1", "A1", "A2")], actors=actors))
-    assert [(v.rule, v.subjects, v.severity) for v in violations] == [
-        ("NonXmlName", ("A1",), Severity.ERROR)
-    ]
+    assert [(v.rule, v.subjects) for v in violations] == [("NonXmlName", ("A1",))]
     assert f"U+{ord(char):04X}" in violations[0].message
     violations = validate_network(_net([_tk("T1", "A1", "A2", name=f"Paying{char}")]))
-    assert [(v.rule, v.subjects, v.severity) for v in violations] == [
-        ("NonXmlName", ("T1",), Severity.ERROR)
-    ]
+    assert [(v.rule, v.subjects) for v in violations] == [("NonXmlName", ("T1",))]
 
 
 def test_validate_accepts_names_xml_can_carry():
@@ -273,7 +268,7 @@ def test_validate_composition_rule_breach_is_an_error():
     deps = [Dependency("T1", "T2", DependencyKind.RAP)]
     errors = validate_network(_net(tks, deps))
     assert any(
-        v.rule == "CompositionRuleBreach" and v.severity is Severity.ERROR for v in errors
+        v.rule == "CompositionRuleBreach" and str(v).startswith("error: ") for v in errors
     )
 
 
@@ -293,7 +288,7 @@ def test_validate_composition_rule_breach_is_an_error():
 )
 def test_validate_ids_that_compile_alike(transactions, subjects, message):
     (violation,) = validate_network(_net(transactions))
-    assert violation == Violation("IdCollision", subjects, Severity.ERROR, message)
+    assert violation == Violation("IdCollision", subjects, message)
 
 
 def test_validate_cycle_detected_once():
