@@ -24,7 +24,6 @@ from .coverage import (
 from .engine import (
     Act,
     Bounds,
-    Decision,
     Phase,
     Role,
     TransactionState,
@@ -57,7 +56,6 @@ __all__ = [
     "CompileError",
     "ConformanceReport",
     "CoverageMatrix",
-    "Decision",
     "DetailLevel",
     "LEVEL_ALPHABETS",
     "LintFinding",

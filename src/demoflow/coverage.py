@@ -142,8 +142,11 @@ def classify_acts(
     carries the matching transaction and act tags, also counts as explicit.
     Explicit wins over Implicit on conflict, with a warning.  A document that
     is not a list of objects, or an entry that names an unknown transaction
-    or act, raises ``UnknownAnnotationKey``.
+    or act, raises ``UnknownAnnotationKey``; a network with no transactions,
+    which has no cells to classify, raises ``ValueError``.
     """
+    if not net.transactions:
+        raise ValueError("network has no transactions")
     transactions = tuple(sorted(tk.id for tk in net.transactions))
     tk_index = {tk_id: net.transaction(tk_id) for tk_id in transactions}
     node_ids = {node.id for node in model.all_nodes()}
@@ -238,22 +241,21 @@ def classify_acts(
     )
 
 
-def _percent(count: int, total: int, decimal: str) -> str:
+def _percent(count: int, total: int) -> str:
     value = (Decimal(100 * count) / Decimal(total)).quantize(
         Decimal("0.1"), rounding=ROUND_HALF_UP
     )
-    text = str(value)
-    return text.replace(".", ",") if decimal == "comma" else text
+    return str(value)
 
 
-def _footer_lines(matrix: CoverageMatrix, decimal: str) -> list[str]:
+def _footer_lines(matrix: CoverageMatrix) -> list[str]:
     explicit, implicit, _ = matrix.totals()
     total = matrix.cell_count()
     return [
-        f"Total Explicit = {explicit} (in {total}) = {_percent(explicit, total, decimal)}%",
-        f"Total Implicit = {implicit} (in {total}) = {_percent(implicit, total, decimal)}%",
+        f"Total Explicit = {explicit} (in {total}) = {_percent(explicit, total)}%",
+        f"Total Implicit = {implicit} (in {total}) = {_percent(implicit, total)}%",
         f"Total Implemented = {explicit + implicit} (in {total}) = "
-        f"{_percent(explicit + implicit, total, decimal)}%",
+        f"{_percent(explicit + implicit, total)}%",
     ]
 
 
@@ -261,13 +263,11 @@ def _triplet(sums: tuple[int, int, int]) -> str:
     return f"({sums[0]}/{sums[1]}/{sums[2]})"
 
 
-def render_matrix(matrix: CoverageMatrix, fmt: str = "csv", decimal: str = "dot") -> str:
+def render_matrix(matrix: CoverageMatrix, fmt: str = "csv") -> str:
     """Render as CSV (default) or an aligned text grid, with sum triplets
     "(explicit/implicit/not-implemented)" and footer totals."""
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown format {fmt!r}")
-    if decimal not in ("dot", "comma"):
-        raise ValueError(f"unknown decimal separator {decimal!r}")
 
     header = ["Act", *matrix.transactions, "(e/i/n)"]
     rows = [header]
@@ -280,7 +280,7 @@ def render_matrix(matrix: CoverageMatrix, fmt: str = "csv", decimal: str = "dot"
     sum_row += [_triplet(matrix.column_sum(tk)) for tk in matrix.transactions]
     sum_row.append(_triplet(matrix.totals()))
     rows.append(sum_row)
-    footer = _footer_lines(matrix, decimal)
+    footer = _footer_lines(matrix)
 
     if fmt == "csv":
         lines = [",".join(row) for row in rows] + footer

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 
 class Act(Enum):
@@ -61,11 +61,6 @@ class Phase(Enum):
     DECLINED = "Declined"
     STOPPED = "Stopped"
     TERMINATED = "Terminated"
-
-
-class Decision(Enum):
-    ALLOW = "Allow"
-    REFUSE = "Refuse"
 
 
 CORE_ACTS: tuple[Act, ...] = (
@@ -168,9 +163,6 @@ class TransactionState:
         if tuple(self.history) != CORE_ACTS[: len(self.history)]:
             raise ValueError(f"history must be a prefix of the core acts, got {self.history}")
 
-    def performed(self, act: Act) -> bool:
-        return act in self.history
-
 
 INITIAL_STATE = TransactionState()
 
@@ -198,21 +190,25 @@ def allowed_acts(state: TransactionState, role: Role) -> frozenset[Act]:
 
 
 def apply_act(state: TransactionState, act: Act, role: Role) -> TransactionState:
-    """Apply one act; raises ActNotEnabled if the state machine refuses it.
+    """Apply one act; raises ActNotEnabled if the state machine refuses it,
+    and RevocationError for an Allow or Refuse by the revoker.
 
-    Allow/Refuse steps resolve the pending revocation; revocation acts mark
-    it pending.  Core acts never duplicate entries in the performed-act
-    history (a re-request or re-declare re-emits, it does not re-perform).
+    Revocation acts mark a revocation pending; the other role's Allow or
+    Refuse resolves it.  Allow rolls the undone acts out of the history and
+    repositions the transaction, unless the revocation targets an unperformed
+    act, which is refused automatically; Refuse changes nothing.  Core acts
+    never duplicate entries in the performed-act history (a re-request or
+    re-declare re-emits, it does not re-perform).
     """
-    if act in (Act.ALLOW, Act.REFUSE):
+    if act in _DECISIONS:
         if state.pending is None:
             raise ActNotEnabled(f"{act.value} without a pending revocation")
-        return resolve_revocation(
-            state,
-            state.pending[0],
-            role,
-            Decision.ALLOW if act is Act.ALLOW else Decision.REFUSE,
-        )
+        revocation = state.pending[0]
+        if role is not REVOKER[revocation].other:
+            raise RevocationError(f"{role.value} does not decide on {revocation.value}")
+        if act is Act.REFUSE or revocation_auto_refused(state):
+            return TransactionState(state.phase, state.history)
+        return TransactionState(LANDING_PHASE[revocation], state.history[: _KEPT_PREFIX[revocation]])
     if state.pending is not None:
         raise ActNotEnabled(f"{act.value} while a revocation is pending")
     if act in REVOCATIONS:
@@ -258,56 +254,18 @@ def revocation_auto_refused(state: TransactionState) -> bool:
     return REVOCATION_TARGET[state.pending[0]] not in state.history
 
 
-def resolve_revocation(
-    state: TransactionState, revocation: Act, by: Role, decision: Decision
-) -> TransactionState:
-    """Counterparty decision on a pending revocation.
-
-    Allow rolls the undone acts out of the history and repositions the
-    transaction; Refuse changes nothing.  A revocation of an unperformed act
-    is refused automatically regardless of the decision input.
-    """
-    if state.pending is None:
-        raise RevocationError("no pending revocation")
-    if state.pending[0] is not revocation:
-        raise RevocationError(
-            f"pending revocation is {state.pending[0].value}, not {revocation.value}"
-        )
-    if by is not REVOKER[revocation].other:
-        raise RevocationError(f"{by.value} does not decide on {revocation.value}")
-    if REVOCATION_TARGET[revocation] not in state.history:
-        return TransactionState(state.phase, state.history, pending=None)
-    if decision is Decision.REFUSE:
-        return TransactionState(state.phase, state.history, pending=None)
-    kept = state.history[: _KEPT_PREFIX[revocation]]
-    return TransactionState(LANDING_PHASE[revocation], kept, pending=None)
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    act: Act
-    role: Role
-    decision: Optional[Decision] = None  # resolves a revocation step in place
-
-
 class TraceError(ValueError):
     def __init__(self, index: int, message: str):
         super().__init__(f"step {index}: {message}")
         self.index = index
 
 
-StepLike = Union[TraceStep, tuple]
-
-
-def run_trace(steps: Iterable[StepLike], initial: TransactionState = INITIAL_STATE) -> TransactionState:
-    """Run a sequence of (act, role[, decision]) steps from the initial state."""
-    state = initial
-    for index, raw in enumerate(steps):
-        step = raw if isinstance(raw, TraceStep) else TraceStep(*raw)
+def run_trace(steps: Iterable[tuple[Act, Role]]) -> TransactionState:
+    """Run a sequence of (act, role) steps from the initial state."""
+    state = INITIAL_STATE
+    for index, (act, role) in enumerate(steps):
         try:
-            state = apply_act(state, step.act, step.role)
-            if step.act in REVOCATIONS and step.decision is not None:
-                state = resolve_revocation(state, step.act, step.role.other, step.decision)
+            state = apply_act(state, act, role)
         except (ActNotEnabled, RevocationError) as exc:
             raise TraceError(index, str(exc)) from exc
     return state

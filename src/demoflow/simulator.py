@@ -68,6 +68,7 @@ from .engine import (
     Bounds,
     COMPLETE_ALPHABET,
     INITIAL_STATE,
+    LANDING_PHASE,
     MOVES,
     Phase,
     RevocationError,
@@ -931,7 +932,7 @@ class _Simulation:
             )
         lock = shadow & _LOCK
         if meta.act is Act.ALLOW:
-            lock = _PENDING if state.pending[0] is Act.REVOKE_REQUEST else _REPOSITIONING
+            lock = _PENDING if LANDING_PHASE[state.pending[0]] is Phase.TERMINATED else _REPOSITIONING
         elif meta.act is Act.REFUSE:
             lock = _FREE
         working.shadows[tk] = after << 2 | lock

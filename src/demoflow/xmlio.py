@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from operator import attrgetter
-from pathlib import Path
 from typing import Union
 
 from .model import (
@@ -244,15 +243,13 @@ def _parse_node(element: ET.Element, tag: str, local: _LocalNames) -> FlowNode:
     return FlowNode(get("id", ""), kind, get("name", ""))
 
 
-def parse_model(source: Union[str, bytes, Path]) -> BpmnModel:
-    """Parse a BPMN document (XML text/bytes, or a path to a file).
+def parse_model(source: Union[str, bytes]) -> BpmnModel:
+    """Parse a BPMN document (XML text or bytes).
 
     Two processes with one id, two participants referencing one process, a
     second collaboration, or a process no participant of the collaboration
     references raise ``ModelFormatError``: keeping any of them would
     silently drop or copy a process's nodes."""
-    if isinstance(source, Path):
-        source = source.read_bytes()
     try:
         root = ET.fromstring(source)
     except ET.ParseError as exc:

@@ -425,6 +425,19 @@ def test_analyze_rejects_a_process_without_participant(tmp_path, solo_file, caps
     assert not report.exists()
 
 
+def test_analyze_rejects_a_network_without_transactions(tmp_path, capsys):
+    # no transactions means no cells, and a share of no cells is no number
+    model_file = tmp_path / "poc1.bpmn"
+    main(["generate", str(FIXTURES / "poc1.json"), "--level", "happy", "--out", str(model_file)])
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"actors": [], "transactions": []}), encoding="utf-8")
+    report = tmp_path / "r.csv"
+    code = main(["analyze", str(model_file), "--network", str(empty), "--report", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: ValueError: network has no transactions\n"
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

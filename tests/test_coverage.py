@@ -130,12 +130,6 @@ def test_poc2_footers_use_84_cells():
 # ---------------------------------------------------------------------------
 
 
-def test_comma_decimal_rendering():
-    report = render_matrix(_classify("poc1"), fmt="csv", decimal="comma")
-    assert "Total Implemented = 25 (in 56) = 44,6%" in report
-    assert "44.6%" not in report
-
-
 def test_text_rendering_is_aligned():
     report = render_matrix(_classify("poc1"), fmt="text")
     lines = report.splitlines()
@@ -155,8 +149,6 @@ def test_render_rejects_unknown_options():
     matrix = _classify("poc1")
     with pytest.raises(ValueError):
         render_matrix(matrix, fmt="html")
-    with pytest.raises(ValueError):
-        render_matrix(matrix, decimal="space")
 
 
 def test_empty_audit_is_all_not_implemented():

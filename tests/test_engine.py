@@ -17,7 +17,6 @@ from demoflow.engine import (
     CORE_ACTS,
     DEAD_PHASES,
     DISSENT_ALPHABET,
-    Decision,
     HAPPY_ALPHABET,
     INITIAL_STATE,
     LANDING_PHASE,
@@ -38,7 +37,6 @@ from demoflow.engine import (
     bounded_apply,
     bounded_table,
     enumerate_language,
-    resolve_revocation,
     revocation_auto_refused,
     rollback_chain,
     run_trace,
@@ -198,9 +196,7 @@ def test_allowed_revocation_lands_and_rolls_back(revocation, landing, kept):
     accepted = run_trace(HAPPY)
     pending = apply_act(accepted, revocation, REVOKER[revocation])
     assert pending.pending == (revocation, REVOKER[revocation])
-    resolved = resolve_revocation(
-        pending, revocation, REVOKER[revocation].other, Decision.ALLOW
-    )
+    resolved = apply_act(pending, Act.ALLOW, REVOKER[revocation].other)
     assert resolved.phase is landing
     assert resolved.history == CORE_ACTS[:kept]
     assert resolved.pending is None
@@ -210,18 +206,22 @@ def test_refused_revocation_changes_nothing():
     accepted = run_trace(HAPPY)
     for revocation in REVOCATIONS:
         pending = apply_act(accepted, revocation, REVOKER[revocation])
-        resolved = resolve_revocation(
-            pending, revocation, REVOKER[revocation].other, Decision.REFUSE
-        )
+        resolved = apply_act(pending, Act.REFUSE, REVOKER[revocation].other)
         assert resolved == accepted
 
 
-def test_revoking_unperformed_act_is_refused_even_on_allow():
+@pytest.mark.parametrize(
+    "revocation",
+    [Act.REVOKE_PROMISE, Act.REVOKE_DECLARE, Act.REVOKE_ACCEPT],
+    ids=lambda act: act.value,
+)
+def test_revoking_unperformed_act_is_refused_even_on_allow(revocation):
     requested = _state_after((Act.REQUEST, I))
-    pending = apply_act(requested, Act.REVOKE_DECLARE, E)
+    pending = apply_act(requested, revocation, REVOKER[revocation])
     assert revocation_auto_refused(pending)
-    resolved = resolve_revocation(pending, Act.REVOKE_DECLARE, I, Decision.ALLOW)
-    assert resolved == requested
+    decider = REVOKER[revocation].other
+    allowed = apply_act(pending, Act.ALLOW, decider)
+    assert allowed == apply_act(pending, Act.REFUSE, decider) == requested
 
 
 def test_revocations_suppressed_in_initial_and_dead_phases():
@@ -241,26 +241,24 @@ def test_pending_revocation_blocks_other_acts():
         apply_act(pending, Act.REVOKE_ACCEPT, I)
     assert allowed_acts(pending, I) == {Act.ALLOW, Act.REFUSE}
     assert allowed_acts(pending, E) == frozenset()
-    with pytest.raises(RevocationError):
-        resolve_revocation(pending, Act.REVOKE_DECLARE, E, Decision.ALLOW)
+    for decision in (Act.ALLOW, Act.REFUSE):
+        with pytest.raises(RevocationError, match="executor does not decide on RevokeDeclare"):
+            apply_act(pending, decision, E)
+    with pytest.raises(ActNotEnabled, match="without a pending revocation"):
+        apply_act(accepted, Act.ALLOW, I)
 
 
-def test_revocation_resolution_via_apply_act():
-    accepted = run_trace(HAPPY)
-    pending = apply_act(accepted, Act.REVOKE_PROMISE, E)
-    resolved = apply_act(pending, Act.ALLOW, I)
-    assert resolved.phase is Phase.DECLINED
-    assert resolved.history == (Act.REQUEST,)
-    refused = apply_act(pending, Act.REFUSE, I)
-    assert refused == accepted
-
-
-def test_run_trace_inline_decision():
-    state = run_trace(
-        HAPPY + [(Act.REVOKE_DECLARE, E, Decision.ALLOW)]
-    )
+def test_run_trace_allow_step():
+    state = run_trace(HAPPY + [(Act.REVOKE_DECLARE, E), (Act.ALLOW, I)])
     assert state.phase is Phase.PROMISED
     assert state.history == (Act.REQUEST, Act.PROMISE)
+
+
+def test_run_trace_names_an_allow_by_the_revoker():
+    with pytest.raises(TraceError) as excinfo:
+        run_trace(HAPPY + [(Act.REVOKE_DECLARE, E), (Act.ALLOW, E)])
+    assert excinfo.value.index == len(HAPPY) + 1
+    assert str(excinfo.value) == "step 6: executor does not decide on RevokeDeclare"
 
 
 # --- bounded languages -------------------------------------------------------
