@@ -1,19 +1,19 @@
 """Compile a transaction network into a BPMN collaboration.
 
-Three detail levels.  At happy and dissent both sides of a transaction are
-projections of the engine's transition table (_TRANSITIONS) over the level's
-act alphabet (LEVEL_ALPHABETS), derived once per level: a node for each act
-a side performs, a catch for each act it receives, a gateway where a phase
-offers a choice, and a message flow from each send task to each catch of its
-act.
+Three detail levels, each a pattern of both sides of one transaction derived
+once per level and replayed per transaction.  The sides are projections of
+the engine's transition table (_TRANSITIONS) over the level's act alphabet
+(LEVEL_ALPHABETS): a node for each act a side performs, a catch for each act
+it receives, a gateway where a phase offers a choice, and a message flow
+from each send task to each catch of its act.
 
     happy     request -> promise -> execute -> declare -> accept, two pools
               per transaction
     dissent   the same projection with decline, reject and stop: the
               decline branch (with re-request / stop) and the reject branch
               (with re-declare / stop)
-    complete  adds, per transaction and pool, a revocation zone armed by an
-              entry parallel gateway: an event-based gateway awaiting
+    complete  adds to each pool a revocation zone armed by an entry
+              parallel gateway: an event-based gateway awaiting
               counterparty revocation messages and environment triggers,
               allow/refuse decisions, compensation boundary events and
               handlers on the five core-act tasks, and inverse-order
@@ -23,6 +23,8 @@ act.
               whom (rollback_chain, PERFORMER), and where the transaction
               lands (LANDING_PHASE)
 
+A pattern node fixes its id suffix, kind and name template; replaying it
+for a transaction prefixes the transaction's slug and formats its name.
 Transactions share pools by actor: a child transaction's initiator fragment
 is spliced into its parent's executor flow after the act its dependency
 kind's rule names, inside that flow or beside it (``DEPENDENCY_RULES``).
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .engine import (
@@ -62,6 +65,7 @@ from .model import (
     ROLE_TAG,
     SLUG_FOR_ACT,
     SequenceFlow,
+    parse_node_id,
     slugify_actor,
     slugify_tk,
 )
@@ -125,55 +129,70 @@ _INVERSE_NAMES = {act: f"{act.value}⁻¹" for act in CORE_ACTS}
 _COMPENSATE_NAMES = {act: f"Compensate {act.value}" for act in CORE_ACTS}
 
 
-class _Names(dict):
-    """One transaction's node names by template, each formatted once, so
-    that a model holds one string per distinct name."""
-
-    def __init__(self, tk_name: str) -> None:
-        super().__init__()
-        self.tk_name = tk_name
-
-    def __missing__(self, template: str) -> str:
-        name = self[template] = template.format(self.tk_name)
-        return name
+def _suffix(role: Role, slug: str, kind: NodeKind, counts: dict[tuple[str, NodeKind], int]) -> str:
+    """The id of a side's next node of ``slug`` and ``kind`` after the
+    transaction's slug, ``_<i|e>_<slug>_<tag>[_<n>]``; ``counts`` holds the
+    side's nodes so far by slug and kind."""
+    ordinal = counts[slug, kind] = counts.get((slug, kind), 0) + 1
+    suffix = f"_{ROLE_TAG[role]}_{slug}_{kind.value}"
+    return suffix if ordinal == 1 else f"{suffix}_{ordinal}"
 
 
 @dataclass
-class _Fragment:
-    """One transaction-side (initiator or executor) under construction."""
+class _Side:
+    """One side (initiator or executor) of a level's transaction pattern,
+    nodes by index: each node is (id suffix, kind, name template, the index
+    of the task it is attached to, the index of the task it compensates)."""
 
-    tk_slug: str
     role: Role
-    names: _Names  # shared by both sides of the transaction
-    nodes: list[FlowNode] = field(default_factory=list)
-    flows: list[SequenceFlow] = field(default_factory=list)
-    associations: list[Association] = field(default_factory=list)
-    marks: dict[str | Phase, str] = field(default_factory=dict)
-    last: str = ""  # where the revocation episode being built has got to
-    prefix: str = field(init=False)  # of every node id
-    _counts: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.prefix = f"{self.tk_slug}_{ROLE_TAG[self.role]}"
+    nodes: list[tuple[str, NodeKind, str, Optional[int], Optional[int]]] = field(default_factory=list)
+    flows: list[tuple[int, int, str]] = field(default_factory=list)
+    associations: list[tuple[int, int]] = field(default_factory=list)
+    marks: dict[str | Phase, int] = field(default_factory=dict)
+    acts: dict[Act, int] = field(default_factory=dict)  # the node of each act this side performs
+    catches: dict[Act, list[int]] = field(default_factory=dict)  # of each act of the other side
+    last: int = 0  # where the revocation episode being built has got to
+    _counts: dict[tuple[str, NodeKind], int] = field(default_factory=dict)
 
     def add(
         self,
         slug: str,
         kind: NodeKind,
         name: str = "",
-        attached_to: Optional[str] = None,
-        compensates: Optional[str] = None,
-    ) -> str:
-        tag = kind.value
-        key = (slug, tag)
-        ordinal = self._counts.get(key, 0) + 1
-        self._counts[key] = ordinal
-        node_id = f"{self.prefix}_{slug}_{tag}"
-        if ordinal > 1:
-            node_id += f"_{ordinal}"
-        self.nodes.append(
-            FlowNode(id=node_id, kind=kind, name=name, attached_to=attached_to, compensates=compensates)
-        )
+        attached_to: Optional[int] = None,
+        compensates: Optional[int] = None,
+    ) -> int:
+        self.nodes.append((_suffix(self.role, slug, kind, self._counts), kind, name, attached_to, compensates))
+        return len(self.nodes) - 1
+
+    def connect(self, source: int, target: int, label: str = "") -> None:
+        self.flows.append((source, target, label))
+
+    def compensable(self, task: int, act: Act) -> None:
+        """Attach a compensation boundary + handler pair to a task."""
+        slug = SLUG_FOR_ACT[act]
+        boundary = self.add(slug, NodeKind.COMPENSATION_BOUNDARY, attached_to=task)
+        handler = self.add(slug, NodeKind.COMPENSATION_HANDLER, name=_INVERSE_NAMES[act])
+        self.associations.append((boundary, handler))
+
+
+@dataclass
+class _Fragment:
+    """One side of one transaction, replayed from its level's pattern; the
+    lists are its own, for splicing to change."""
+
+    tk_slug: str
+    role: Role
+    nodes: list[FlowNode]
+    flows: list[SequenceFlow]
+    associations: list[Association]
+    marks: dict[str | Phase, str]
+    # splicing's nodes only: their slugs, the dependency kinds, are none of the pattern's
+    _counts: dict[tuple[str, NodeKind], int] = field(default_factory=dict)
+
+    def add(self, slug: str, kind: NodeKind) -> str:
+        node_id = self.tk_slug + _suffix(self.role, slug, kind, self._counts)
+        self.nodes.append(FlowNode(node_id, kind))
         return node_id
 
     def connect(self, source: str, target: str, label: str = "") -> None:
@@ -191,13 +210,6 @@ class _Fragment:
         self.nodes = [n for n in self.nodes if n.id != node_id]
         self.flows = [f for f in self.flows if node_id not in (f.source, f.target)]
 
-    def compensable(self, task_id: str, act: Act) -> None:
-        """Attach a compensation boundary + handler pair to a task."""
-        slug = SLUG_FOR_ACT[act]
-        boundary = self.add(slug, NodeKind.COMPENSATION_BOUNDARY, attached_to=task_id)
-        handler = self.add(slug, NodeKind.COMPENSATION_HANDLER, name=_INVERSE_NAMES[act])
-        self.associations.append(Association(f"as_{boundary}__{handler}", boundary, handler))
-
 
 # The slug of a side's gateway in a phase with several moves: (where this side
 # chooses, where it waits for the other side's choice).
@@ -213,16 +225,8 @@ _OUTCOME_SLUGS = {Phase.ACCEPTED: "done", Phase.STOPPED: "stopped"}
 
 _Moves = dict[Phase, list[tuple[Act, Role, Phase]]]
 
-
-class _Side(NamedTuple):
-    """One side of a transaction at one level, nodes by index: each node is
-    (slug, kind, name template taking the transaction's name)."""
-
-    nodes: list[tuple[str, NodeKind, str]]
-    flows: list[tuple[int, int, str]]
-    marks: dict[str | Phase, int]
-    acts: dict[Act, int]  # the node of each act this side performs
-    catches: dict[Act, list[int]]  # the catches of each act of the other side
+# Message flows of a pattern: (sender, its send task, the other side's catch).
+_Messages = list[tuple[Role, int, int]]
 
 
 def _derive_side(moves: _Moves, role: Role) -> _Side:
@@ -236,26 +240,20 @@ def _derive_side(moves: _Moves, role: Role) -> _Side:
     side chooses (its branches labelled with the act's slug) and event-based
     where it waits; a phase with none gets an end event on each path into it.
     """
-    nodes: list[tuple[str, NodeKind, str]] = []
-    flows: list[tuple[int, int, str]] = []
+    side = _Side(role)
     sits: dict[Phase, int] = {}  # where this side is in each phase with moves
     ends: dict[Phase, int] = {}
-    acts: dict[Act, int] = {}
-    catches: dict[Act, list[int]] = {}
-
-    def add(slug: str, kind: NodeKind, name: str = "") -> int:
-        nodes.append((slug, kind, name))
-        return len(nodes) - 1
+    acts, catches = side.acts, side.catches
 
     def enter(phase: Phase, prev: Optional[int]) -> None:
         if phase in sits:
-            flows.append((prev, sits[phase], ""))
+            side.connect(prev, sits[phase])
             return
         options = moves.get(phase)
         if not options:
             slug = _OUTCOME_SLUGS[phase]
-            ends[phase] = add(slug, NodeKind.END_EVENT, f"{{}} {slug}")
-            flows.append((prev, ends[phase], ""))
+            ends[phase] = side.add(slug, NodeKind.END_EVENT, f"{{}} {slug}")
+            side.connect(prev, ends[phase])
             return
         (act, performer, target), *rest = options
         if not rest and act is Act.EXECUTE and performer is not role:
@@ -265,41 +263,49 @@ def _derive_side(moves: _Moves, role: Role) -> _Side:
         chooses = performer is role
         if rest:
             kind = NodeKind.EXCLUSIVE_GATEWAY if chooses else NodeKind.EVENT_BASED_GATEWAY
-            sits[phase] = add(_CHOICE_SLUGS[phase][not chooses], kind)
-            flows.append((prev, sits[phase], ""))
+            sits[phase] = side.add(_CHOICE_SLUGS[phase][not chooses], kind)
+            side.connect(prev, sits[phase])
             prev = sits[phase]
         for act, performer, target in options:
             slug = SLUG_FOR_ACT[act]
             if performer is role and act in acts:
-                flows.append((prev, acts[act], "re" + slug))
+                side.connect(prev, acts[act], "re" + slug)
                 continue
             if performer is role:
                 kind = NodeKind.TASK if act is Act.EXECUTE else NodeKind.SEND_TASK
-                node = acts[act] = add(slug, kind, _SEND_NAMES[act])
+                node = acts[act] = side.add(slug, kind, _SEND_NAMES[act])
             else:
                 kind = NodeKind.MESSAGE_START_EVENT if phase is Phase.INITIAL else NodeKind.MESSAGE_CATCH
-                node = add(slug, kind, _CATCH_NAMES[act])
+                node = side.add(slug, kind, _CATCH_NAMES[act])
                 catches.setdefault(act, []).append(node)
             sits.setdefault(phase, node)
             if prev is not None:  # else node is the message start event
-                flows.append((prev, node, slug if chooses and rest else ""))
+                side.connect(prev, node, slug if chooses and rest else "")
             enter(target, node)
 
     opens = moves[Phase.INITIAL][0][1] is role
-    enter(Phase.INITIAL, add("entry", NodeKind.START_EVENT, "Start {}") if opens else None)
+    enter(Phase.INITIAL, side.add("entry", NodeKind.START_EVENT, "Start {}") if opens else None)
     # what splicing and the revocation zone attach to: the start, the end once
     # accepted, the core acts this side performs and where it is in each phase
     # a revocation lands in
-    marks: dict[str | Phase, int] = {"start": 0, "done": ends[Phase.ACCEPTED]}
-    marks.update((SLUG_FOR_ACT[act], node) for act, node in acts.items() if act in CORE_ACTS)
-    marks.update((phase, sits[phase]) for phase in LANDING_PHASE.values() if phase in sits)
-    return _Side(nodes, flows, marks, acts, catches)
+    side.marks = {"start": 0, "done": ends[Phase.ACCEPTED]}
+    side.marks.update((SLUG_FOR_ACT[act], node) for act, node in acts.items() if act in CORE_ACTS)
+    side.marks.update((phase, sits[phase]) for phase in LANDING_PHASE.values() if phase in sits)
+    return side
 
 
-def _project(alphabet: frozenset[Act]) -> tuple[dict[Role, _Side], list[tuple[Role, int, int]]]:
-    """Both sides of a transaction over ``alphabet``, and their message flows
-    as (sender, send task, catch): each send task reaches every catch of its
-    act on the other side."""
+class _Pattern(NamedTuple):
+    """Both sides of a transaction at one level, as each transaction replays them."""
+
+    sides: dict[Role, _Side]
+    messages: list[tuple[int, int]]  # (send task, catch) over both sides' nodes, the initiator's first
+    names: list[str]  # the distinct node names; "{}" takes the transaction's name
+
+
+def _project(alphabet: frozenset[Act]) -> _Pattern:
+    """Both sides of a transaction over ``alphabet`` and their message flows:
+    each send task reaches every catch of its act on the other side.  With
+    the revocations in the alphabet, the revocation zone is built in."""
     moves: _Moves = {}
     for (phase, act, performer), target in _TRANSITIONS.items():
         if act in alphabet:
@@ -311,65 +317,43 @@ def _project(alphabet: frozenset[Act]) -> tuple[dict[Role, _Side], list[tuple[Ro
         for act, send in side.acts.items()
         for catch in sides[role.other].catches.get(act, ())
     ]
-    return sides, messages
+    if alphabet.issuperset(_EPISODE_ORDER):
+        _add_revocation_zones(sides, messages)
+    offset = {Role.INITIATOR: 0, Role.EXECUTOR: len(sides[Role.INITIATOR].nodes)}
+    return _Pattern(
+        sides,
+        [(offset[role] + send, offset[role.other] + catch) for role, send, catch in messages],
+        list(dict.fromkeys(name for side in sides.values() for _, _, name, _, _ in side.nodes)),
+    )
 
 
-# Derived once per level; the revocation zone adds to the complete level's.
-_PROJECTIONS = {level: _project(alphabet) for level, alphabet in LEVEL_ALPHABETS.items()}
-
-
-def _build_transaction(tk: Transaction, level: DetailLevel) -> tuple[dict[Role, _Fragment], list[MessageFlow]]:
-    """Both sides of ``tk`` and their message flows, replayed from the level's projection."""
-    sides, messages = _PROJECTIONS[level]
-    tk_slug = slugify_tk(tk.id)
-    names = _Names(tk.name)
-    frags = {}
-    for role, side in sides.items():
-        frag = frags[role] = _Fragment(tk_slug, role, names)
-        ids = [frag.add(slug, kind, names[template]) for slug, kind, template in side.nodes]
-        for source, target, label in side.flows:
-            frag.connect(ids[source], ids[target], label)
-        frag.marks = {key: ids[node] for key, node in side.marks.items()}
-    message_flows = []
-    for role, send, catch in messages:
-        source, target = frags[role].nodes[send].id, frags[role.other].nodes[catch].id
-        message_flows.append(MessageFlow(f"mf_{source}__{target}", source, target))
-    return frags, message_flows
-
-
-def _add_revocation_zones(frags: dict[Role, _Fragment]) -> list[MessageFlow]:
-    """Build the revocation zone into both sides of a transaction; returns its message flows.
+def _add_revocation_zones(sides: dict[Role, _Side], messages: _Messages) -> None:
+    """Build the revocation zone into both sides of a transaction, and its
+    message flows into ``messages``.
 
     Each side's zone is armed by an entry parallel gateway next to the start
     and waits at an event-based gateway; the core-act tasks a side performs
     get compensation handlers.  The episodes follow the engine's revocation
     tables (see ``_add_episode``).
     """
-    messages: list[MessageFlow] = []
-    for role, frag in frags.items():
-        gateway = frag.add("entry", NodeKind.PARALLEL_GATEWAY, name=INITIAL_GATEWAY_NAME)
-        revgate = frag.marks["revoke"] = frag.add("revoke", NodeKind.EVENT_BASED_GATEWAY)
+    for role, side in sides.items():
+        gateway = side.add("entry", NodeKind.PARALLEL_GATEWAY, name=INITIAL_GATEWAY_NAME)
+        revgate = side.marks["revoke"] = side.add("revoke", NodeKind.EVENT_BASED_GATEWAY)
         # re-route the start through the arming gateway
-        start = frag.marks["start"]
-        old_target = frag.disconnect(start)
-        frag.connect(start, gateway)
-        frag.connect(gateway, old_target)
-        frag.connect(gateway, revgate)
+        start = side.marks["start"]
+        _, old_target, _ = side.flows.pop(next(i for i, flow in enumerate(side.flows) if flow[0] == start))
+        side.connect(start, gateway)
+        side.connect(gateway, old_target)
+        side.connect(gateway, revgate)
         for act in CORE_ACTS:
             if PERFORMER[act] is role:
-                frag.compensable(frag.marks[SLUG_FOR_ACT[act]], act)
+                side.compensable(side.marks[SLUG_FOR_ACT[act]], act)
     for revocation in _EPISODE_ORDER:
         revoker = REVOKER[revocation]
-        _add_episode(frags[revoker], frags[revoker.other], revocation, messages)
-    return messages
+        _add_episode(sides[revoker], sides[revoker.other], revocation, messages)
 
 
-def _add_episode(
-    revoker: _Fragment,
-    decider: _Fragment,
-    revocation: Act,
-    messages: list[MessageFlow],
-) -> None:
+def _add_episode(revoker: _Side, decider: _Side, revocation: Act, messages: _Messages) -> None:
     """One revocation episode on both sides, as the engine states it.
 
     The ``REVOKER`` asks on an environment trigger and the other role
@@ -384,27 +368,26 @@ def _add_episode(
     """
     slug = SLUG_FOR_ACT[revocation]
     allowed = f"performed:{SLUG_FOR_ACT[REVOCATION_TARGET[revocation]]}"
-    names = revoker.names
 
     def message(
-        sender: _Fragment, receiver: _Fragment, msg_slug: str, send_template: str, catch_template: str
-    ) -> tuple[str, str]:
-        send = sender.add(msg_slug, NodeKind.SEND_TASK, name=names[send_template])
-        catch = receiver.add(msg_slug, NodeKind.MESSAGE_CATCH, name=names[catch_template])
-        messages.append(MessageFlow(f"mf_{send}__{catch}", send, catch))
+        sender: _Side, receiver: _Side, msg_slug: str, send_template: str, catch_template: str
+    ) -> tuple[int, int]:
+        send = sender.add(msg_slug, NodeKind.SEND_TASK, name=send_template)
+        catch = receiver.add(msg_slug, NodeKind.MESSAGE_CATCH, name=catch_template)
+        messages.append((sender.role, send, catch))
         return send, catch
 
-    def extend(frag: _Fragment, node: str) -> None:
+    def extend(side: _Side, node: int) -> None:
         # the one step forward out of the decision is the allow branch
-        frag.connect(frag.last, node, label=allowed if frag.last == decide else "")
-        frag.last = node
+        side.connect(side.last, node, label=allowed if side is decider and side.last == decide else "")
+        side.last = node
 
-    def pass_turn(sender: _Fragment, receiver: _Fragment, *slug_and_templates: str) -> None:
+    def pass_turn(sender: _Side, receiver: _Side, *slug_and_templates: str) -> None:
         send, catch = message(sender, receiver, *slug_and_templates)
         extend(sender, send)
         extend(receiver, catch)
 
-    trigger = revoker.add(slug, NodeKind.MESSAGE_CATCH, name=names[_CONSIDER_NAMES[revocation]])
+    trigger = revoker.add(slug, NodeKind.MESSAGE_CATCH, name=_CONSIDER_NAMES[revocation])
     send, catch = message(revoker, decider, slug, _SEND_NAMES[revocation], _CATCH_NAMES[revocation])
     wait = revoker.add(slug, NodeKind.EVENT_BASED_GATEWAY)
     decide = decider.add(slug, NodeKind.EXCLUSIVE_GATEWAY)
@@ -442,15 +425,50 @@ def _add_episode(
 
     landing = LANDING_PHASE[revocation]
     if landing is Phase.TERMINATED:
-        for frag in (turn, other):
-            extend(frag, frag.add("terminated", NodeKind.TERMINATE_END_EVENT, name=names["{} terminated"]))
+        for side in (turn, other):
+            extend(side, side.add("terminated", NodeKind.TERMINATE_END_EVENT, name="{} terminated"))
         return
     pass_turn(turn, other, _REPOSITION_SLUG[landing], "Reposition {}", "Receive reposition {}")
-    for frag in (turn, other):
-        split = frag.add(slug, NodeKind.PARALLEL_GATEWAY)
-        extend(frag, split)
-        frag.connect(split, frag.marks["revoke"])
-        frag.connect(split, frag.marks[landing], label="reposition")
+    for side in (turn, other):
+        split = side.add(slug, NodeKind.PARALLEL_GATEWAY)
+        extend(side, split)
+        side.connect(split, side.marks["revoke"])
+        side.connect(split, side.marks[landing], label="reposition")
+
+
+@cache
+def _pattern(level: DetailLevel) -> _Pattern:
+    """The level's pattern, derived on the first compile at that level; every
+    transaction after replays it, and nothing changes it."""
+    return _project(LEVEL_ALPHABETS[level])
+
+
+def _build_transaction(tk: Transaction, level: DetailLevel) -> tuple[dict[Role, _Fragment], list[MessageFlow]]:
+    """Both sides of ``tk`` and their message flows, replayed from the level's
+    pattern.  Each distinct name is formatted once, so that a model holds one
+    string per distinct name; a name without a field is the pattern's own."""
+    pattern = _pattern(level)
+    tk_slug = slugify_tk(tk.id)
+    names = {name: name.format(tk.name) if "{" in name else name for name in pattern.names}
+    frags, ids = {}, []
+    for role, side in pattern.sides.items():
+        at = [tk_slug + node[0] for node in side.nodes]
+        ids += at
+        nodes = [
+            FlowNode(
+                node_id, kind, names[name],
+                None if attached_to is None else at[attached_to],
+                None if compensates is None else at[compensates],
+            )
+            for node_id, (_, kind, name, attached_to, compensates) in zip(at, side.nodes)
+        ]
+        flows = [SequenceFlow(f"sf_{at[s]}__{at[t]}", at[s], at[t], label) for s, t, label in side.flows]
+        associations = [Association(f"as_{at[s]}__{at[t]}", at[s], at[t]) for s, t in side.associations]
+        marks = {key: at[node] for key, node in side.marks.items()}
+        frags[role] = _Fragment(tk_slug, role, nodes, flows, associations, marks)
+    return frags, [
+        MessageFlow(f"mf_{ids[send]}__{ids[catch]}", ids[send], ids[catch]) for send, catch in pattern.messages
+    ]
 
 
 def _splice(parent_frag: _Fragment, children: list[_Fragment], kind: DependencyKind) -> None:
@@ -510,8 +528,6 @@ def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnMo
         tk = net.transaction(tk_id)
         frags, flows = _build_transaction(tk, level)
         message_flows += flows
-        if level is DetailLevel.COMPLETE:
-            message_flows += _add_revocation_zones(frags)
         for role, frag in frags.items():
             fragments[(tk_id, role)] = frag
             hosts.append((tk.initiator if role is Role.INITIATOR else tk.executor, frag))
@@ -562,8 +578,6 @@ def act_census(model: BpmnModel) -> dict[tuple[str, Act], list[str]]:
     Keys are present only for acts with at least one node; transaction keys
     use the slugified id as found in node ids.
     """
-    from .model import parse_node_id
-
     census: dict[tuple[str, Act], list[str]] = {}
     for node in model.all_nodes():
         meta = parse_node_id(node.id)

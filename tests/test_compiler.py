@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import hashlib
 import random
 from pathlib import Path
 
 import pytest
 
+from demoflow import compiler
 from demoflow.compiler import (
     CompileError,
     DetailLevel,
@@ -32,8 +35,11 @@ from demoflow.engine import (
 )
 from demoflow.model import ROLE_TAG, SLUG_FOR_ACT, NodeKind, lint_model, parse_node_id
 from demoflow.network import DependencyKind, load_network
+from demoflow.xmlio import parse_model, serialize_model
 
-from test_simulator import _fan_net
+from conftest import make_solo_network
+from test_simulator import _chain_net, _fan_net
+from test_xmlio import XML_SHA256
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -271,6 +277,62 @@ def test_equal_node_names_share_one_string(poc2_net):
     for node in nodes:
         assert first.setdefault(node.name, node.name) is node.name, node.id
     assert len(first) < len(nodes) / 2
+
+
+def test_replays_share_no_record_and_leave_the_pattern_as_derived(poc2_net):
+    # every level's pattern is replayed per transaction; splicing removes
+    # nodes and flows (the RaP chain's end events, the RaD fan's starts) from
+    # the replayed lists only, and callers may change a model in place
+    models = [compile_network(poc2_net, DetailLevel.COMPLETE)]
+    for net in (_chain_net(DependencyKind.RAP, 3), _fan_net(DependencyKind.RAD, 2)):
+        models += [compile_network(net, level) for level in LEVELS]
+    models.append(compile_network(poc2_net, DetailLevel.COMPLETE))
+    first, again = (serialize_model(model) for model in (models[0], models[-1]))
+    assert first == again
+    assert hashlib.sha256(again).hexdigest() == XML_SHA256[("poc2_net", DetailLevel.COMPLETE)][0]
+    records = [record for model in models for record in _records(model)]
+    assert len({id(record) for record in records}) == len(records)
+
+
+def test_the_revocation_zone_is_derived_once_per_level(poc2_net, monkeypatch):
+    episodes = []
+
+    def add_episode(*args):
+        episodes.append(args[2])
+        derive(*args)
+
+    derive = compiler._add_episode
+    monkeypatch.setattr(compiler, "_add_episode", add_episode)
+    compiler._pattern.cache_clear()
+    for level in LEVELS * 2:
+        compile_network(poc2_net, level)
+    assert sorted(episodes, key=REVOCATIONS.index) == list(REVOCATIONS)
+
+
+def _records(model):
+    """Every list a model holds, and every record in them."""
+    for items in (model.pools, model.message_flows, *(
+        owned for pool in model.pools for owned in (pool.nodes, pool.flows, pool.associations)
+    )):
+        yield items
+        yield from items
+
+
+@pytest.mark.parametrize("name", ["{}", "{0}", "{{}}", "%s", '&<>"'])
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: level.value)
+def test_names_are_formatted_into_their_templates_once(name, level):
+    solo = make_solo_network()
+    net = dataclasses.replace(solo, transactions=(dataclasses.replace(solo.transactions[0], name=name),))
+    expected = {"tk01_i_entry_start": f"Start {name}", "tk01_e_done_end": f"{name} done"}
+    if level is DetailLevel.COMPLETE:
+        expected |= {
+            "tk01_e_revokepromise_catch": f"Consider RevokePromise {name}",
+            "tk01_i_terminated_tend": f"{name} terminated",
+        }
+    model = compile_network(net, level)
+    for found in (model, parse_model(serialize_model(model))):
+        names = {node.id: node.name for node in found.all_nodes()}
+        assert {node_id: names[node_id] for node_id in expected} == expected
 
 
 def test_compile_rejects_invalid_network():
