@@ -29,7 +29,8 @@ Transactions share pools by actor: a child transaction's initiator fragment
 is spliced into its parent's executor flow after the act its dependency
 kind's rule names, inside that flow or beside it (``DEPENDENCY_RULES``).
 All ids are deterministic functions of the network, so compiling twice
-yields identical models.
+yields identical models; flows, message flows and associations get no id
+here, each forms its own from its endpoints (see ``model._Link``).
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class _Fragment:
         return node_id
 
     def connect(self, source: str, target: str, label: str = "") -> None:
-        self.flows.append(SequenceFlow(f"sf_{source}__{target}", source, target, label))
+        self.flows.append(SequenceFlow(None, source, target, label))
 
     def disconnect(self, source: str) -> str:
         """Remove the unique outgoing flow of a node; returns the old target."""
@@ -462,13 +463,11 @@ def _build_transaction(tk: Transaction, level: DetailLevel) -> tuple[dict[Role, 
             )
             for node_id, (_, kind, name, attached_to, compensates) in zip(at, side.nodes)
         ]
-        flows = [SequenceFlow(f"sf_{at[s]}__{at[t]}", at[s], at[t], label) for s, t, label in side.flows]
-        associations = [Association(f"as_{at[s]}__{at[t]}", at[s], at[t]) for s, t in side.associations]
+        flows = [SequenceFlow(None, at[s], at[t], label) for s, t, label in side.flows]
+        associations = [Association(None, at[s], at[t]) for s, t in side.associations]
         marks = {key: at[node] for key, node in side.marks.items()}
         frags[role] = _Fragment(tk_slug, role, nodes, flows, associations, marks)
-    return frags, [
-        MessageFlow(f"mf_{ids[send]}__{ids[catch]}", ids[send], ids[catch]) for send, catch in pattern.messages
-    ]
+    return frags, [MessageFlow(None, ids[send], ids[catch]) for send, catch in pattern.messages]
 
 
 def _splice(parent_frag: _Fragment, children: list[_Fragment], kind: DependencyKind) -> None:

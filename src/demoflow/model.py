@@ -14,7 +14,8 @@ compiled once: the simulator checks ids against it, and parse_node_id reads
 an id's fields through it, recovering the transaction, role and act.  That
 is what lets the simulator and the coverage auditor treat generated and
 re-parsed models identically.  Control beyond the graph itself is carried by flow guards (see
-``SequenceFlow``).
+``SequenceFlow``).  Sequence flows, message flows and associations form
+their ids from their endpoints (see ``_Link``).
 """
 
 from __future__ import annotations
@@ -116,10 +117,56 @@ class FlowNode:
     compensates: Optional[str] = None  # compensation throws: the task to undo
 
 
-@dataclass(slots=True)
-class SequenceFlow:
-    """A sequence flow.  Its ``label``, written as the flow's ``name``, is a
-    guard the simulator obeys:
+class _Link:
+    """A directed link between two flow nodes.  Its id is formed from its
+    endpoints when read, ``<prefix><source>__<target>``, and the record
+    stores an id only when it is not that canonical one (a foreign model's
+    ``f1``, say).  The constructor and the ``id`` setter take ``None`` or the
+    canonical id to mean "formed", so a compiled record equals the record
+    parsed back from its XML.  Reassigning an endpoint moves a formed id with
+    it and leaves a stored one as it is."""
+
+    # The canonical id is spelled out wherever it is needed, not behind a
+    # helper: the constructors run once per link compiled or parsed, and the
+    # getter once per link linted or written.
+    __slots__ = ("_id", "source", "target")
+    _PREFIX = ""
+
+    def __init__(self, id: Optional[str], source: str, target: str) -> None:
+        self.source = source
+        self.target = target
+        self._id = None if id is None or id == f"{self._PREFIX}{source}__{target}" else id
+
+    @property
+    def id(self) -> str:
+        if self._id is None:
+            return f"{self._PREFIX}{self.source}__{self.target}"
+        return self._id
+
+    @id.setter
+    def id(self, id: Optional[str]) -> None:
+        self._id = None if id is None or id == f"{self._PREFIX}{self.source}__{self.target}" else id
+
+    def _state(self) -> tuple:
+        return self._id, self.source, self.target
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._state() == other._state()
+
+    __hash__ = None  # mutable, like the other model records
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(id={self.id!r}, source={self.source!r}, target={self.target!r})"
+
+
+class SequenceFlow(_Link):
+    """A sequence flow.  Its id is built from its endpoints,
+    ``sf_<source>__<target>``; the record stores an id only when it comes
+    from a foreign model that named the flow otherwise (see ``_Link``).
+    Its ``label``, written as the flow's ``name``, is a guard the simulator
+    obeys:
 
     - ``rerequest`` / ``redeclare``: a loop branch, open while the loop's
       Request / Declare is still allowed;
@@ -137,24 +184,39 @@ class SequenceFlow:
     Other labels (``accept``, ``stop``, ...) only name a branch.
     """
 
-    id: str
-    source: str
-    target: str
-    label: str = ""
+    __slots__ = ("label",)
+    _PREFIX = "sf_"
+
+    def __init__(self, id: Optional[str], source: str, target: str, label: str = "") -> None:
+        # no super() call: the compiler makes tens of thousands of these
+        self.source = source
+        self.target = target
+        self.label = label
+        self._id = None if id is None or id == f"{self._PREFIX}{source}__{target}" else id
+
+    def _state(self) -> tuple:
+        return self._id, self.source, self.target, self.label
+
+    def __repr__(self) -> str:
+        return f"{super().__repr__()[:-1]}, label={self.label!r})"
 
 
-@dataclass(slots=True)
-class MessageFlow:
-    id: str
-    source: str
-    target: str
+class MessageFlow(_Link):
+    """A message flow, its id built from its endpoints as
+    ``mf_<source>__<target>`` unless a foreign model named it otherwise
+    (see ``_Link``)."""
+
+    __slots__ = ()
+    _PREFIX = "mf_"
 
 
-@dataclass(slots=True)
-class Association:
-    id: str
-    source: str  # boundary event
-    target: str  # compensation handler
+class Association(_Link):
+    """A boundary event's (source) link to its compensation handler
+    (target), its id built from its endpoints as ``as_<source>__<target>``
+    unless a foreign model named it otherwise (see ``_Link``)."""
+
+    __slots__ = ()
+    _PREFIX = "as_"
 
 
 @dataclass(slots=True)
@@ -223,8 +285,12 @@ def lint_model(model: BpmnModel) -> list[LintFinding]:
     def add(rule: str, subjects: Iterable[str], message: str) -> None:
         findings.append(LintFinding(rule, tuple(subjects), message))
 
-    # nodes, sequence flows, message flows and associations share one XML id space
-    ids = [node.id for node in model.all_nodes()]
+    # the collaboration, pools, processes, nodes, sequence flows, message
+    # flows and associations share one XML id space
+    ids = [model.id]
+    for pool in model.pools:
+        ids += [pool.id, pool.process_id]
+    ids += [node.id for node in model.all_nodes()]
     for pool in model.pools:
         ids += [flow.id for flow in pool.flows]
         ids += [assoc.id for assoc in pool.associations]

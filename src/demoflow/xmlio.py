@@ -20,8 +20,8 @@ models.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from operator import attrgetter
-from typing import Union
+from operator import attrgetter, itemgetter
+from typing import Iterable, TypeVar, Union
 
 from .model import (
     Association,
@@ -62,6 +62,15 @@ _NODE_FORMS = {
 }
 
 _by_id = attrgetter("id")
+
+_LinkT = TypeVar("_LinkT", SequenceFlow, MessageFlow, Association)
+
+
+def _id_order(links: Iterable[_LinkT]) -> list[tuple[str, _LinkT]]:
+    """Each link with its id, formed once, sorted by id; links sharing an id
+    keep their order, and records are never compared."""
+    return sorted([(link.id, link) for link in links], key=itemgetter(0))
+
 
 _NODE_SIZES = {
     NodeKind.TASK: (100, 80),
@@ -152,19 +161,19 @@ def serialize_model(model: BpmnModel, layout: bool = False) -> bytes:
     for pool, _ in pools:
         attrs = _named(f' id="{_attr(pool.id)}"', pool.name)
         members.append(f'    <participant{attrs} processRef="{_attr(pool.process_id)}" />')
-    for flow in sorted(model.message_flows, key=_by_id):
-        members.append(f'    <messageFlow id="{_attr(flow.id)}"{_ends(flow)} />')
+    for flow_id, flow in _id_order(model.message_flows):
+        members.append(f'    <messageFlow id="{_attr(flow_id)}"{_ends(flow)} />')
     _element(lines, "  ", "collaboration", f' id="{model_id}"', members)
 
     for pool, nodes in pools:
         body: list[str] = []
         for node in nodes:
             _node_lines(body, node)
-        for flow in sorted(pool.flows, key=_by_id):
-            attrs = _named(f' id="{_attr(flow.id)}"', flow.label)
+        for flow_id, flow in _id_order(pool.flows):
+            attrs = _named(f' id="{_attr(flow_id)}"', flow.label)
             body.append(f"    <sequenceFlow{attrs}{_ends(flow)} />")
-        for assoc in sorted(pool.associations, key=_by_id):
-            body.append(f'    <association id="{_attr(assoc.id)}"{_ends(assoc)} />')
+        for assoc_id, assoc in _id_order(pool.associations):
+            body.append(f'    <association id="{_attr(assoc_id)}"{_ends(assoc)} />')
         _element(lines, "  ", "process", f' id="{_attr(pool.process_id)}" isExecutable="false"', body)
 
     if layout:

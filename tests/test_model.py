@@ -23,6 +23,9 @@ from demoflow.model import (
     parse_node_id,
     slugify_tk,
 )
+from demoflow.network import DependencyKind, parse_network, validate_network
+from demoflow.xmlio import parse_model
+from test_simulator import _chain_net, _fan_net
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +361,138 @@ def test_elements_of_different_kinds_share_one_id_space():
     assert [f for f in lint_model(model) if f.rule == "DuplicateId"] == [
         LintFinding("DuplicateId", ("n2",), "2 model elements share this id"),
         LintFinding("DuplicateId", ("f0",), "2 model elements share this id"),
+    ]
+
+
+def test_pools_processes_and_the_collaboration_share_the_id_space():
+    nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
+    for model_id, pool_id, process_id, clash in [
+        ("m", "n1", "proc_a", "n1"),  # a pool named like a node
+        ("m", "pool_a", "f0", "f0"),  # a process named like a sequence flow
+        ("pool_a", "pool_a", "proc_a", "pool_a"),  # the collaboration named like a pool
+        ("m", "pool_a", "pool_a", "pool_a"),  # a pool named like its own process
+    ]:
+        model = _model(nodes, flows)
+        model.id, model.pools[0].id, model.pools[0].process_id = model_id, pool_id, process_id
+        assert lint_model(model) == [
+            LintFinding("DuplicateId", (clash,), "2 model elements share this id")
+        ], clash
+
+
+def test_two_participants_with_one_id_are_a_duplicate_id():
+    doc = """<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL" id="d">
+      <collaboration id="c">
+        <participant id="p" processRef="proc_a"/>
+        <participant id="p" processRef="proc_b"/>
+      </collaboration>
+      <process id="proc_a"><startEvent id="s1"/></process>
+      <process id="proc_b"><startEvent id="s2"/></process>
+    </definitions>"""
+    model = parse_model(doc)
+    assert [pool.id for pool in model.pools] == ["p", "p"]
+    assert [f for f in lint_model(model) if f.rule == "DuplicateId"] == [
+        LintFinding("DuplicateId", ("p",), "2 model elements share this id")
+    ]
+
+
+def test_a_node_named_like_a_pool_is_a_duplicate_id():
+    # transaction POOL's initiator send task is pool_i_request_sendtask, the
+    # id of the pool of actor i_request_sendtask
+    net = parse_network({
+        "actors": [{"id": "A", "name": "Customer"}, {"id": "i_request_sendtask", "name": "Supplier"}],
+        "transactions": [{
+            "id": "POOL",
+            "name": "pooling",
+            "initiator": "A",
+            "executor": "i_request_sendtask",
+            "result": {"id": "PK01", "phrase": "[pool] has been formed"},
+        }],
+        "dependencies": [],
+    })
+    assert validate_network(net) == []
+    model = compile_network(net, DetailLevel.HAPPY_FLOW)
+    assert "pool_i_request_sendtask" in {node.id for node in model.all_nodes()}
+    assert lint_model(model) == [
+        LintFinding("DuplicateId", ("pool_i_request_sendtask",), "2 model elements share this id")
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Link ids: formed from the endpoints, stored only when foreign
+# ---------------------------------------------------------------------------
+
+#: Composed networks the derived-id tests compile beside poc2: a chain of
+#: three and a fan of two children for each dependency kind.
+LINKED_NETS = {
+    **{f"chain3-{kind.value}": _chain_net(kind, 3) for kind in DependencyKind},
+    **{f"fan2-{kind.value}": _fan_net(kind, 2) for kind in DependencyKind},
+}
+
+_PREFIXES = {SequenceFlow: "sf_", MessageFlow: "mf_", Association: "as_"}
+
+
+def links(model):
+    """Every sequence flow, message flow and association of ``model``."""
+    found = list(model.message_flows)
+    for pool in model.pools:
+        found += pool.flows + pool.associations
+    return found
+
+
+@pytest.mark.parametrize("net_name", ["poc2", *LINKED_NETS])
+@pytest.mark.parametrize("level", list(DetailLevel), ids=lambda level: level.value)
+def test_compiled_links_store_no_id(net_name, level, poc2_net):
+    model = compile_network(poc2_net if net_name == "poc2" else LINKED_NETS[net_name], level)
+    found = links(model)
+    assert {type(link) for link in found} >= {SequenceFlow, MessageFlow}
+    for link in found:
+        assert link._id is None, link
+        assert link.id == f"{_PREFIXES[type(link)]}{link.source}__{link.target}"
+
+
+@pytest.mark.parametrize("record", [SequenceFlow, MessageFlow, Association])
+def test_the_canonical_id_is_not_stored(record):
+    prefix = _PREFIXES[record]
+    formed = record(None, "a", "b")
+    given = record(f"{prefix}a__b", "a", "b")
+    assert given == formed and given._id is None and given.id == f"{prefix}a__b"
+    foreign = record("f1", "a", "b")
+    assert foreign != formed and foreign._id == "f1"
+    foreign.id = f"{prefix}a__b"
+    assert foreign == formed
+    foreign.id = ""
+    assert foreign._id == "" and foreign.id == ""
+
+
+def test_equality_needs_the_same_record_type():
+    assert MessageFlow(None, "a", "b") != Association(None, "a", "b")
+    assert SequenceFlow(None, "a", "b", "spawn") != SequenceFlow(None, "a", "b")
+
+
+def test_a_formed_id_follows_its_endpoints():
+    formed = SequenceFlow(None, "a", "b")
+    stored = SequenceFlow("f1", "a", "b")
+    formed.target = stored.target = "c"
+    assert formed.id == "sf_a__c"
+    assert stored.id == "f1"
+    formed.source, formed.target = formed.target, formed.source
+    assert formed.id == "sf_c__a"
+
+
+def test_two_flows_between_one_pair_are_a_duplicate_id():
+    nodes, _ = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
+    flows = [SequenceFlow(None, "n0", "n1"), SequenceFlow(None, "n1", "n2"), SequenceFlow(None, "n0", "n1")]
+    assert [f for f in lint_model(_model(nodes, flows)) if f.rule == "DuplicateId"] == [
+        LintFinding("DuplicateId", ("sf_n0__n1",), "2 model elements share this id")
+    ]
+
+
+def test_a_stored_id_equal_to_a_formed_one_is_a_duplicate_id():
+    nodes, _ = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
+    flows = [SequenceFlow("sf_n1__n2", "n0", "n1"), SequenceFlow(None, "n1", "n2")]
+    assert flows[0]._id == "sf_n1__n2"
+    assert lint_model(_model(nodes, flows)) == [
+        LintFinding("DuplicateId", ("sf_n1__n2",), "2 model elements share this id")
     ]
 
 

@@ -29,6 +29,7 @@ from demoflow.xmlio import (
     parse_model,
     serialize_model,
 )
+from test_model import LINKED_NETS, links
 from test_simulator import MIXED_TREE, _fan_net
 
 LEVELS = list(DetailLevel)
@@ -525,6 +526,58 @@ def test_every_node_kind_reads_back():
         assert back.flows == sorted(pool.flows, key=lambda f: f.id)
         assert back.associations == pool.associations
         assert (back.id, back.process_id, back.name) == (pool.id, pool.process_id, pool.name)
+
+
+@pytest.mark.parametrize("net_name", ["poc2", *LINKED_NETS])
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: level.value)
+def test_parsed_links_equal_the_compiled_ones(net_name, level, poc2_net):
+    model = compile_network(poc2_net if net_name == "poc2" else LINKED_NETS[net_name], level)
+    parsed = parse_model(serialize_model(model))
+    assert all(link._id is None for link in links(parsed))
+    assert parsed.message_flows == sorted(model.message_flows, key=lambda f: f.id)
+    for pool, back in zip(sorted(model.pools, key=lambda p: p.id), parsed.pools):
+        assert back.flows == sorted(pool.flows, key=lambda f: f.id)
+        assert back.associations == sorted(pool.associations, key=lambda a: a.id)
+
+
+def test_foreign_link_ids_round_trip():
+    nodes = [
+        FlowNode("s", NodeKind.START_EVENT),
+        FlowNode("t", NodeKind.TASK),
+        FlowNode("b", NodeKind.COMPENSATION_BOUNDARY, attached_to="t"),
+        FlowNode("h", NodeKind.COMPENSATION_HANDLER),
+        FlowNode("e", NodeKind.END_EVENT),
+    ]
+    pool = Pool(
+        "pool_a", "proc_a", "A", "a", nodes=nodes,
+        flows=[SequenceFlow("f1", "s", "t"), SequenceFlow("", "t", "e", "go")],
+        associations=[Association("", "b", "h")],
+    )
+    other = Pool("pool_b", "proc_b", "B", "b", nodes=[FlowNode("c", NodeKind.MESSAGE_START_EVENT)])
+    model = BpmnModel("m", pools=[pool, other], message_flows=[MessageFlow("", "t", "c")])
+    data = serialize_model(model)
+    assert b'<sequenceFlow id="f1" sourceRef="s" targetRef="t" />' in data
+    assert b'<sequenceFlow id="" name="go" sourceRef="t" targetRef="e" />' in data
+    assert b'<association id="" sourceRef="b" targetRef="h" />' in data
+    assert b'<messageFlow id="" sourceRef="t" targetRef="c" />' in data
+    parsed = parse_model(data)
+    assert sorted(link._id for link in links(parsed)) == ["", "", "", "f1"]
+    assert serialize_model(parsed) == data
+    _assert_matches_reference(model)
+
+
+def test_links_sharing_an_id_keep_their_order():
+    # the writer sorts by id alone: links with one id stay in model order,
+    # and no two records are compared
+    nodes = [FlowNode(node_id, NodeKind.TASK) for node_id in "abcd"]
+    flows = [SequenceFlow("f", "c", "d"), SequenceFlow("f", "a", "b"), SequenceFlow(None, "a", "d")]
+    for order in (flows, flows[::-1]):
+        data = serialize_model(BpmnModel("m", pools=[Pool("pool_a", "proc_a", "A", "a", nodes, order)]))
+        written = [line.strip() for line in data.decode().splitlines() if "<sequenceFlow" in line]
+        same_id = [f'id="f" sourceRef="{f.source}" targetRef="{f.target}"' for f in order if f.id == "f"]
+        assert written == [f"<sequenceFlow {attrs} />" for attrs in same_id] + [
+            '<sequenceFlow id="sf_a__d" sourceRef="a" targetRef="d" />'
+        ]
 
 
 def test_empty_collaboration_and_empty_pool_match_the_reference():
