@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``validate``    — structural soundness of a transaction network file
-* ``generate``    — compile a network into a BPMN collaboration file
+* ``generate``    — compile a network into a BPMN collaboration file, refusing
+  a model that fails lint (``lint_model``)
 * ``analyze``     — audit a BPMN model for transaction-act coverage
 * ``simulate``    — token-play a compiled network, exhaustively or randomly
 * ``conformance`` — compare a compiled network's traces with the engine
@@ -25,6 +26,7 @@ from pathlib import Path
 from .compiler import DetailLevel, compile_network
 from .coverage import classify_acts, render_matrix
 from .engine import Bounds
+from .model import lint_model
 from .network import load_network, validate_network
 from .simulator import (
     MAX_STATES,
@@ -68,6 +70,9 @@ def cmd_generate(args) -> int:
     if _fail(validate_network(net)):
         return 1
     model = compile_network(net, args.level)
+    # a valid network can still compile to ids the BPMN cannot hold apart
+    if _fail([f"error: {finding}" for finding in lint_model(model)]):
+        return 1
     Path(args.out).write_bytes(serialize_model(model, layout=args.layout_grid))
     return 0
 

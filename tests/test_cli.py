@@ -17,6 +17,7 @@ from demoflow.model import lint_model
 from demoflow.xmlio import parse_model
 
 from test_coverage import POC1_CSV
+from test_model import POOL_CLASH
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -210,6 +211,19 @@ def test_generate_rejects_ids_that_compile_alike(tmp_path, solo_file, capsys, id
     assert not out.exists()
     expected = "[TK01, TK_01]" if ids == "transactions" else "[A, a]"
     assert capsys.readouterr().err.count(f"error: IdCollision {expected}") == 2
+
+
+def test_generate_refuses_a_model_that_fails_lint(tmp_path, capsys):
+    network = tmp_path / "pool.json"
+    network.write_text(json.dumps(POOL_CLASH), encoding="utf-8")
+    out = tmp_path / "x.bpmn"
+    assert main(["validate", str(network)]) == 0
+    capsys.readouterr()
+    assert main(["generate", str(network), "--level", "happy", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: DuplicateId [pool_i_request_sendtask]: 2 model elements share this id\n"
+    )
 
 
 def test_generate_rejects_unknown_level(tmp_path):

@@ -395,20 +395,24 @@ def test_two_participants_with_one_id_are_a_duplicate_id():
     ]
 
 
+# A valid network whose model fails lint: transaction POOL's initiator send
+# task is pool_i_request_sendtask, the id of the pool of actor
+# i_request_sendtask.
+POOL_CLASH = {
+    "actors": [{"id": "A", "name": "Customer"}, {"id": "i_request_sendtask", "name": "Supplier"}],
+    "transactions": [{
+        "id": "POOL",
+        "name": "pooling",
+        "initiator": "A",
+        "executor": "i_request_sendtask",
+        "result": {"id": "PK01", "phrase": "[pool] has been formed"},
+    }],
+    "dependencies": [],
+}
+
+
 def test_a_node_named_like_a_pool_is_a_duplicate_id():
-    # transaction POOL's initiator send task is pool_i_request_sendtask, the
-    # id of the pool of actor i_request_sendtask
-    net = parse_network({
-        "actors": [{"id": "A", "name": "Customer"}, {"id": "i_request_sendtask", "name": "Supplier"}],
-        "transactions": [{
-            "id": "POOL",
-            "name": "pooling",
-            "initiator": "A",
-            "executor": "i_request_sendtask",
-            "result": {"id": "PK01", "phrase": "[pool] has been formed"},
-        }],
-        "dependencies": [],
-    })
+    net = parse_network(POOL_CLASH)
     assert validate_network(net) == []
     model = compile_network(net, DetailLevel.HAPPY_FLOW)
     assert "pool_i_request_sendtask" in {node.id for node in model.all_nodes()}

@@ -344,11 +344,13 @@ def test_wrong_root_element_is_rejected():
         parse_model("<processes/>")
 
 
-# --- the text writer against an ElementTree reference --------------------------
+# --- the text writer and the expat reader against ElementTree references ------
 #
 # The ElementTree writer that serialize_model replaced, kept as the reference
 # for its bytes.  One change: the diagram lays out the pools sorted by id, as
-# the processes are written.
+# the processes are written.  The ElementTree reader that parse_model
+# replaced, kept as the reference for its records and its errors: it builds
+# the whole element tree, then walks it.
 
 _REF_EVENT_KINDS = {
     NodeKind.START_EVENT: "startEvent",
@@ -483,9 +485,175 @@ def _reference_serialize(model: BpmnModel, layout: bool = False) -> bytes:
     return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
 
 
+class _RefLocalNames(dict):
+    """Qualified tag -> local name, filled on first use."""
+
+    def __missing__(self, tag: str) -> str:
+        local = self[tag] = tag.rsplit("}", 1)[-1]
+        return local
+
+
+_REF_FIXED_KINDS = {
+    "intermediateCatchEvent": NodeKind.MESSAGE_CATCH,
+    "receiveTask": NodeKind.MESSAGE_CATCH,
+    "boundaryEvent": NodeKind.COMPENSATION_BOUNDARY,
+    "sendTask": NodeKind.SEND_TASK,
+    "exclusiveGateway": NodeKind.EXCLUSIVE_GATEWAY,
+    "parallelGateway": NodeKind.PARALLEL_GATEWAY,
+    "inclusiveGateway": NodeKind.PARALLEL_GATEWAY,
+    "eventBasedGateway": NodeKind.EVENT_BASED_GATEWAY,
+    **dict.fromkeys(
+        ("task", "userTask", "serviceTask", "manualTask", "scriptTask",
+         "businessRuleTask", "callActivity", "subProcess"),
+        NodeKind.TASK,
+    ),
+}
+
+_REF_DEFINED_KINDS = {
+    "startEvent": ("messageEventDefinition", NodeKind.MESSAGE_START_EVENT, NodeKind.START_EVENT),
+    "endEvent": ("terminateEventDefinition", NodeKind.TERMINATE_END_EVENT, NodeKind.END_EVENT),
+}
+
+_REF_FLOW_NODE_TAGS = {*_REF_FIXED_KINDS, *_REF_DEFINED_KINDS, "intermediateThrowEvent"}
+
+_REF_IGNORED_TAGS = {
+    "documentation", "extensionElements", "laneSet", "lane",
+    "dataObject", "dataObjectReference", "dataStoreReference",
+    "ioSpecification", "property", "textAnnotation", "group",
+}
+
+
+def _reference_parse_node(element: ET.Element, tag: str, local: _RefLocalNames) -> FlowNode:
+    get = element.get
+    kind = _REF_FIXED_KINDS.get(tag)
+    if kind is NodeKind.TASK:
+        if get("isForCompensation") == "true":
+            kind = NodeKind.COMPENSATION_HANDLER
+    elif kind is NodeKind.COMPENSATION_BOUNDARY:
+        return FlowNode(get("id", ""), kind, get("name", ""), attached_to=get("attachedToRef") or None)
+    elif kind is None:
+        if tag == "intermediateThrowEvent":
+            compensates = None
+            for child in element:
+                if local[child.tag] == "compensateEventDefinition":
+                    compensates = child.get("activityRef")
+            return FlowNode(
+                get("id", ""), NodeKind.COMPENSATION_THROW, get("name", ""), compensates=compensates
+            )
+        definition, special, plain = _REF_DEFINED_KINDS[tag]
+        kind = special if any(local[child.tag] == definition for child in element) else plain
+    return FlowNode(get("id", ""), kind, get("name", ""))
+
+
+def _reference_parse(source) -> BpmnModel:
+    try:
+        root = ET.fromstring(source)
+    except ET.ParseError as exc:
+        raise ModelFormatError(f"invalid XML: {exc}") from exc
+    local = _RefLocalNames()
+    if local[root.tag] != "definitions":
+        raise ModelFormatError(f"expected <definitions> root, got <{local[root.tag]}>")
+
+    collaboration = None
+    processes: dict[str, ET.Element] = {}
+    for child in root:
+        tag = local[child.tag]
+        if tag == "collaboration":
+            if collaboration is not None:
+                raise ModelFormatError(f"second collaboration {child.get('id', '')!r}")
+            collaboration = child
+        elif tag == "process":
+            process_id = child.get("id", "")
+            if process_id in processes:
+                raise ModelFormatError(f"duplicate process id {process_id!r}")
+            processes[process_id] = child
+
+    model = BpmnModel(id="collaboration")
+    participants = []
+    if collaboration is not None:
+        model.id = collaboration.get("id", "collaboration")
+        for child in collaboration:
+            tag = local[child.tag]
+            if tag == "participant":
+                participants.append(child)
+            elif tag == "messageFlow":
+                get = child.get
+                model.message_flows.append(
+                    MessageFlow(get("id", ""), get("sourceRef", ""), get("targetRef", ""))
+                )
+    else:
+        for process_id in processes:
+            participant = ET.Element("participant")
+            participant.set("id", f"pool_{process_id}")
+            participant.set("processRef", process_id)
+            participants.append(participant)
+
+    pool_of_process: dict[str, str] = {}
+    for participant in participants:
+        process_id = participant.get("processRef", "")
+        pool_id = participant.get("id", "")
+        process = processes.get(process_id)
+        if process is None:
+            raise ModelFormatError(f"participant {pool_id} references missing process {process_id}")
+        if process_id in pool_of_process:
+            raise ModelFormatError(
+                f"process {process_id!r} is referenced by participants "
+                f"{pool_of_process[process_id]!r} and {pool_id!r}"
+            )
+        pool_of_process[process_id] = pool_id
+        pool = Pool(
+            id=pool_id,
+            process_id=process_id,
+            name=participant.get("name", ""),
+            actor_id=pool_id.removeprefix("pool_"),
+        )
+        for child in process:
+            tag = local[child.tag]
+            get = child.get
+            if tag == "sequenceFlow":
+                pool.flows.append(
+                    SequenceFlow(
+                        get("id", ""), get("sourceRef", ""), get("targetRef", ""), get("name", "")
+                    )
+                )
+            elif tag in _REF_FLOW_NODE_TAGS:
+                pool.nodes.append(_reference_parse_node(child, tag, local))
+            elif tag == "association":
+                pool.associations.append(
+                    Association(get("id", ""), get("sourceRef", ""), get("targetRef", ""))
+                )
+            elif tag not in _REF_IGNORED_TAGS:
+                raise ModelFormatError(f"unsupported flow element <{tag}>")
+        model.pools.append(pool)
+
+    unreferenced = next((p for p in processes if p not in pool_of_process), None)
+    if unreferenced is not None:
+        raise ModelFormatError(f"process {unreferenced!r} is referenced by no participant")
+    return model
+
+
+def _read(reader, source):
+    """What ``reader`` makes of ``source``: its model, or its error's type and message."""
+    try:
+        return reader(source)
+    except (ValueError, LookupError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _read_like_the_reference(source):
+    """The model or error parse_model gives, which must be the reference's."""
+    read = _read(parse_model, source)
+    assert read == _read(_reference_parse, source)
+    return read
+
+
 def _assert_matches_reference(model: BpmnModel) -> None:
+    """With and without the diagram, ``model`` is written as the reference
+    writer writes it and read back as the reference reader reads it."""
     for layout in (False, True):
-        assert serialize_model(model, layout=layout) == _reference_serialize(model, layout=layout)
+        data = serialize_model(model, layout=layout)
+        assert data == _reference_serialize(model, layout=layout)
+        _read_like_the_reference(data)
 
 
 def _every_kind_model() -> BpmnModel:
@@ -532,7 +700,7 @@ def test_every_node_kind_reads_back():
 @pytest.mark.parametrize("level", LEVELS, ids=lambda level: level.value)
 def test_parsed_links_equal_the_compiled_ones(net_name, level, poc2_net):
     model = compile_network(poc2_net if net_name == "poc2" else LINKED_NETS[net_name], level)
-    parsed = parse_model(serialize_model(model))
+    parsed = _read_like_the_reference(serialize_model(model))
     assert all(link._id is None for link in links(parsed))
     assert parsed.message_flows == sorted(model.message_flows, key=lambda f: f.id)
     for pool, back in zip(sorted(model.pools, key=lambda p: p.id), parsed.pools):
@@ -608,7 +776,8 @@ def test_composed_networks_match_the_reference(net_name, level):
 
 # Names and labels built from the characters XML escapes, non-ASCII text, lone
 # surrogates (written as character references) and any other character but
-# tab, LF and CR, whose escapes are pinned below.
+# tab, LF and CR, whose escapes are pinned below.  A document holding a
+# character XML cannot carry gives both readers the same error.
 _TEXT = st.text(
     st.sampled_from(list("&<>\"'€⁻¹ a\ud800"))
     | st.characters(blacklist_categories=(), blacklist_characters="\t\n\r"),
@@ -668,3 +837,223 @@ def test_layout_lists_pools_by_id(poc2_net):
     assert laid == serialize_model(model, layout=True)
     assert serialize_model(parse_model(laid), layout=True) == laid
     assert serialize_model(reversed_pools) == serialize_model(model)
+
+
+# --- foreign and multi-defect documents against the reference reader --------
+
+_DEFS = f'<definitions xmlns="{MODEL_NS}" id="d"'
+
+# Documents written by other tools, each with what it must read as: the pool
+# ids and, per pool, its nodes' (id, kind value) and its flows' ids.
+FOREIGN_DOCUMENTS = {
+    "bare process": (
+        f"""{_DEFS}>
+          <process id="orders">
+            <startEvent id="s"/><endEvent id="e"/>
+            <sequenceFlow id="f" sourceRef="s" targetRef="e"/>
+          </process>
+          <process id="billing"><task id="t"/></process>
+        </definitions>""",
+        ["pool_orders", "pool_billing"],
+    ),
+    "receiveTask and other flavours": (
+        f"""{_DEFS}>
+          <process id="p">
+            <receiveTask id="r"/><userTask id="u" isForCompensation="true"/>
+            <callActivity id="c"/><inclusiveGateway id="g"/><task id="t" isForCompensation="false"/>
+            <boundaryEvent id="b" attachedToRef=""/><boundaryEvent id="b2" attachedToRef="t"/>
+            <association sourceRef="b2" targetRef="u"/>
+          </process>
+        </definitions>""",
+        ["pool_p"],
+    ),
+    "subProcess with nested flow elements": (
+        f"""{_DEFS}>
+          <process id="p">
+            <startEvent id="s"/>
+            <subProcess id="sub" name="inner">
+              <startEvent id="inner_s"><messageEventDefinition/></startEvent>
+              <adHocSubProcess id="odd"/>
+              <sequenceFlow id="inner_f" sourceRef="inner_s" targetRef="inner_e"/>
+              <endEvent id="inner_e"/>
+            </subProcess>
+            <sequenceFlow id="f" sourceRef="s" targetRef="sub"/>
+          </process>
+        </definitions>""",
+        ["pool_p"],
+    ),
+    "lanes, documentation and extensionElements": (
+        f"""{_DEFS} xmlns:ext="urn:ext">
+          <documentation>a model</documentation>
+          <collaboration id="c">
+            <documentation>the parties</documentation>
+            <participant id="pool_a" name="A" processRef="p"><participantMultiplicity minimum="1"/></participant>
+            <messageFlow id="m" sourceRef="t" targetRef="x"><documentation>order</documentation></messageFlow>
+            <messageFlow sourceRef="t" targetRef="y"/>
+          </collaboration>
+          <process id="p">
+            <documentation>the process</documentation>
+            <extensionElements><ext:thing id="t9"/><task id="not_a_node"/></extensionElements>
+            <laneSet id="ls"><lane id="l1"><flowNodeRef>t</flowNodeRef></lane></laneSet>
+            <task id="t" name="Request"><documentation>the request</documentation></task>
+            <endEvent id="e"><documentation/><terminateEventDefinition/></endEvent>
+            <intermediateThrowEvent id="th"><compensateEventDefinition activityRef="t"/></intermediateThrowEvent>
+            <intermediateThrowEvent id="th2"><compensateEventDefinition activityRef="t"/><compensateEventDefinition/></intermediateThrowEvent>
+            <intermediateThrowEvent id="th3"><compensateEventDefinition activityRef=""/></intermediateThrowEvent>
+            <dataObject id="do"/><textAnnotation id="ta"><text>note</text></textAnnotation>
+            <sequenceFlow id="f" name="go" sourceRef="t" targetRef="e"><conditionExpression>x</conditionExpression></sequenceFlow>
+          </process>
+        </definitions>""",
+        ["pool_a"],
+    ),
+    "prefixed namespaces": (
+        f"""<bpmn:definitions xmlns:bpmn="{MODEL_NS}" xmlns:x="urn:x" id="d">
+          <bpmn:collaboration id="c">
+            <bpmn:participant id="pool_a" processRef="p" x:name="not the name"/>
+          </bpmn:collaboration>
+          <bpmn:process id="p">
+            <bpmn:startEvent id="s"><bpmn:messageEventDefinition/></bpmn:startEvent>
+            <x:endEvent id="e"/>
+            <bpmn:sequenceFlow id="f" sourceRef="s" targetRef="e" x:name="not a label"/>
+          </bpmn:process>
+        </bpmn:definitions>""",
+        ["pool_a"],
+    ),
+    "process after the diagram": (
+        f"""{_DEFS} xmlns:bpmndi="{DI_NS}" xmlns:dc="{DC_NS}">
+          <collaboration id="c"><participant id="pool_a" processRef="p"/></collaboration>
+          <bpmndi:BPMNDiagram id="dia">
+            <bpmndi:BPMNPlane id="plane" bpmnElement="c">
+              <bpmndi:BPMNShape id="shape_t" bpmnElement="t"><dc:Bounds x="0" y="0" width="1" height="1"/></bpmndi:BPMNShape>
+              <task id="diagram_task"/><process id="diagram_process"/>
+            </bpmndi:BPMNPlane>
+          </bpmndi:BPMNDiagram>
+          <process id="p"><task id="t"/><startEvent id="s"/></process>
+        </definitions>""",
+        ["pool_a"],
+    ),
+    "no namespace": (
+        """<definitions><process id="p"><task id="t"/><sequenceFlow/></process></definitions>""",
+        ["pool_p"],
+    ),
+    "ISO-8859-1 text": (
+        f"""<?xml version="1.0" encoding="ISO-8859-1"?>
+        {_DEFS}><process id="p"><task id="t" name="Café €"/></process></definitions>""",
+        ["pool_p"],
+    ),
+    "ISO-8859-1 bytes": (
+        f"""<?xml version="1.0" encoding="ISO-8859-1"?>
+        {_DEFS}><process id="p"><task id="t" name="Café"/></process></definitions>""".encode("latin-1"),
+        ["pool_p"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FOREIGN_DOCUMENTS))
+def test_foreign_documents_read_like_the_reference(name):
+    source, pool_ids = FOREIGN_DOCUMENTS[name]
+    model = _read_like_the_reference(source)
+    assert [pool.id for pool in model.pools] == pool_ids
+
+
+def test_a_text_document_is_read_as_unicode_whatever_it_declares():
+    source, _ = FOREIGN_DOCUMENTS["ISO-8859-1 text"]
+    assert parse_model(source).pools[0].nodes[0].name == "Café €"
+
+
+def test_foreign_records_are_read_as_the_reference_reads_them():
+    model = _read_like_the_reference(FOREIGN_DOCUMENTS["lanes, documentation and extensionElements"][0])
+    assert model.message_flows == [MessageFlow("m", "t", "x"), MessageFlow("", "t", "y")]
+    nodes = {node.id: node for node in model.pools[0].nodes}
+    assert list(nodes) == ["t", "e", "th", "th2", "th3"]
+    assert nodes["e"].kind is NodeKind.TERMINATE_END_EVENT
+    assert [nodes[n].compensates for n in ("th", "th2", "th3")] == ["t", None, ""]
+    nested = _read_like_the_reference(FOREIGN_DOCUMENTS["subProcess with nested flow elements"][0])
+    assert [(n.id, n.kind) for n in nested.pools[0].nodes] == [
+        ("s", NodeKind.START_EVENT), ("sub", NodeKind.TASK)
+    ]
+    assert [f.id for f in nested.pools[0].flows] == ["f"]
+
+
+# Documents both readers refuse, each with the message they refuse it with.
+REFUSED_DOCUMENTS = {
+    "wrong root, then malformed": (
+        "<processes><process id='p'></processes>",
+        "invalid XML: mismatched tag: line 1, column 29",
+    ),
+    "wrong root holding duplicate processes": (
+        "<processes><process id='p'/><process id='p'/></processes>",
+        "expected <definitions> root, got <processes>",
+    ),
+    "duplicate process, then a malformed tail": (
+        f"{_DEFS}><process id='p'/><process id='p'/></definitions><oops",
+        "invalid XML: junk after document element: line 1, column 120",
+    ),
+    "unsupported element, then a duplicate process": (
+        f"""{_DEFS}><process id="p"><adHocSubProcess id="x"/></process><process id="p"/></definitions>""",
+        "duplicate process id 'p'",
+    ),
+    "second collaboration, then a duplicate process": (
+        f"""{_DEFS}><collaboration id="c1"/><process id="p"/><collaboration id="c2"/>
+        <process id="p"/></definitions>""",
+        "second collaboration 'c2'",
+    ),
+    "duplicate process, then a second collaboration": (
+        f"""{_DEFS}><collaboration id="c1"/><process id="p"/><process id="p"/>
+        <collaboration/></definitions>""",
+        "duplicate process id 'p'",
+    ),
+    "missing process, then an unsupported element": (
+        f"""{_DEFS}><collaboration id="c"><participant id="pool_a" processRef="gone"/>
+        <participant id="pool_b" processRef="b"/></collaboration>
+        <process id="b"><adHocSubProcess id="x"/></process></definitions>""",
+        "participant pool_a references missing process gone",
+    ),
+    "unsupported element, then a missing process": (
+        f"""{_DEFS}><collaboration id="c"><participant id="pool_b" processRef="b"/>
+        <participant id="pool_a" processRef="gone"/></collaboration>
+        <process id="b"><startEvent id="s"/><messageEventDefinition/><lane/></process></definitions>""",
+        "unsupported flow element <messageEventDefinition>",
+    ),
+    "unsupported element in an unreferenced process": (
+        f"""{_DEFS}><collaboration id="c"/><process id="b"><adHocSubProcess/></process></definitions>""",
+        "process 'b' is referenced by no participant",
+    ),
+    "undeclared entity with an external DTD": (
+        '<!DOCTYPE definitions SYSTEM "bpmn.dtd"><definitions><task>&nbsp;</task></definitions>',
+        "invalid XML: undefined entity &nbsp;: line 1, column 59",
+    ),
+    "external entity": (
+        '<!DOCTYPE definitions [<!ENTITY ext SYSTEM "part.xml"><!ENTITY in "x&ext;">]>\n'
+        "<definitions>\n  <process>&in;</process></definitions>",
+        "invalid XML: undefined entity &ext;: line 3, column 11",
+    ),
+    "long undeclared entity name": (
+        f'<!DOCTYPE d SYSTEM "d.dtd"><d>&{"é" * 60};</d>',
+        "invalid XML: undefined entity &" + "é" * 49 + "�: line 1, column 30",
+    ),
+    "undeclared entity in a standalone document": (
+        '<?xml version="1.0" standalone="yes"?><!DOCTYPE d SYSTEM "d.dtd"><d>&x;</d>',
+        "invalid XML: undefined entity: line 1, column 68",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_DOCUMENTS))
+def test_refused_documents_read_like_the_reference(name):
+    source, message = REFUSED_DOCUMENTS[name]
+    assert _read_like_the_reference(source) == f"ModelFormatError: {message}"
+
+
+def test_an_undeclared_parameter_entity_is_not_an_error():
+    source = '<!DOCTYPE definitions [%external;]><definitions><process id="p"/></definitions>'
+    assert [pool.id for pool in _read_like_the_reference(source).pools] == ["pool_p"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [b'<?xml version="1.0" encoding="no-such-codec"?><definitions/>', "<definitions id='\ud800'/>"],
+    ids=["unknown encoding", "lone surrogate"],
+)
+def test_input_expat_cannot_decode_fails_as_with_the_reference(source):
+    assert not isinstance(_read_like_the_reference(source), BpmnModel)
