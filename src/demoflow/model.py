@@ -47,13 +47,6 @@ class NodeKind(Enum):
     COMPENSATION_THROW = "throw"
 
 
-GATEWAY_KINDS = frozenset(
-    {NodeKind.EXCLUSIVE_GATEWAY, NodeKind.PARALLEL_GATEWAY, NodeKind.EVENT_BASED_GATEWAY}
-)
-
-# Nodes that live outside the sequence-flow graph.
-_NO_FLOW_KINDS = frozenset({NodeKind.COMPENSATION_BOUNDARY, NodeKind.COMPENSATION_HANDLER})
-
 ACT_SLUGS: dict[str, Act] = {act.value.lower(): act for act in Act}
 SLUG_FOR_ACT: dict[Act, str] = {act: slug for slug, act in ACT_SLUGS.items()}
 
@@ -263,149 +256,152 @@ class LintFinding:
         return f"{self.rule} [{', '.join(self.subjects)}]: {self.message}"
 
 
-def _degree_rules(kind: NodeKind) -> tuple[Optional[int], Optional[int]]:
-    """(required min incoming, required min outgoing); None = must be zero."""
-    if kind in (NodeKind.START_EVENT, NodeKind.MESSAGE_START_EVENT):
-        return None, 1
-    if kind in (NodeKind.END_EVENT, NodeKind.TERMINATE_END_EVENT):
-        return 1, None
-    if kind in _NO_FLOW_KINDS:
-        return None, None
-    return 1, 1
+# Lint's kind table, by kind value (see lint_model).
+_NO_INCOMING = frozenset({"start", "mstart", "boundary", "handler"})
+_NO_OUTGOING = frozenset({"end", "tend", "boundary", "handler"})
 
 
 def lint_model(model: BpmnModel) -> list[LintFinding]:
     """Structural checks; an empty result is the generator's contract.
 
-    The rules are chosen so that removing any single sequence flow from a
-    generated model breaks at least one of them.
+    The kind table: start events take no incoming sequence flow, end events
+    no outgoing one, the boundary event and the handler neither, and every
+    other kind needs one of each.  The findings, in order:
+
+    - ``DuplicateId``: all elements share one XML id space;
+    - per sequence flow, ``DanglingFlow`` and ``CrossPoolSequenceFlow`` (a
+      flow joining two pools, or declared outside its source's pool);
+    - per message flow, ``DanglingFlow`` and ``MessageFlowInsidePool``;
+    - per node, ``DanglingFlow`` against the kind table,
+      ``EventBasedGatewayFanout``, ``DegenerateGateway``,
+      ``DegenerateDecision``, then ``DanglingFlow`` for a boundary event or
+      compensation throw naming a missing node;
+    - per association, ``DanglingFlow``;
+    - ``UnreachableNode``: no start event reaches the node, in any pool.
+
+    Removing any single sequence flow from a generated model breaks a rule.
     """
     findings: list[LintFinding] = []
 
     def add(rule: str, subjects: Iterable[str], message: str) -> None:
         findings.append(LintFinding(rule, tuple(subjects), message))
 
-    # the collaboration, pools, processes, nodes, sequence flows, message
-    # flows and associations share one XML id space
+    # One pass over the pools: the ids in order, and node -> pool as the node index.
     ids = [model.id]
+    nodes: list[FlowNode] = []
+    node_pools: list[str] = []
     for pool in model.pools:
-        ids += [pool.id, pool.process_id]
-    ids += [node.id for node in model.all_nodes()]
-    for pool in model.pools:
-        ids += [flow.id for flow in pool.flows]
-        ids += [assoc.id for assoc in pool.associations]
-    ids += [flow.id for flow in model.message_flows]
-    if len(set(ids)) < len(ids):
-        for element_id, count in Counter(ids).items():
-            if count > 1:
-                add("DuplicateId", (element_id,), f"{count} model elements share this id")
+        ids += pool.id, pool.process_id
+        nodes += pool.nodes
+        node_pools += [pool.id] * len(pool.nodes)
+    node_ids = [node.id for node in nodes]
+    ids += node_ids
+    pool_of = dict(zip(node_ids, node_pools))
 
-    index = model.node_index()
-    pool_of = model.pool_of()
-
-    incoming: dict[str, list[SequenceFlow]] = {}
+    # One pass over the links; an association's findings follow the nodes'.
+    incoming: dict[str, int] = {}
     outgoing: dict[str, list[SequenceFlow]] = {}
+    dangling_associations: list[tuple[str, str]] = []
     for pool in model.pools:
         for flow in pool.flows:
-            for end in (flow.source, flow.target):
-                if end not in index:
-                    add("DanglingFlow", (flow.id, end), "sequence flow endpoint does not exist")
-            outgoing.setdefault(flow.source, []).append(flow)
-            incoming.setdefault(flow.target, []).append(flow)
-            if (
-                flow.source in pool_of
-                and flow.target in pool_of
-                and pool_of[flow.source] != pool_of[flow.target]
-            ):
+            flow_id, source, target = flow.id, flow.source, flow.target
+            ids.append(flow_id)
+            incoming[target] = incoming.get(target, 0) + 1
+            outgoing.setdefault(source, []).append(flow)
+            source_pool = pool_of.get(source)
+            target_pool = pool_of.get(target)
+            if source_pool is None:
+                add("DanglingFlow", (flow_id, source), "sequence flow endpoint does not exist")
+            if target_pool is None:
+                add("DanglingFlow", (flow_id, target), "sequence flow endpoint does not exist")
+            elif source_pool is not None and source_pool != target_pool:
                 add(
                     "CrossPoolSequenceFlow",
-                    (flow.id, flow.source, flow.target),
+                    (flow_id, source, target),
                     "sequence flows may not cross pool boundaries",
                 )
-            if flow.source in pool_of and pool_of[flow.source] != pool.id:
+            if source_pool is not None and source_pool != pool.id:
                 add(
                     "CrossPoolSequenceFlow",
-                    (flow.id, pool.id),
+                    (flow_id, pool.id),
                     "sequence flow declared outside its endpoints' pool",
                 )
-
+        for assoc in pool.associations:
+            ids.append(assoc.id)
+            for end in (assoc.source, assoc.target):
+                if end not in pool_of:
+                    dangling_associations.append((assoc.id, end))
     for flow in model.message_flows:
-        for end in (flow.source, flow.target):
-            if end not in index:
-                add("DanglingFlow", (flow.id, end), "message flow endpoint does not exist")
-        if (
-            flow.source in pool_of
-            and flow.target in pool_of
-            and pool_of[flow.source] == pool_of[flow.target]
-        ):
+        flow_id, source, target = flow.id, flow.source, flow.target
+        ids.append(flow_id)
+        for end in (source, target):
+            if end not in pool_of:
+                add("DanglingFlow", (flow_id, end), "message flow endpoint does not exist")
+        if source in pool_of and target in pool_of and pool_of[source] == pool_of[target]:
             add(
                 "MessageFlowInsidePool",
-                (flow.id, flow.source, flow.target),
+                (flow_id, source, target),
                 "message flows must connect different pools",
             )
 
-    for node in model.all_nodes():
-        n_in = len(incoming.get(node.id, ()))
-        n_out = len(outgoing.get(node.id, ()))
-        need_in, need_out = _degree_rules(node.kind)
-        if need_in is None and n_in:
-            add("DanglingFlow", (node.id,), f"{node.kind.value} must not have incoming flows")
-        if need_in is not None and n_in < need_in:
-            add("DanglingFlow", (node.id,), f"{node.kind.value} requires an incoming flow")
-        if need_out is None and n_out:
-            add("DanglingFlow", (node.id,), f"{node.kind.value} must not have outgoing flows")
-        if need_out is not None and n_out < need_out:
-            add("DanglingFlow", (node.id,), f"{node.kind.value} requires an outgoing flow")
-        if node.kind is NodeKind.EVENT_BASED_GATEWAY and n_out < 2:
-            add(
-                "EventBasedGatewayFanout",
-                (node.id,),
-                f"event-based gateway must offer at least two events, has {n_out}",
-            )
-        if node.kind in GATEWAY_KINDS and n_in < 2 and n_out < 2:
-            add(
-                "DegenerateGateway",
-                (node.id,),
-                "gateway neither splits nor merges",
-            )
-        if node.kind is NodeKind.EXCLUSIVE_GATEWAY:
-            labeled = [f for f in outgoing.get(node.id, ()) if f.label]
-            if labeled and n_out < 2:
+    # One pass over the nodes.
+    starts: list[str] = []
+    walked: list[str] = []  # every node but the boundary event and handler
+    for node, node_id in zip(nodes, node_ids):
+        kind = node.kind._value_
+        n_in = incoming.get(node_id, 0)
+        n_out = len(outgoing.get(node_id, ()))
+        if kind in _NO_INCOMING:
+            if n_in:
+                add("DanglingFlow", (node_id,), f"{kind} must not have incoming flows")
+        elif not n_in:
+            add("DanglingFlow", (node_id,), f"{kind} requires an incoming flow")
+        if kind in _NO_OUTGOING:
+            if n_out:
+                add("DanglingFlow", (node_id,), f"{kind} must not have outgoing flows")
+        elif not n_out:
+            add("DanglingFlow", (node_id,), f"{kind} requires an outgoing flow")
+        if kind == "xor" or kind == "par" or kind == "ebg":
+            if kind == "ebg" and n_out < 2:
+                add(
+                    "EventBasedGatewayFanout",
+                    (node_id,),
+                    f"event-based gateway must offer at least two events, has {n_out}",
+                )
+            if n_in < 2 and n_out < 2:
+                add("DegenerateGateway", (node_id,), "gateway neither splits nor merges")
+            if kind == "xor" and n_out == 1 and outgoing[node_id][0].label:
                 add(
                     "DegenerateDecision",
-                    (node.id,),
+                    (node_id,),
                     "a guarded decision needs at least two outgoing branches",
                 )
-        if node.kind is NodeKind.COMPENSATION_BOUNDARY:
-            if node.attached_to is None or node.attached_to not in index:
-                add("DanglingFlow", (node.id,), "boundary event is not attached to a task")
-        if node.kind is NodeKind.COMPENSATION_THROW:
-            if node.compensates is not None and node.compensates not in index:
-                add("DanglingFlow", (node.id,), "compensation throw references a missing task")
+        elif kind == "start" or kind == "mstart":
+            starts.append(node_id)
+        elif kind == "throw" and node.compensates is not None and node.compensates not in pool_of:
+            add("DanglingFlow", (node_id,), "compensation throw references a missing task")
+        elif kind == "boundary" and (node.attached_to is None or node.attached_to not in pool_of):
+            add("DanglingFlow", (node_id,), "boundary event is not attached to a task")
+        if kind not in _NO_INCOMING or kind not in _NO_OUTGOING:
+            walked.append(node_id)
+    for subjects in dangling_associations:
+        add("DanglingFlow", subjects, "association endpoint does not exist")
 
-    for pool in model.pools:
-        for assoc in pool.associations:
-            for end in (assoc.source, assoc.target):
-                if end not in index:
-                    add("DanglingFlow", (assoc.id, end), "association endpoint does not exist")
-
-    # Reachability from start events along sequence flows, per pool.
+    # One walk from every start event along sequence flows, across pools.
     reachable: set[str] = set()
-    frontier = [
-        n.id
-        for n in model.all_nodes()
-        if n.kind in (NodeKind.START_EVENT, NodeKind.MESSAGE_START_EVENT)
-    ]
-    while frontier:
-        current = frontier.pop()
-        if current in reachable:
-            continue
-        reachable.add(current)
-        frontier.extend(f.target for f in outgoing.get(current, ()))
-    for node in model.all_nodes():
-        if node.kind in _NO_FLOW_KINDS:
-            continue
-        if node.id not in reachable:
-            add("UnreachableNode", (node.id,), "no path from any start event")
+    while starts:
+        current = starts.pop()
+        if current not in reachable:
+            reachable.add(current)
+            starts += [flow.target for flow in outgoing.get(current, ())]
+    for node_id in walked:
+        if node_id not in reachable:
+            add("UnreachableNode", (node_id,), "no path from any start event")
 
+    if len(set(ids)) < len(ids):  # reported first
+        findings[:0] = [
+            LintFinding("DuplicateId", (element_id,), f"{count} model elements share this id")
+            for element_id, count in Counter(ids).items()
+            if count > 1
+        ]
     return findings

@@ -470,19 +470,22 @@ class _Simulation:
         return range(self.first_out[node], self.first_out[node + 1])
 
     def _read_guards(self, sources: list[int], pars: list[int]) -> None:
-        """Splice and revocation-zone control, read from the flow guards:
-        ``guards`` maps a ``phase:`` flow to ``(its target's transaction,
-        phase, None)`` and a ``spawn`` flow to ``(child, None, its exit)``."""
+        """Branch, splice and revocation-zone control, read from the flow
+        guards once: ``branch_guards`` maps a ``performed:`` branch to its act
+        and a loop branch to None; ``guards`` maps a ``phase:`` flow to ``(its
+        target's transaction, phase, None)`` and a ``spawn`` flow (in
+        ``spawns`` with its source) to ``(child, None, exit_of[child])``."""
         tk_of, target, first_out, flows = self.tk_of, self.target, self.first_out, self.flows
         labels = list(map(_LABEL, flows))
+        self.branch_guards: dict[int, Optional[Act]] = {}
         self.guards: dict[int, tuple[int, Optional[Phase], Optional[int]]] = {}
         self.direct_children: dict[int, set[int]] = {}
         self.reposition_splits: set[int] = set()
-        spawns, reposition = [], set()
+        self.spawns, reposition = [], set()
         for f in compress(range(len(flows)), labels):
             label = labels[f]
             if label == "spawn":
-                spawns.append(f)
+                self.spawns.append((f, sources[f]))
                 self.direct_children.setdefault(tk_of[sources[f]], set()).add(tk_of[target[f]])
             elif label == "reposition":
                 reposition.add(f)
@@ -491,11 +494,15 @@ class _Simulation:
                 if label[6:] not in _GUARD_PHASES:
                     raise SimulationError(f"unknown guard {label} on {flows[f].id}")
                 self.guards[f] = (tk_of[target[f]], _GUARD_PHASES[label[6:]], None)
-            elif label.startswith("performed:") and label[10:] not in ACT_SLUGS:
-                raise SimulationError(f"unknown guard {label} on {flows[f].id}")
-        exit_of: dict[int, int] = {}  # a spawned child's one exit into its parent
+            elif label.startswith("performed:"):
+                if label[10:] not in ACT_SLUGS:
+                    raise SimulationError(f"unknown guard {label} on {flows[f].id}")
+                self.branch_guards[f] = ACT_SLUGS[label[10:]]
+            elif label == "rerequest" or label == "redeclare":
+                self.branch_guards[f] = None
+        self.exit_of: dict[int, int] = {}  # a spawned child's one exit into its parent
         # nodes whose steps may touch another transaction (see _footprint)
-        self.reaching = {sources[f] for f in spawns} | self.reposition_splits | {
+        self.reaching = {source for _, source in self.spawns} | self.reposition_splits | {
             node for node, task in self.compensates.items()
             if task is not None and tk_of[task] != tk_of[node]
         }
@@ -510,17 +517,17 @@ class _Simulation:
             child = tk_of[sources[f]]
             if (
                 waits
-                or child in exit_of
+                or child in self.exit_of
                 or child not in self.direct_children.get(tk_of[target[f]], ())
             ):
                 raise SimulationError(f"unrecognized cross-transaction flow {flows[f].id}")
-            exit_of[child] = f
-        for f in spawns:
-            child, siblings = tk_of[target[f]], self._out(sources[f])
+            self.exit_of[child] = f
+        for f, source in self.spawns:
+            child, siblings = tk_of[target[f]], self._out(source)
             # a child without an exit must leave its parent a token of its own
-            if child not in exit_of and all(labels[g] == "spawn" for g in siblings):
+            if child not in self.exit_of and all(labels[g] == "spawn" for g in siblings):
                 raise SimulationError(f"child {self.tks[child]} has no guarded splice exit")
-            self.guards[f] = (child, None, exit_of.get(child))
+            self.guards[f] = (child, None, self.exit_of.get(child))
         # the zone: all that a trigger gateway reaches short of a reposition flow
         gates = set(self.gate_triggers)
         successor = list(target)
@@ -677,13 +684,13 @@ class _Simulation:
         return branches
 
     def _branch_allowed(self, f: int, shadow: int) -> bool:
-        label = self.flows[f].label
-        if label == "rerequest" or label == "redeclare":
+        if f not in self.branch_guards:
+            return True
+        act = self.branch_guards[f]
+        if act is None:
             # a loop branch is open while its target's Request or Declare is
             return self._allows(shadow, self.target[f])
-        if label.startswith("performed:"):
-            return ACT_SLUGS[label[10:]] in self.states[shadow >> 2].state.history
-        return True
+        return act in self.states[shadow >> 2].state.history
 
     def _allows(self, shadow: int, node: int) -> bool:
         """Whether the engine's bounded step lets the node's act happen now."""
@@ -784,20 +791,16 @@ class _Simulation:
         of the footprints of every step at a node it reaches along sequence
         flows (and the exit a spawn guard may place on instead) and message
         flows.  A gate's triggers follow it by sequence flow."""
-        tk_of, target, guards = self.tk_of, self.target, self.guards
+        tk_of, target, first_out = self.tk_of, self.target, self.first_out
         masks = [1 << tk for tk in tk_of]  # a step outside reaching touches its own
         predecessors: list[list[int]] = [[] for _ in tk_of]
-        spawn_entries, exits = [], []  # flows into a transaction from another
-        for node, tk in enumerate(tk_of):
-            for f in self._out(node):
-                predecessors[target[f]].append(node)
-                guard = guards.get(f)
-                if guard is not None and guard[1] is None:
-                    spawn_entries.append(f)
-                    if guard[2] is not None:
-                        predecessors[target[guard[2]]].append(node)
-                elif tk_of[target[f]] != tk:
-                    exits.append(f)
+        for node in range(len(tk_of)):
+            for after in target[first_out[node]:first_out[node + 1]]:
+                predecessors[after].append(node)
+        for f, source in self.spawns:
+            exit_flow = self.guards[f][2]
+            if exit_flow is not None:
+                predecessors[target[exit_flow]].append(source)
         for source, targets in self.msg_out.items():
             for msg_target in targets:
                 if msg_target is not None:
@@ -824,10 +827,10 @@ class _Simulation:
         # them once it has (index 1); persistent_steps prefers a transaction
         # that qualifies with these counted
         started = [0] * len(self.tks)
-        for f in exits:
+        for f in self.exit_of.values():
             started[tk_of[target[f]]] |= masks[target[f]]
         fresh = started[:]
-        for f in spawn_entries:
+        for f, _ in self.spawns:
             fresh[tk_of[target[f]]] |= masks[target[f]]
         self._entry_masks = list(zip(fresh, started))
 

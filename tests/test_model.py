@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +27,7 @@ from demoflow.model import (
     slugify_tk,
 )
 from demoflow.network import DependencyKind, parse_network, validate_network
-from demoflow.xmlio import parse_model
+from demoflow.xmlio import parse_model, serialize_model
 from test_simulator import _chain_net, _fan_net
 
 
@@ -189,8 +192,8 @@ def _chain(*kinds):
     return nodes, flows
 
 
-def _rules(model):
-    return {finding.rule for finding in lint_model(model)}
+def _dangling(*subjects: str, message: str) -> LintFinding:
+    return LintFinding("DanglingFlow", subjects, message)
 
 
 def test_minimal_clean_model():
@@ -210,34 +213,67 @@ def test_node_index_and_pool_of():
 
 def test_dangling_sequence_flow_endpoint():
     nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
-    flows.append(SequenceFlow("f9", "n1", "ghost"))
-    assert "DanglingFlow" in _rules(_model(nodes, flows))
+    flows += [SequenceFlow("f9", "n1", "ghost"), SequenceFlow("f8", "wraith", "ghost")]
+    missing = "sequence flow endpoint does not exist"
+    assert lint_model(_model(nodes, flows)) == [
+        _dangling("f9", "ghost", message=missing),
+        _dangling("f8", "wraith", message=missing),
+        _dangling("f8", "ghost", message=missing),
+    ]
 
 
 def test_start_and_end_event_degree_rules():
     nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
     flows.append(SequenceFlow("back", "n2", "n0"))  # into the start, out of the end
-    assert _rules(_model(nodes, flows)) == {"DanglingFlow"}
+    assert lint_model(_model(nodes, flows)) == [
+        _dangling("n0", message="start must not have incoming flows"),
+        _dangling("n2", message="end must not have outgoing flows"),
+    ]
 
 
 def test_task_requires_both_degrees():
     nodes = [FlowNode("n0", NodeKind.START_EVENT), FlowNode("n1", NodeKind.TASK)]
     flows = [SequenceFlow("f0", "n0", "n1")]  # task has no outgoing flow
-    assert "DanglingFlow" in _rules(_model(nodes, flows))
+    assert lint_model(_model(nodes, flows)) == [
+        _dangling("n1", message="task requires an outgoing flow")
+    ]
+    nodes.append(FlowNode("n2", NodeKind.END_EVENT))
+    flows = [SequenceFlow("f0", "n0", "n2"), SequenceFlow("f1", "n1", "n2")]  # nor incoming
+    assert lint_model(_model(nodes, flows)) == [
+        _dangling("n1", message="task requires an incoming flow"),
+        LintFinding("UnreachableNode", ("n1",), "no path from any start event"),
+    ]
 
 
-def test_cross_pool_sequence_flow():
-    nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
-    other = Pool(
+def _second_pool(flows=()):
+    return Pool(
         id="pool_b",
         process_id="proc_b",
         name="B",
         actor_id="B",
         nodes=[FlowNode("m0", NodeKind.START_EVENT), FlowNode("m1", NodeKind.END_EVENT)],
-        flows=[SequenceFlow("g0", "m0", "m1")],
+        flows=[SequenceFlow("g0", "m0", "m1"), *flows],
     )
+
+
+def test_cross_pool_sequence_flow():
+    nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
     flows.append(SequenceFlow("f9", "n1", "m1"))
-    assert "CrossPoolSequenceFlow" in _rules(_model(nodes, flows, second_pool=other))
+    assert lint_model(_model(nodes, flows, second_pool=_second_pool())) == [
+        LintFinding(
+            "CrossPoolSequenceFlow", ("f9", "n1", "m1"), "sequence flows may not cross pool boundaries"
+        )
+    ]
+
+
+def test_sequence_flow_declared_outside_its_endpoints_pool():
+    nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
+    stray = SequenceFlow("g9", "n0", "n2")  # both ends in pool_a, declared in pool_b
+    assert lint_model(_model(nodes, flows, second_pool=_second_pool([stray]))) == [
+        LintFinding(
+            "CrossPoolSequenceFlow", ("g9", "pool_b"), "sequence flow declared outside its endpoints' pool"
+        )
+    ]
 
 
 def test_message_flow_must_cross_pools():
@@ -245,13 +281,19 @@ def test_message_flow_must_cross_pools():
         NodeKind.START_EVENT, NodeKind.SEND_TASK, NodeKind.TASK, NodeKind.END_EVENT
     )
     bad = MessageFlow("mf0", "n1", "n2")  # both ends in pool_a
-    assert "MessageFlowInsidePool" in _rules(_model(nodes, flows, message_flows=[bad]))
+    assert lint_model(_model(nodes, flows, message_flows=[bad])) == [
+        LintFinding(
+            "MessageFlowInsidePool", ("mf0", "n1", "n2"), "message flows must connect different pools"
+        )
+    ]
 
 
 def test_message_flow_dangling_endpoint():
     nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.SEND_TASK, NodeKind.END_EVENT)
     bad = MessageFlow("mf0", "n1", "ghost")
-    assert "DanglingFlow" in _rules(_model(nodes, flows, message_flows=[bad]))
+    assert lint_model(_model(nodes, flows, message_flows=[bad])) == [
+        _dangling("mf0", "ghost", message="message flow endpoint does not exist")
+    ]
 
 
 def test_event_based_gateway_fanout():
@@ -261,14 +303,21 @@ def test_event_based_gateway_fanout():
         NodeKind.MESSAGE_CATCH,
         NodeKind.END_EVENT,
     )
-    assert "EventBasedGatewayFanout" in _rules(_model(nodes, flows))
+    assert lint_model(_model(nodes, flows)) == [
+        LintFinding(
+            "EventBasedGatewayFanout", ("n1",), "event-based gateway must offer at least two events, has 1"
+        ),
+        LintFinding("DegenerateGateway", ("n1",), "gateway neither splits nor merges"),
+    ]
 
 
 def test_degenerate_gateway():
     nodes, flows = _chain(
         NodeKind.START_EVENT, NodeKind.EXCLUSIVE_GATEWAY, NodeKind.END_EVENT
     )
-    assert "DegenerateGateway" in _rules(_model(nodes, flows))
+    assert lint_model(_model(nodes, flows)) == [
+        LintFinding("DegenerateGateway", ("n1",), "gateway neither splits nor merges")
+    ]
 
 
 def test_degenerate_decision_guarded_single_branch():
@@ -276,7 +325,10 @@ def test_degenerate_decision_guarded_single_branch():
         NodeKind.START_EVENT, NodeKind.EXCLUSIVE_GATEWAY, NodeKind.END_EVENT
     )
     flows[1].label = "redeclare"
-    assert "DegenerateDecision" in _rules(_model(nodes, flows))
+    assert lint_model(_model(nodes, flows)) == [
+        LintFinding("DegenerateGateway", ("n1",), "gateway neither splits nor merges"),
+        LintFinding("DegenerateDecision", ("n1",), "a guarded decision needs at least two outgoing branches"),
+    ]
 
 
 def test_labeled_two_way_decision_is_fine():
@@ -293,13 +345,22 @@ def test_unreachable_cycle():
     nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
     nodes += [FlowNode("c1", NodeKind.TASK), FlowNode("c2", NodeKind.TASK)]
     flows += [SequenceFlow("g1", "c1", "c2"), SequenceFlow("g2", "c2", "c1")]
-    assert "UnreachableNode" in _rules(_model(nodes, flows))
+    assert lint_model(_model(nodes, flows)) == [
+        LintFinding("UnreachableNode", ("c1",), "no path from any start event"),
+        LintFinding("UnreachableNode", ("c2",), "no path from any start event"),
+    ]
 
 
 def test_boundary_event_needs_attachment():
     nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
-    nodes.append(FlowNode("b0", NodeKind.COMPENSATION_BOUNDARY))
-    assert "DanglingFlow" in _rules(_model(nodes, flows))
+    nodes += [
+        FlowNode("b0", NodeKind.COMPENSATION_BOUNDARY),
+        FlowNode("b1", NodeKind.COMPENSATION_BOUNDARY, attached_to="ghost"),
+    ]
+    assert lint_model(_model(nodes, flows)) == [
+        _dangling("b0", message="boundary event is not attached to a task"),
+        _dangling("b1", message="boundary event is not attached to a task"),
+    ]
 
 
 def test_compensation_wiring_clean():
@@ -317,13 +378,41 @@ def test_compensation_throw_missing_target():
         NodeKind.START_EVENT, NodeKind.COMPENSATION_THROW, NodeKind.END_EVENT
     )
     nodes[1].compensates = "ghost"
-    assert "DanglingFlow" in _rules(_model(nodes, flows))
+    assert lint_model(_model(nodes, flows)) == [
+        _dangling("n1", message="compensation throw references a missing task")
+    ]
 
 
 def test_association_dangling_endpoint():
     nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
     associations = [Association("a0", "ghost", "n1")]
-    assert "DanglingFlow" in _rules(_model(nodes, flows, associations=associations))
+    assert lint_model(_model(nodes, flows, associations=associations)) == [
+        _dangling("a0", "ghost", message="association endpoint does not exist")
+    ]
+
+
+def test_findings_come_rule_by_rule():
+    # duplicate ids, then sequence flows, message flows, nodes,
+    # associations and reachability
+    nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
+    nodes += [FlowNode("h0", NodeKind.COMPENSATION_HANDLER), FlowNode("c1", NodeKind.TASK)]
+    flows += [SequenceFlow("f9", "n1", "ghost"), SequenceFlow("f7", "n1", "h0")]
+    model = _model(
+        nodes,
+        flows,
+        message_flows=[MessageFlow("f0", "n1", "ghost")],
+        associations=[Association("a0", "b9", "h0")],
+    )
+    assert lint_model(model) == [
+        LintFinding("DuplicateId", ("f0",), "2 model elements share this id"),
+        _dangling("f9", "ghost", message="sequence flow endpoint does not exist"),
+        _dangling("f0", "ghost", message="message flow endpoint does not exist"),
+        _dangling("h0", message="handler must not have incoming flows"),
+        _dangling("c1", message="task requires an incoming flow"),
+        _dangling("c1", message="task requires an outgoing flow"),
+        _dangling("a0", "b9", message="association endpoint does not exist"),
+        LintFinding("UnreachableNode", ("c1",), "no path from any start event"),
+    ]
 
 
 @pytest.mark.parametrize("records", ["nodes", "flows"])
@@ -498,6 +587,258 @@ def test_a_stored_id_equal_to_a_formed_one_is_a_duplicate_id():
     assert lint_model(_model(nodes, flows)) == [
         LintFinding("DuplicateId", ("sf_n1__n2",), "2 model elements share this id")
     ]
+
+
+# ---------------------------------------------------------------------------
+# The lint before its one-table rewrite, kept as the reference the rewrite
+# must match finding for finding, order included
+# ---------------------------------------------------------------------------
+
+_REF_GATEWAY_KINDS = frozenset(
+    {NodeKind.EXCLUSIVE_GATEWAY, NodeKind.PARALLEL_GATEWAY, NodeKind.EVENT_BASED_GATEWAY}
+)
+_REF_NO_FLOW_KINDS = frozenset({NodeKind.COMPENSATION_BOUNDARY, NodeKind.COMPENSATION_HANDLER})
+
+
+def _reference_degree_rules(kind):
+    """(required min incoming, required min outgoing); None = must be zero."""
+    if kind in (NodeKind.START_EVENT, NodeKind.MESSAGE_START_EVENT):
+        return None, 1
+    if kind in (NodeKind.END_EVENT, NodeKind.TERMINATE_END_EVENT):
+        return 1, None
+    if kind in _REF_NO_FLOW_KINDS:
+        return None, None
+    return 1, 1
+
+
+def _reference_lint(model: BpmnModel) -> list[LintFinding]:
+    findings: list[LintFinding] = []
+
+    def add(rule, subjects, message):
+        findings.append(LintFinding(rule, tuple(subjects), message))
+
+    ids = [model.id]
+    for pool in model.pools:
+        ids += [pool.id, pool.process_id]
+    ids += [node.id for node in model.all_nodes()]
+    for pool in model.pools:
+        ids += [flow.id for flow in pool.flows]
+        ids += [assoc.id for assoc in pool.associations]
+    ids += [flow.id for flow in model.message_flows]
+    if len(set(ids)) < len(ids):
+        for element_id, count in Counter(ids).items():
+            if count > 1:
+                add("DuplicateId", (element_id,), f"{count} model elements share this id")
+
+    index = model.node_index()
+    pool_of = model.pool_of()
+
+    incoming: dict[str, list[SequenceFlow]] = {}
+    outgoing: dict[str, list[SequenceFlow]] = {}
+    for pool in model.pools:
+        for flow in pool.flows:
+            for end in (flow.source, flow.target):
+                if end not in index:
+                    add("DanglingFlow", (flow.id, end), "sequence flow endpoint does not exist")
+            outgoing.setdefault(flow.source, []).append(flow)
+            incoming.setdefault(flow.target, []).append(flow)
+            if (
+                flow.source in pool_of
+                and flow.target in pool_of
+                and pool_of[flow.source] != pool_of[flow.target]
+            ):
+                add(
+                    "CrossPoolSequenceFlow",
+                    (flow.id, flow.source, flow.target),
+                    "sequence flows may not cross pool boundaries",
+                )
+            if flow.source in pool_of and pool_of[flow.source] != pool.id:
+                add(
+                    "CrossPoolSequenceFlow",
+                    (flow.id, pool.id),
+                    "sequence flow declared outside its endpoints' pool",
+                )
+
+    for flow in model.message_flows:
+        for end in (flow.source, flow.target):
+            if end not in index:
+                add("DanglingFlow", (flow.id, end), "message flow endpoint does not exist")
+        if (
+            flow.source in pool_of
+            and flow.target in pool_of
+            and pool_of[flow.source] == pool_of[flow.target]
+        ):
+            add(
+                "MessageFlowInsidePool",
+                (flow.id, flow.source, flow.target),
+                "message flows must connect different pools",
+            )
+
+    for node in model.all_nodes():
+        n_in = len(incoming.get(node.id, ()))
+        n_out = len(outgoing.get(node.id, ()))
+        need_in, need_out = _reference_degree_rules(node.kind)
+        if need_in is None and n_in:
+            add("DanglingFlow", (node.id,), f"{node.kind.value} must not have incoming flows")
+        if need_in is not None and n_in < need_in:
+            add("DanglingFlow", (node.id,), f"{node.kind.value} requires an incoming flow")
+        if need_out is None and n_out:
+            add("DanglingFlow", (node.id,), f"{node.kind.value} must not have outgoing flows")
+        if need_out is not None and n_out < need_out:
+            add("DanglingFlow", (node.id,), f"{node.kind.value} requires an outgoing flow")
+        if node.kind is NodeKind.EVENT_BASED_GATEWAY and n_out < 2:
+            add(
+                "EventBasedGatewayFanout",
+                (node.id,),
+                f"event-based gateway must offer at least two events, has {n_out}",
+            )
+        if node.kind in _REF_GATEWAY_KINDS and n_in < 2 and n_out < 2:
+            add("DegenerateGateway", (node.id,), "gateway neither splits nor merges")
+        if node.kind is NodeKind.EXCLUSIVE_GATEWAY:
+            labeled = [f for f in outgoing.get(node.id, ()) if f.label]
+            if labeled and n_out < 2:
+                add(
+                    "DegenerateDecision",
+                    (node.id,),
+                    "a guarded decision needs at least two outgoing branches",
+                )
+        if node.kind is NodeKind.COMPENSATION_BOUNDARY:
+            if node.attached_to is None or node.attached_to not in index:
+                add("DanglingFlow", (node.id,), "boundary event is not attached to a task")
+        if node.kind is NodeKind.COMPENSATION_THROW:
+            if node.compensates is not None and node.compensates not in index:
+                add("DanglingFlow", (node.id,), "compensation throw references a missing task")
+
+    for pool in model.pools:
+        for assoc in pool.associations:
+            for end in (assoc.source, assoc.target):
+                if end not in index:
+                    add("DanglingFlow", (assoc.id, end), "association endpoint does not exist")
+
+    reachable: set[str] = set()
+    frontier = [
+        n.id
+        for n in model.all_nodes()
+        if n.kind in (NodeKind.START_EVENT, NodeKind.MESSAGE_START_EVENT)
+    ]
+    while frontier:
+        current = frontier.pop()
+        if current in reachable:
+            continue
+        reachable.add(current)
+        frontier.extend(f.target for f in outgoing.get(current, ()))
+    for node in model.all_nodes():
+        if node.kind in _REF_NO_FLOW_KINDS:
+            continue
+        if node.id not in reachable:
+            add("UnreachableNode", (node.id,), "no path from any start event")
+
+    return findings
+
+
+def _assert_lints_like_the_reference(model: BpmnModel) -> list[LintFinding]:
+    findings = lint_model(model)
+    assert findings == _reference_lint(model)
+    return findings
+
+
+def _network(name: str, request):
+    return LINKED_NETS[name] if name in LINKED_NETS else request.getfixturevalue(name)
+
+
+_LINT_NETS = ["solo_net", "poc1_net", "poc2_net", *LINKED_NETS]
+
+
+@pytest.mark.parametrize("net_name", _LINT_NETS)
+@pytest.mark.parametrize("level", list(DetailLevel), ids=lambda level: level.value)
+def test_compiled_and_parsed_models_lint_like_the_reference(net_name, level, request):
+    model = compile_network(_network(net_name, request), level)
+    assert _assert_lints_like_the_reference(model) == []
+    for layout in (False, True):
+        assert _assert_lints_like_the_reference(parse_model(serialize_model(model, layout=layout))) == []
+
+
+def _copy(model: BpmnModel) -> BpmnModel:
+    """The model with its own pools and record lists; the records are shared."""
+    pools = [
+        Pool(p.id, p.process_id, p.name, p.actor_id, list(p.nodes), list(p.flows), list(p.associations))
+        for p in model.pools
+    ]
+    return BpmnModel(model.id, pools, list(model.message_flows))
+
+
+_LABELS = ["", "spawn", "reposition", "rerequest", "performed:request", "phase:promised", "accept"]
+
+
+def _mutate(model: BpmnModel, rng: random.Random) -> str:
+    """Apply one random mutation to ``model`` in place, replacing each
+    record it changes, and say what it did."""
+    pools = model.pools
+    node_ids = [node.id for pool in pools for node in pool.nodes] + ["ghost"]
+    pool = rng.choice(pools)
+    kind = rng.choice(
+        ["delete", "retarget", "relabel", "re-source", "drop", "duplicate", "rekind",
+         "message", "association"]
+    )
+    if kind in ("delete", "retarget", "relabel", "re-source") and pool.flows:
+        at = rng.randrange(len(pool.flows))
+        flow = pool.flows[at]
+        if kind == "delete":
+            del pool.flows[at]
+        elif kind == "retarget":
+            pool.flows[at] = SequenceFlow(None, flow.source, rng.choice(node_ids), flow.label)
+        elif kind == "relabel":
+            pool.flows[at] = SequenceFlow(flow._id, flow.source, flow.target, rng.choice(_LABELS))
+        else:
+            pool.flows[at] = SequenceFlow(None, rng.choice(node_ids), flow.target, flow.label)
+        return f"{kind} {flow.id}"
+    if kind in ("drop", "duplicate", "rekind") and pool.nodes:
+        at = rng.randrange(len(pool.nodes))
+        node = pool.nodes[at]
+        if kind == "drop":
+            del pool.nodes[at]
+        elif kind == "duplicate":
+            rng.choice(pools).nodes.append(node)
+        else:
+            pool.nodes[at] = FlowNode(
+                node.id, rng.choice(list(NodeKind)), node.name, node.attached_to, node.compensates
+            )
+        return f"{kind} {node.id}"
+    links = model.message_flows if kind == "message" else pool.associations
+    if kind in ("message", "association") and links:
+        at = rng.randrange(len(links))
+        link = links[at]
+        ends = [link.source, link.target]
+        ends[rng.randrange(2)] = "ghost"
+        links[at] = type(link)(None, *ends)
+        return f"{kind} {link.id}"
+    return "none"
+
+
+@pytest.mark.parametrize("net_name", _LINT_NETS)
+@pytest.mark.parametrize("level", list(DetailLevel), ids=lambda level: level.value)
+def test_seeded_mutants_lint_like_the_reference(net_name, level, request):
+    model = compile_network(_network(net_name, request), level)
+    rng = random.Random(f"{net_name}-{level.value}")
+    caught = 0
+    for _ in range(40):
+        mutant = _copy(model)
+        done = [_mutate(mutant, rng) for _ in range(rng.choice([1, 1, 2, 3]))]
+        findings = lint_model(mutant)
+        assert findings == _reference_lint(mutant), done
+        caught += bool(findings)
+    assert caught > 20
+
+
+@pytest.mark.parametrize("net_name", list(LINKED_NETS))
+@pytest.mark.parametrize("level", list(DetailLevel), ids=lambda level: level.value)
+def test_every_flow_deletion_is_caught_composed(net_name, level):
+    model = compile_network(LINKED_NETS[net_name], level)
+    for pool in model.pools:
+        for at in range(len(pool.flows)):
+            removed = pool.flows.pop(at)
+            assert lint_model(model), f"deleting {removed.id} went unnoticed"
+            pool.flows.insert(at, removed)
 
 
 # ---------------------------------------------------------------------------

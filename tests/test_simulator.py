@@ -19,7 +19,7 @@ from demoflow.engine import (
     bounded_table,
     enumerate_language,
 )
-from demoflow.model import FlowNode, NodeKind, SequenceFlow, parse_node_id
+from demoflow.model import ACT_SLUGS, FlowNode, NodeKind, SequenceFlow, parse_node_id
 from demoflow.network import (
     DEPENDENCY_RULES,
     Actor,
@@ -1018,6 +1018,58 @@ def test_reduction_prefers_the_entry_counted_choice(poc1_net):
     model = compile_network(poc1_net, DetailLevel.HAPPY_FLOW)
     assert _entry_counted_states(model) == 199
     assert _explored(model, True)[1] == REFERENCE_STATES["poc1-happy"]
+
+
+_GUARDED_NETS = {
+    "mixed-tree": MIXED_TREE,
+    **{f"chain2-{kind.value}": _chain_net(kind, 2) for kind in DependencyKind},
+    **{f"fan2-{kind.value}": _fan_net(kind, 2) for kind in DependencyKind},
+}
+
+
+@pytest.mark.parametrize("net_name", ["solo", "poc1", "poc2", *_GUARDED_NETS])
+@pytest.mark.parametrize("level", list(DetailLevel), ids=lambda level: level.value)
+def test_guard_records_match_the_labels(request, net_name, level):
+    # the branch guards, spawn entries and exits the build reads once, and
+    # the entry masks made from them, against the same read off the labels
+    # and the flows' transactions
+    net = _GUARDED_NETS.get(net_name) or request.getfixturevalue(f"{net_name}_net")
+    sim = _Simulation(compile_network(net, level), Bounds())
+    sim._build_reach_masks()
+    tk_of, target, masks = sim.tk_of, sim.target, sim._reach_masks
+    branch_guards, spawns, exits = {}, [], []
+    for source in range(len(sim.ids)):
+        for f in sim._out(source):
+            label = sim.flows[f].label
+            if label in ("rerequest", "redeclare"):
+                branch_guards[f] = None
+            elif label.startswith("performed:"):
+                branch_guards[f] = ACT_SLUGS[label[len("performed:"):]]
+            if label == "spawn":
+                spawns.append((f, source))
+                # a spawn guard may place on the child's exit instead, so
+                # its source reaches all that the exit's target reaches
+                exit_flow = sim.guards[f][2]
+                if exit_flow is not None:
+                    assert masks[target[exit_flow]] & ~masks[source] == 0
+            elif tk_of[target[f]] != tk_of[source]:
+                exits.append(f)
+    assert sim.branch_guards == branch_guards
+    assert sim.spawns == spawns
+    assert sorted(sim.exit_of.values()) == exits
+    started = [0] * len(sim.tks)
+    for f in exits:
+        started[tk_of[target[f]]] |= masks[target[f]]
+    fresh = started[:]
+    for f, _ in spawns:
+        fresh[tk_of[target[f]]] |= masks[target[f]]
+    assert sim._entry_masks == list(zip(fresh, started))
+    if level is not DetailLevel.HAPPY_FLOW:
+        assert branch_guards
+    if net_name != "solo":
+        assert spawns
+    if net_name == "mixed-tree":
+        assert exits
 
 
 @settings(max_examples=50, deadline=None)
