@@ -13,7 +13,7 @@ The package has three jobs:
 
 __version__ = "0.1.0"
 
-from .compiler import CompileError, DetailLevel, LEVEL_ALPHABETS, act_census, compile_network
+from .compiler import CompileError, DetailLevel, LEVEL_ALPHABETS, compile_network
 from .coverage import (
     ActStatus,
     CoverageMatrix,
@@ -70,7 +70,6 @@ __all__ = [
     "TransactionState",
     "UnknownAnnotationKey",
     "Verdict",
-    "act_census",
     "apply_act",
     "check_composition",
     "check_conformance",

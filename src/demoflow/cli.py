@@ -10,8 +10,12 @@ Subcommands:
 * ``conformance`` — compare a compiled network's traces with the engine
 
 Exit codes: 0 success, 1 validation or conformance failure, 2 usage or I/O
-error, 3 inconclusive (exploration passed ``--max-states``, or ran out of
-memory, before it finished).  All diagnostics go to stderr; artifacts are
+error, 3 inconclusive (exploration passed ``--max-states`` before it
+finished with nothing definite found, or ran out of memory).  A conformance
+search that passes ``--max-states`` after a finding, a projection outside
+the engine's language or a compensation violation, ends NonConformant (1),
+with the findings so far and a witness to the first one; its missing
+projections are left undecided.  All diagnostics go to stderr; artifacts are
 written only to the files named on the command line, and identical
 invocations over identical inputs produce byte-identical artifacts.
 """
@@ -173,7 +177,8 @@ def _add_max_states(p: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=MAX_STATES,
         metavar="N",
-        help="give up as inconclusive (exit 3) after exploring N states",
+        help="stop after exploring N states: inconclusive (exit 3) unless "
+        "conformance found a definite violation (exit 1)",
     )
 
 

@@ -66,7 +66,6 @@ from .model import (
     ROLE_TAG,
     SLUG_FOR_ACT,
     SequenceFlow,
-    parse_node_id,
     slugify_actor,
     slugify_tk,
 )
@@ -569,20 +568,3 @@ def compile_network(net: TransactionNetwork, level: DetailLevel | str) -> BpmnMo
         pools[actor].associations.extend(frag.associations)
 
     return BpmnModel(id=f"collab_{level.value}", pools=list(pools.values()), message_flows=message_flows)
-
-
-def act_census(model: BpmnModel) -> dict[tuple[str, Act], list[str]]:
-    """Which (transaction, act) pairs have representing nodes, and which nodes.
-
-    Keys are present only for acts with at least one node; transaction keys
-    use the slugified id as found in node ids.
-    """
-    census: dict[tuple[str, Act], list[str]] = {}
-    for node in model.all_nodes():
-        meta = parse_node_id(node.id)
-        if meta is None or meta.act is None:
-            continue
-        census.setdefault((meta.tk, meta.act), []).append(node.id)
-    for nodes in census.values():
-        nodes.sort()
-    return census

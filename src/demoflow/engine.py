@@ -363,6 +363,7 @@ def bounded_table(bounds: Bounds, alphabet: frozenset[Act]) -> tuple[list[Bounde
     return moves.states, moves
 
 
+@lru_cache(maxsize=8)
 def enumerate_language(
     alphabet: frozenset[Act], bounds: Bounds = Bounds()
 ) -> frozenset[tuple[tuple[Act, ...], Phase]]:
@@ -373,7 +374,9 @@ def enumerate_language(
     continues into still-affordable revocations, so both the plain accepted
     run and its post-acceptance revocation extensions are members.
     Auto-refused resolutions are canonically labeled Refuse.  The walk reads
-    ``bounded_table`` with its own stack, so runs may be as long as bounds allow.
+    ``bounded_table`` with its own stack, so runs may be as long as bounds
+    allow.  Enumerated once per alphabet and bounds, as the table is; the
+    frozenset is shared by every caller.
     """
     states, moves = bounded_table(bounds, alphabet)
     columns = [(column, act) for column, (act, _) in enumerate(MOVES) if act in alphabet]

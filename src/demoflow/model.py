@@ -232,19 +232,6 @@ class BpmnModel:
     def all_nodes(self) -> list[FlowNode]:
         return [n for pool in self.pools for n in pool.nodes]
 
-    def node_index(self) -> dict[str, FlowNode]:
-        return {n.id: n for n in self.all_nodes()}
-
-    def pool_of(self) -> dict[str, str]:
-        """node id -> pool id"""
-        return {n.id: pool.id for pool in self.pools for n in pool.nodes}
-
-    def find_pool(self, pool_id: str) -> Pool:
-        for pool in self.pools:
-            if pool.id == pool_id:
-                return pool
-        raise KeyError(pool_id)
-
 
 @dataclass(frozen=True)
 class LintFinding:

@@ -13,7 +13,10 @@ records each history with its transaction's phase.
 ``simulate_exhaustive`` reports these per-transaction projections (for one
 transaction, its traces), and conformance checking compares each
 transaction's, reduced to the fourteen acts, with the engine's enumerated
-language.
+language.  The search judges each projection as it records it, from its
+history's node in the trie of histories, so a projection outside the
+language or a compensation out of order decides the verdict even if the
+state bound runs out.
 
 A state is a tuple of per-transaction component codes.  Each code interns
 one transaction's share of the state (its tokens, messages in flight,
@@ -55,9 +58,10 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate, compress, repeat
 from operator import attrgetter, itemgetter, ne
 from typing import Container, Iterable, Optional
@@ -172,13 +176,27 @@ class SimTrace:
 
 @dataclass
 class ExhaustiveResult:
-    """Each transaction's projections, the states searched (see
-    ``_explore``), and the model's transactions in order, which names those
-    that no run starts."""
+    """The states searched (see ``_explore``), the model's transactions in
+    order, which names those that no run starts, and each transaction's
+    projections: undecoded, as ``(transaction index, history, phase)`` keys
+    mapped to their acts and compensation violations, and decoded as
+    ``traces`` when first read.  An ``exhausted`` search stopped at its state bound after a
+    finding, the first one reached along ``witness``'s steps."""
 
-    traces: frozenset[SimTrace]
     states: int
     transactions: tuple[str, ...]
+    projections: dict[tuple[int, int, Phase], tuple[tuple[Act, ...], tuple[str, ...]]]
+    histories: "_Histories" = field(repr=False, compare=False)
+    exhausted: bool = False
+    witness: tuple[str, ...] = ()
+
+    @cached_property
+    def traces(self) -> frozenset[SimTrace]:
+        decode, tks = self.histories.decode, self.transactions
+        return frozenset(
+            SimTrace(decode(history), ((tks[tk], phase),))
+            for tk, history, phase in self.projections
+        )
 
 
 # A simulation state is a tuple with one component code per transaction, in
@@ -1078,20 +1096,78 @@ class _Simulation:
 # ---------------------------------------------------------------------------
 
 
-def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], int]:
+class _Histories:
+    """Every transaction's histories as the nodes of one trie of ``(parent
+    history, event code)`` pairs, the empty history being 0.  A history holds
+    one transaction's events only, as a step extends each emitted event's
+    transaction's history.
+
+    Each node's acts, compensations left out, and compensation fold are
+    derived from its parent's, in code order when first read: a parent is
+    interned before its children.  Folds are few (55 over solo
+    ``complete``'s 1,059 nodes), so they are interned, and each step from a
+    fold by an event is folded once."""
+
+    __slots__ = ("extend", "_parents", "_events", "_acts", "_folds", "_fold_of", "_stepped")
+
+    def __init__(self, events: list[SimEvent]):
+        trie = _Interner()
+        trie.code(None)
+        self.extend = trie.code  # the code of (parent history, event code)
+        self._parents, self._events = trie.values, events
+        self._acts: list[tuple[Act, ...]] = [()]
+        self._folds = _Interner()
+        self._folds.code(_UNFOLDED)
+        self._fold_of = [0]  # node -> its fold's code
+        self._stepped: dict[tuple[int, int], int] = {}  # (fold, event code) -> fold after
+
+    def decode(self, history: int) -> tuple[SimEvent, ...]:
+        decoded = []
+        while history:
+            history, code = self._parents[history]
+            decoded.append(self._events[code])
+        return tuple(reversed(decoded))
+
+    def judge(self, history: int, tk: str) -> tuple[tuple[Act, ...], tuple[str, ...]]:
+        """The acts and the compensation violations of ``tk``'s history."""
+        acts, fold_of, parents, events = self._acts, self._fold_of, self._parents, self._events
+        folds, stepped = self._folds, self._stepped
+        for node in range(len(acts), history + 1):
+            parent, code = parents[node]
+            event = events[code]
+            acts.append(acts[parent] if event.inverse else acts[parent] + (event.act,))
+            key = (fold_of[parent], code)
+            after = stepped.get(key)
+            if after is None:
+                after = stepped[key] = folds.code(_compensation_step(folds.values[key[0]], event))
+            fold_of.append(after)
+        return acts[history], _violations(folds.values[fold_of[history]], tk)
+
+
+def _explore(
+    sim: _Simulation, max_states: int, language: Optional[frozenset] = None
+) -> ExhaustiveResult:
     """Explore every run, depth first with a visited set: each
     transaction's projections and the number of states searched.
 
     A searched state is a simulation state plus each transaction's history,
-    the run's events so far projected onto it.  Histories are the nodes of
-    one trie of ``(parent history, event code)`` pairs, the empty history
-    being 0; a step extends the history of each emitted event's transaction
+    the run's events so far projected onto it, a node of ``_Histories``'s
+    trie; a step extends the history of each emitted event's transaction
     (``event_lanes``).  At a quiescent state, one where nothing but a
     revocation trigger can happen, each transaction's history is recorded
-    with its component, so an accepted run and its post-acceptance
-    revocation extensions are all recorded, and decoded along the parent
-    pointers at the end.  Where a table row is reached by one history only,
-    as at ``happy`` and ``dissent``, each simulation state is searched once.
+    with its phase, so an accepted run and its post-acceptance revocation
+    extensions are all recorded; a transaction's empty history at Initial
+    is left out.  Where a table row is reached by one history only, as at
+    ``happy`` and ``dissent``, each simulation state is searched once.
+
+    Each projection is judged when first recorded: its acts, and its
+    compensation violations.  Given the engine's ``language``, it is a
+    finding when its acts and phase are outside the language or it has a
+    violation; more search removes neither.  The first finding keeps the
+    steps along the stack to its state as the result's ``witness``.  When
+    ``max_states`` runs out after a finding, the search stops and returns
+    what it recorded, marked ``exhausted``; with no finding, it raises
+    ``StateSpaceLimitExceeded``.
 
     On two or more transactions, a non-quiescent state where
     ``persistent_steps`` names a transaction has only that transaction's
@@ -1110,18 +1186,33 @@ def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], in
     lanes = len(sim.tks)
     reduced = lanes > 1
     lane_of = sim.event_lanes
-    trie = _Interner()  # a history's (parent history, last event code)
-    trie.code(None)  # the empty history, 0
-    extend = trie.code
+    histories = _Histories(sim.events)
+    extend = histories.extend
     visited: set[tuple[int, ...]] = set()
     onstack: set[tuple[int, ...]] = set()
     ends: set[tuple[int, int, int]] = set()  # (transaction, history, component)
+    # (transaction, history, phase) -> (acts, compensation violations)
+    projections: dict[tuple[int, int, Phase], tuple] = {}
+    first: Optional[tuple[str, ...]] = None  # the first finding's witness
     stack: list[list] = []
 
     def witness(*last: tuple[int, int, int]) -> tuple[str, ...]:
         """The steps taken from the initial state along the stack, then ``last``."""
         taken = [frame[1][frame[3] - 1] for frame in stack]
         return tuple(map(sim.describe, taken + list(last)))
+
+    def record(state: tuple[int, ...], path: tuple[int, ...]) -> None:
+        nonlocal first
+        for tk, history, code in zip(range(lanes), path, state):
+            phase = sim.phase(code)
+            key = (tk, history, phase)
+            if key in projections or (not history and phase is _INITIAL):
+                continue
+            acts, violations = projections[key] = histories.judge(history, sim.tks[tk])
+            if first is None and language is not None and (
+                violations or (acts, phase) not in language
+            ):
+                first = witness()
 
     def open_frame(key: tuple[int, ...]) -> None:
         if len(visited) >= max_states:
@@ -1133,7 +1224,10 @@ def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], in
             # steps sort by operation and triggers sort last, so the first
             # step tells whether only triggers are left
             if not steps or steps[0][0] == _TRIGGER:
+                recorded = len(ends)
                 ends.update(zip(range(lanes), path, state))
+                if len(ends) > recorded:
+                    record(state, path)
         successors = []
         for step in steps:
             try:
@@ -1154,44 +1248,43 @@ def _explore(sim: _Simulation, max_states: int) -> tuple[frozenset[SimTrace], in
         onstack.add(key)
         stack.append([key, steps, successors, 0])
 
-    open_frame(sim.initial() + (0,) * lanes)
-    while stack:
-        frame = stack[-1]
-        _, _, successors, index = frame
-        if index < len(successors):
-            frame[3] = index + 1
-            child = successors[index]
-            if child in onstack:
-                error = SimulationError("simulation state graph has a cycle")
-                error.witness = witness()
-                raise error
-            if child not in visited:
-                open_frame(child)
-        else:
-            onstack.discard(frame[0])
-            stack.pop()
-
-    events, parents = sim.events, trie.values
-
-    def decode(history: int) -> tuple[SimEvent, ...]:
-        decoded = []
-        while history:
-            history, code = parents[history]
-            decoded.append(events[code])
-        return tuple(reversed(decoded))
-
-    # leave out a transaction's empty projection at Initial
-    projections = {(tk, history, sim.phase(code)) for tk, history, code in ends}
-    traces = frozenset(
-        SimTrace(decode(history), ((sim.tks[tk], phase),))
-        for tk, history, phase in projections
-        if history or phase is not _INITIAL
+    exhausted = False
+    try:
+        open_frame(sim.initial() + (0,) * lanes)
+        while stack:
+            frame = stack[-1]
+            _, _, successors, index = frame
+            if index < len(successors):
+                frame[3] = index + 1
+                child = successors[index]
+                if child in onstack:
+                    error = SimulationError("simulation state graph has a cycle")
+                    error.witness = witness()
+                    raise error
+                if child not in visited:
+                    open_frame(child)
+            else:
+                onstack.discard(frame[0])
+                stack.pop()
+    except StateSpaceLimitExceeded:
+        if first is None:
+            raise
+        exhausted = True
+    return ExhaustiveResult(
+        states=len(visited),
+        transactions=tuple(sim.tks),
+        projections=projections,
+        histories=histories,
+        exhausted=exhausted,
+        witness=first or (),
     )
-    return traces, len(visited)
 
 
 def simulate_exhaustive(
-    model: BpmnModel, bounds: Bounds = Bounds(), max_states: int = MAX_STATES
+    model: BpmnModel,
+    bounds: Bounds = Bounds(),
+    max_states: int = MAX_STATES,
+    language: Optional[frozenset] = None,
 ) -> ExhaustiveResult:
     """Explore every run; return each transaction's projections.
 
@@ -1200,11 +1293,12 @@ def simulate_exhaustive(
     that transaction's.  For one transaction a projection is the run's
     trace.  A run that never starts a transaction adds no projection of it.
     ``max_states`` bounds the searched states, each a state with every
-    transaction's history (see ``_explore``).
+    transaction's history (see ``_explore``).  Given the engine's
+    ``language`` (``enumerate_language``), a projection outside it or with
+    a compensation violation is a finding, and a finding lets an exhausted
+    bound end the search instead of raising ``StateSpaceLimitExceeded``.
     """
-    sim = _Simulation(model, bounds)
-    traces, states = _explore(sim, max_states)
-    return ExhaustiveResult(traces=traces, states=states, transactions=tuple(sim.tks))
+    return _explore(_Simulation(model, bounds), max_states, language)
 
 
 def simulate_random(
@@ -1266,11 +1360,17 @@ class ConformanceReport:
     # projection is the transaction's events, compensations included, and
     # its final phase; for one transaction, the number of traces
     traces: int
+    # the search stopped at its state bound after a finding: the verdict
+    # holds, missing projections were not decided, and witness leads to the
+    # first finding
+    exhausted: bool = False
+    witness: tuple[str, ...] = ()
 
     def summary(self) -> str:
         """The verdict, the ``traces`` count (distinct per-transaction
         projections) and the states, then each missing and unexpected
-        projection and each compensation violation."""
+        projection and each compensation violation; for an exhausted
+        search, a line saying so and the witness."""
         lines = [f"{self.verdict.value}: {self.traces} traces over {self.states} states"]
         for label, projections in (("missing", self.missing), ("unexpected", self.unexpected)):
             for tk in sorted(projections):
@@ -1279,17 +1379,18 @@ class ConformanceReport:
                     lines.append(f"  {label} {tk}: [{acts}] -> {phase.value}")
         for violation in self.compensation_violations:
             lines.append(f"  compensation: {violation}")
+        if self.exhausted:
+            lines.append(
+                f"  stopped after {self.states} states: missing projections were not decided"
+            )
+            lines.append(f"witness: {'; '.join(self.witness)}")
         return "\n".join(lines)
 
 
-def _projection_key(trace: SimTrace) -> tuple:
+def _projection_key(acts: tuple[Act, ...], phase: Phase, events: tuple[SimEvent, ...]) -> tuple:
     """A projection's place in a report: in ``_projection_order`` of its acts
     and phase, then by its compensations and roles."""
-    ((tk, phase),) = trace.outcomes
-    return (
-        _projection_order((trace.acts_for(tk), phase)),
-        tuple((e.label(), e.role.value) for e in trace.events),
-    )
+    return _projection_order((acts, phase)), tuple((e.label(), e.role.value) for e in events)
 
 
 def check_conformance(
@@ -1302,30 +1403,35 @@ def check_conformance(
     language.
 
     The projections are ``simulate_exhaustive``'s: the projection of every
-    run onto one transaction's events, with its phase where the run stops.
-    Each transaction's, reduced to the fourteen acts, are set-compared with
-    ``enumerate_language``, and each is checked once for compensation
-    order.  A transaction that no run reaches has no projection, so it
-    misses its whole language.
+    run onto one transaction's events, with its phase where the run stops,
+    each judged once as the search records it.  Each transaction's, reduced
+    to the fourteen acts, are set-compared with ``enumerate_language``;
+    compensation violations are listed by transaction, then by projection in
+    ``_projection_key`` order.  A transaction that no run reaches has no
+    projection, so it misses its whole language.  If the state bound runs
+    out after a finding, the report is NonConformant with the findings so
+    far and the first one's witness, and leaves missing projections
+    undecided; with no finding, ``StateSpaceLimitExceeded`` is raised.
     """
-    result = simulate_exhaustive(model, bounds, max_states)
     expected = enumerate_language(alphabet, bounds)
-
-    produced: dict[str, list[SimTrace]] = {tk: [] for tk in result.transactions}
-    for trace in result.traces:
-        produced[trace.outcomes[0][0]].append(trace)
+    result = simulate_exhaustive(model, bounds, max_states, expected)
+    decode, tks = result.histories.decode, result.transactions
+    got: list[set] = [set() for _ in tks]
+    flagged = []  # (transaction, place in the report, violations) per violating projection
+    for (tk, history, phase), (acts, found) in result.projections.items():
+        got[tk].add((acts, phase))
+        if found:
+            flagged.append((tk, _projection_key(acts, phase, decode(history)), found))
+    violations: dict[str, None] = {}  # in first-seen order
+    for *_, found in sorted(flagged):
+        violations.update(dict.fromkeys(found))
     missing: dict[str, frozenset] = {}
     unexpected: dict[str, frozenset] = {}
-    violations: dict[str, None] = {}  # in first-seen order
-    for tk, projections in produced.items():
-        got = set()
-        for trace in sorted(projections, key=_projection_key):
-            violations.update(dict.fromkeys(check_compensation_order(trace)))
-            got.add((trace.acts_for(tk), trace.outcome_of(tk)))
-        if got - expected:
-            unexpected[tk] = frozenset(got - expected)
-        if expected - got:
-            missing[tk] = frozenset(expected - got)
+    for tk, produced in zip(tks, got):
+        if produced - expected:
+            unexpected[tk] = frozenset(produced - expected)
+        if expected - produced and not result.exhausted:
+            missing[tk] = frozenset(expected - produced)
 
     conformant = not missing and not unexpected and not violations
     return ConformanceReport(
@@ -1334,7 +1440,9 @@ def check_conformance(
         unexpected=unexpected,
         compensation_violations=list(violations),
         states=result.states,
-        traces=len(result.traces),
+        traces=len(result.projections),
+        exhausted=result.exhausted,
+        witness=result.witness,
     )
 
 
@@ -1387,55 +1495,66 @@ def check_composition(net: TransactionNetwork, trace: SimTrace) -> list[str]:
     return violations
 
 
+# A compensation fold: (engine state, rollback chain left or None outside a
+# rollback, violations so far), before a transaction's first event.
+_UNFOLDED = (INITIAL_STATE, None, ())
+
+
+def _compensation_step(fold: tuple, event: SimEvent) -> tuple:
+    """The compensation fold after one more event of its transaction."""
+    state, chain, violations = fold
+    tk, act = event.tk, event.act
+    if event.inverse:
+        if chain is None:
+            if state.pending is None:
+                return state, chain, violations + (f"{tk}: inverse {act.value} outside a revocation",)
+            try:
+                chain = rollback_chain(state, state.pending[0])
+            except RevocationError:
+                return state, chain, violations + (f"{tk}: inverse {act.value} for an unperformed act",)
+        if not chain:
+            return state, chain, violations + (f"{tk}: extra inverse {act.value}",)
+        if act is not chain[0]:
+            return state, chain, violations + (
+                f"{tk}: expected {chain[0].value} undone next, got {act.value}",
+            )
+        return state, chain[1:], violations
+    allow = act is Act.ALLOW
+    if not allow:
+        if chain:
+            violations += (f"{tk}: {act.value} happened before the rollback finished",)
+        chain = None
+    elif state.pending is None:
+        return state, chain, violations + (f"{tk}: Allow without a pending revocation",)
+    try:
+        after = apply_act(state, act, event.role)
+    except (ActNotEnabled, RevocationError) as exc:
+        return state, chain, violations + (f"{tk}: {act.value} not enabled ({exc})",)
+    if allow and chain is None:
+        try:
+            chain = rollback_chain(state, state.pending[0])
+        except RevocationError:
+            chain = ()
+    return after, chain, violations
+
+
+def _violations(fold: tuple, tk: str) -> tuple[str, ...]:
+    """A folded history's violations, a rollback chain it leaves unfinished
+    included."""
+    _, chain, violations = fold
+    return violations + (f"{tk}: rollback chain left unfinished",) if chain else violations
+
+
 def check_compensation_order(trace: SimTrace) -> list[str]:
     """Inverse events of each allowed revocation must replay the rollback
-    chain exactly: most recent act first, nothing skipped, nothing extra."""
-    violations = []
+    chain exactly: most recent act first, nothing skipped, nothing extra.
+    Each transaction's events are folded by ``_compensation_step``, as the
+    search folds each history once per trie node."""
+    violations: list[str] = []
     for tk in sorted({e.tk for e in trace.events}):
-        tk_events = [e for e in trace.events if e.tk == tk]
-        state = INITIAL_STATE
-        chain: Optional[deque] = None
-        for event in tk_events:
-            if event.inverse:
-                if chain is None:
-                    if state.pending is None:
-                        violations.append(f"{tk}: inverse {event.act.value} outside a revocation")
-                        continue
-                    try:
-                        chain = deque(rollback_chain(state, state.pending[0]))
-                    except RevocationError:
-                        violations.append(f"{tk}: inverse {event.act.value} for an unperformed act")
-                        continue
-                if not chain:
-                    violations.append(f"{tk}: extra inverse {event.act.value}")
-                elif event.act is not chain[0]:
-                    violations.append(
-                        f"{tk}: expected {chain[0].value} undone next, got {event.act.value}"
-                    )
-                else:
-                    chain.popleft()
-                continue
-            allow = event.act is Act.ALLOW
-            if not allow:
-                if chain:
-                    violations.append(
-                        f"{tk}: {event.act.value} happened before the rollback finished"
-                    )
-                chain = None
-            elif state.pending is None:
-                violations.append(f"{tk}: Allow without a pending revocation")
-                continue
-            try:
-                after = apply_act(state, event.act, event.role)
-            except (ActNotEnabled, RevocationError) as exc:
-                violations.append(f"{tk}: {event.act.value} not enabled ({exc})")
-                continue
-            if allow and chain is None:
-                try:
-                    chain = deque(rollback_chain(state, state.pending[0]))
-                except RevocationError:
-                    chain = deque()
-            state = after
-        if chain:
-            violations.append(f"{tk}: rollback chain left unfinished")
+        fold = _UNFOLDED
+        for event in trace.events:
+            if event.tk == tk:
+                fold = _compensation_step(fold, event)
+        violations += _violations(fold, tk)
     return violations

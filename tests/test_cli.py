@@ -13,11 +13,16 @@ import pytest
 
 import demoflow
 from demoflow.cli import main
-from demoflow.model import lint_model
+from demoflow.compiler import compile_network
+from demoflow.engine import TERMINAL_PHASES, Bounds, Phase
+from demoflow.model import lint_model, slugify_tk
+from demoflow.network import load_network
+from demoflow.simulator import _TRIGGER, _Simulation
 from demoflow.xmlio import parse_model
 
 from test_coverage import POC1_CSV
 from test_model import POOL_CLASH
+from test_simulator import _enabled
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -696,6 +701,40 @@ def test_exhausted_state_bound_exits_inconclusive(solo_file, command, capsys):
     assert main([command, str(solo_file), "--level", "complete", "--max-states", "9986"]) == 3
     err = capsys.readouterr().err
     assert err == "inconclusive: more than 9986 states explored\n"
+
+
+@pytest.mark.parametrize("level, bound", [("dissent", "2000"), ("complete", "20000")])
+@pytest.mark.parametrize("net", ["poc1", "poc2"])
+def test_a_finding_decides_an_exhausted_conformance_search(net, level, bound, capsys):
+    # neither search finishes within 5M states, but a stranded parent is
+    # recorded after 38 searched states at dissent and 322 at complete
+    path = FIXTURES / f"{net}.json"
+    assert main(["conformance", str(path), "--level", level, "--max-states", bound]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("NonConformant: ") and lines[0].endswith(f" over {bound} states")
+    assert f"  stopped after {bound} states: missing projections were not decided" in lines
+    assert not [line for line in lines if line.startswith("  missing ")]
+    (witness,) = [line for line in lines if line.startswith("witness: ")]
+    # replayed from the initial state, the witness settles with a parent
+    # short of a terminal phase
+    network = load_network(path)
+    sim = _Simulation(compile_network(network, level), Bounds())
+    state = sim.initial()
+    for description in witness.removeprefix("witness: ").split("; "):
+        state, _ = sim.apply(state, _enabled(sim, state, description))
+    steps = sim.steps(state)
+    assert not steps or steps[0][0] == _TRIGGER
+    parents = {slugify_tk(dep.parent) for dep in network.dependencies}
+    settled = TERMINAL_PHASES | {Phase.INITIAL}
+    assert [tk for tk, phase in sim.outcomes(state) if phase not in settled and tk in parents]
+
+
+def test_exhausted_simulate_stays_inconclusive_whatever_it_met(capsys):
+    # simulate judges no projection, so the bound that decides conformance
+    # above leaves it inconclusive
+    path = FIXTURES / "poc1.json"
+    assert main(["simulate", str(path), "--level", "dissent", "--max-states", "2000"]) == 3
+    assert capsys.readouterr().err == "inconclusive: more than 2000 states explored\n"
 
 
 @pytest.mark.parametrize(

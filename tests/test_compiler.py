@@ -16,7 +16,6 @@ from demoflow.compiler import (
     DetailLevel,
     INITIAL_GATEWAY_NAME,
     LEVEL_ALPHABETS,
-    act_census,
     compile_network,
 )
 from demoflow.engine import (
@@ -121,8 +120,25 @@ def test_only_roots_keep_plain_start_events(poc1_net):
     assert kinds.count(NodeKind.MESSAGE_START_EVENT) == len(poc1_net.transactions)
 
 
+def _act_census(model) -> dict[tuple[str, Act], list[str]]:
+    """Which (transaction, act) pairs have representing nodes, and which
+    nodes, in id order; transaction keys are the slugs in node ids."""
+    census: dict[tuple[str, Act], list[str]] = {}
+    for node in model.all_nodes():
+        meta = parse_node_id(node.id)
+        if meta is not None and meta.act is not None:
+            census.setdefault((meta.tk, meta.act), []).append(node.id)
+    for nodes in census.values():
+        nodes.sort()
+    return census
+
+
+def _node_index(model) -> dict:
+    return {node.id: node for node in model.all_nodes()}
+
+
 def test_happy_act_census(solo_net):
-    census = act_census(compile_network(solo_net, DetailLevel.HAPPY_FLOW))
+    census = _act_census(compile_network(solo_net, DetailLevel.HAPPY_FLOW))
     assert {act for _, act in census} == set(CORE_ACTS)
     sizes = {act: len(nodes) for (_, act), nodes in census.items()}
     assert sizes == {
@@ -143,7 +159,7 @@ def test_happy_act_census(solo_net):
     ],
 )
 def test_census_covers_level_alphabet(solo_net, level, expected_acts):
-    census = act_census(compile_network(solo_net, level))
+    census = _act_census(compile_network(solo_net, level))
     acts = {act for _, act in census}
     assert len(acts) == expected_acts
     assert acts == LEVEL_ALPHABETS[level]
@@ -379,7 +395,7 @@ def _allowed_rollback(model, revocation: Act, first: Role) -> list[Act]:
     the answer.  A side runs, ``first`` before the other, until it waits for
     a message not yet sent, and stops at its reposition split or its
     terminate event."""
-    nodes = model.node_index()
+    nodes = _node_index(model)
     outs: dict[str, list[tuple[str, str]]] = {}
     for pool in model.pools:
         for flow in pool.flows:
@@ -438,7 +454,8 @@ def test_allow_path_compensates_the_engine_rollback_chain(solo_net, revocation):
 def test_zone_message_flows_join_a_send_task_to_a_catch_across_pools(solo_net, level):
     model = compile_network(solo_net, level)
     assert len(model.message_flows) == SOLO_SIZES[level][2]
-    nodes, pool_of = model.node_index(), model.pool_of()
+    nodes = _node_index(model)
+    pool_of = {node.id: pool.id for pool in model.pools for node in pool.nodes}
     for flow in model.message_flows:
         assert nodes[flow.source].kind is NodeKind.SEND_TASK, flow.id
         assert nodes[flow.target].kind in (NodeKind.MESSAGE_CATCH, NodeKind.MESSAGE_START_EVENT), flow.id

@@ -416,6 +416,14 @@ def test_language_matches_the_reference_enumerator(rerequest, redeclare, revocat
     assert enumerate_language(alphabet, bounds) == _reference_language(alphabet, bounds)
 
 
+def test_language_is_enumerated_once_per_alphabet_and_bounds():
+    # every conformance check reads the language; equal arguments share one
+    # frozenset
+    first = enumerate_language(DISSENT_ALPHABET, Bounds(2, 1, 1))
+    assert enumerate_language(DISSENT_ALPHABET, Bounds(2, 1, 1)) is first
+    assert enumerate_language(COMPLETE_ALPHABET, Bounds(2, 1, 1)) is not first
+
+
 # --- the bounded step --------------------------------------------------------
 
 _DECLINED = _state_after((Act.REQUEST, I), (Act.DECLINE, E))
@@ -530,6 +538,7 @@ def test_table_plays_only_the_rows_read():
     # language walk plays only the states its alphabet reaches
     bounds = Bounds(rerequest=40, redeclare=40, revocations=40)
     bounded_table.cache_clear()
+    enumerate_language.cache_clear()
     enumerate_language(DISSENT_ALPHABET, bounds)
     reached, frontier = {BoundedState()}, [BoundedState()]
     while frontier:

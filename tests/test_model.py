@@ -201,16 +201,6 @@ def test_minimal_clean_model():
     assert lint_model(_model(nodes, flows)) == []
 
 
-def test_node_index_and_pool_of():
-    nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
-    model = _model(nodes, flows)
-    assert set(model.node_index()) == {"n0", "n1", "n2"}
-    assert model.pool_of()["n1"] == "pool_a"
-    assert model.find_pool("pool_a").actor_id == "A"
-    with pytest.raises(KeyError):
-        model.find_pool("pool_zz")
-
-
 def test_dangling_sequence_flow_endpoint():
     nodes, flows = _chain(NodeKind.START_EVENT, NodeKind.TASK, NodeKind.END_EVENT)
     flows += [SequenceFlow("f9", "n1", "ghost"), SequenceFlow("f8", "wraith", "ghost")]
@@ -630,8 +620,8 @@ def _reference_lint(model: BpmnModel) -> list[LintFinding]:
             if count > 1:
                 add("DuplicateId", (element_id,), f"{count} model elements share this id")
 
-    index = model.node_index()
-    pool_of = model.pool_of()
+    index = {node.id: node for node in model.all_nodes()}
+    pool_of = {node.id: pool.id for pool in model.pools for node in pool.nodes}
 
     incoming: dict[str, list[SequenceFlow]] = {}
     outgoing: dict[str, list[SequenceFlow]] = {}

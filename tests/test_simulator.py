@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from collections import deque
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,12 +14,17 @@ from hypothesis import assume, given, settings, strategies as st
 from demoflow.compiler import DetailLevel, LEVEL_ALPHABETS, compile_network
 from demoflow.engine import (
     COMPLETE_ALPHABET,
+    INITIAL_STATE,
     Act,
+    ActNotEnabled,
     Bounds,
     Phase,
+    RevocationError,
     Role,
+    apply_act,
     bounded_table,
     enumerate_language,
+    rollback_chain,
 )
 from demoflow.model import ACT_SLUGS, FlowNode, NodeKind, SequenceFlow, parse_node_id
 from demoflow.network import (
@@ -761,6 +768,62 @@ def test_mixed_tree_complete_walks_are_pinned():
 # ---------------------------------------------------------------------------
 
 
+def _reference_compensation_order(trace: SimTrace) -> list[str]:
+    """What ``check_compensation_order`` must find, replayed event by event
+    through ``apply_act``: inverse events of each allowed revocation must
+    replay the rollback chain exactly, most recent act first, nothing
+    skipped, nothing extra."""
+    violations = []
+    for tk in sorted({e.tk for e in trace.events}):
+        tk_events = [e for e in trace.events if e.tk == tk]
+        state = INITIAL_STATE
+        chain: Optional[deque] = None
+        for event in tk_events:
+            if event.inverse:
+                if chain is None:
+                    if state.pending is None:
+                        violations.append(f"{tk}: inverse {event.act.value} outside a revocation")
+                        continue
+                    try:
+                        chain = deque(rollback_chain(state, state.pending[0]))
+                    except RevocationError:
+                        violations.append(f"{tk}: inverse {event.act.value} for an unperformed act")
+                        continue
+                if not chain:
+                    violations.append(f"{tk}: extra inverse {event.act.value}")
+                elif event.act is not chain[0]:
+                    violations.append(
+                        f"{tk}: expected {chain[0].value} undone next, got {event.act.value}"
+                    )
+                else:
+                    chain.popleft()
+                continue
+            allow = event.act is Act.ALLOW
+            if not allow:
+                if chain:
+                    violations.append(
+                        f"{tk}: {event.act.value} happened before the rollback finished"
+                    )
+                chain = None
+            elif state.pending is None:
+                violations.append(f"{tk}: Allow without a pending revocation")
+                continue
+            try:
+                after = apply_act(state, event.act, event.role)
+            except (ActNotEnabled, RevocationError) as exc:
+                violations.append(f"{tk}: {event.act.value} not enabled ({exc})")
+                continue
+            if allow and chain is None:
+                try:
+                    chain = deque(rollback_chain(state, state.pending[0]))
+                except RevocationError:
+                    chain = deque()
+            state = after
+        if chain:
+            violations.append(f"{tk}: rollback chain left unfinished")
+    return violations
+
+
 def _reference_conformance(model, alphabet, bounds=Bounds()):
     """What ``check_conformance`` must find, computed from every full
     interleaved trace one at a time: (missing, unexpected, the set of
@@ -777,7 +840,7 @@ def _reference_conformance(model, alphabet, bounds=Bounds()):
                 continue
             produced.setdefault(tk, set()).add((acts, phase))
             projections.add((tk, tuple(e for e in trace.events if e.tk == tk), phase))
-        violations.update(check_compensation_order(trace))
+        violations.update(_reference_compensation_order(trace))
     missing = {tk: frozenset(expected - got) for tk, got in produced.items() if expected - got}
     unexpected = {tk: frozenset(got - expected) for tk, got in produced.items() if got - expected}
     return missing, unexpected, violations, len(projections)
@@ -898,6 +961,25 @@ def test_generated_networks_match_the_full_trace_reference(net, level):
     _assert_matches_reference(compile_network(net, level), LEVEL_ALPHABETS[level], bounds)
 
 
+@pytest.mark.parametrize(
+    "case", ["solo-happy", "solo-dissent", "solo-complete", "solo-complete-misordered"]
+)
+def test_history_folds_match_the_compensation_reference(request, case):
+    # each projection is judged from its trie node's fold, never replayed;
+    # the reference replays its decoded trace from the start
+    model, level = _reference_model(request, case)
+    result = simulate_exhaustive(model, language=enumerate_language(LEVEL_ALPHABETS[level]))
+    flagged = 0
+    for (tk, history, phase), (acts, violations) in result.projections.items():
+        trace = SimTrace(result.histories.decode(history), ((result.transactions[tk], phase),))
+        assert acts == trace.acts_for(result.transactions[tk])
+        assert list(violations) == _reference_compensation_order(trace)
+        assert list(violations) == check_compensation_order(trace)
+        flagged += bool(violations)
+    assert len(result.projections) == SOLO_EXPECTED[level][0]
+    assert (flagged > 0) == case.endswith("misordered")
+
+
 def test_compensation_violations_are_listed_in_a_fixed_order(solo_net):
     # by transaction, then by projection, whatever order sets iterate in
     model = _with_misordered_compensations(compile_network(solo_net, DetailLevel.COMPLETE))
@@ -950,7 +1032,8 @@ def _explored(model, reduced: bool, bounds=Bounds()):
     sim = _Simulation(model, bounds)
     if not reduced:
         sim.persistent_steps = lambda state: None
-    return _explore(sim, 1_000_000)
+    result = _explore(sim, 1_000_000)
+    return result.traces, result.states
 
 
 def _assert_reduction_keeps_the_lanes(model, bounds=Bounds()) -> tuple[int, int]:
@@ -1009,7 +1092,7 @@ def _entry_counted_states(model, bounds=Bounds()) -> int:
     sim = _Simulation(model, bounds)
     sim._build_reach_masks()
     sim.persistent_steps = lambda state: _entry_counted_steps(sim, state)
-    return _explore(sim, 1_000_000)[1]
+    return _explore(sim, 1_000_000).states
 
 
 def test_reduction_prefers_the_entry_counted_choice(poc1_net):
