@@ -64,7 +64,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate, compress, repeat
 from operator import attrgetter, itemgetter, ne
-from typing import Container, Iterable, Optional
+from typing import Container, Iterable, Optional, Sequence
 
 from .engine import (
     Act,
@@ -141,9 +141,6 @@ class SimTrace:
     def acts_for(self, tk: str) -> tuple[Act, ...]:
         return tuple(e.act for e in self.events if e.tk == tk and not e.inverse)
 
-    def outcome_of(self, tk: str) -> Phase:
-        return dict(self.outcomes)[tk]
-
     def outcome(self) -> str:
         """Aggregate tag for the run as a whole.
 
@@ -204,14 +201,15 @@ class ExhaustiveResult:
 #
 #     (tokens, in_flight, completed, compensated, spawned, shadow)
 #
-# ``tokens`` is a sorted tuple of ``(node, count)`` pairs over the
-# transaction's nodes; ``in_flight`` (sources of undelivered messages),
-# ``completed`` (task nodes that ran and could be compensated) and
-# ``compensated`` are bitsets over nodes, holding only the transaction's
-# bits; ``spawned`` is 1 once its executor instance started; ``shadow`` is
-# ``row << 2 | lock``: its row in the engine's ``bounded_table`` and the lock
-# that freezes its normal flow while a revocation plays out: 0 free, 1 or 2
-# reposition splits left (each split counts it down), or 3 pending.
+# ``tokens`` is a sorted tuple of node indices over the transaction's nodes,
+# one entry per token, so a join holding two tokens appears twice;
+# ``in_flight`` (sources of undelivered messages), ``completed`` (task nodes
+# that ran and could be compensated) and ``compensated`` are bitsets over
+# nodes, holding only the transaction's bits; ``spawned`` is 1 once its
+# executor instance started; ``shadow`` is ``row << 2 | lock``: its row in
+# the engine's ``bounded_table`` and the lock that freezes its normal flow
+# while a revocation plays out: 0 free, 1 or 2 reposition splits left (each
+# split counts it down), or 3 pending.
 _SPAWNED, _SHADOW = 4, 5
 _LOCK = _PENDING = 3  # the lock's mask is its pending value
 _FREE, _REPOSITIONING = 0, 2
@@ -219,21 +217,32 @@ _FREE, _REPOSITIONING = 0, 2
 
 class _Working:
     """Mutable merge of some transactions' components while one step is
-    applied: ``tokens`` maps node to count, the node bitsets are the union of
+    applied: ``tokens`` lists the components' tokens as node indices, one
+    entry per token and in no particular order (``freeze`` sorts them back
+    into each component's sorted tuple), the node bitsets are the union of
     the components', ``spawned`` is a bitset over transactions and
     ``shadows`` maps each transaction to its shadow."""
 
     __slots__ = ("ids", "tokens", "in_flight", "spawned", "completed", "compensated", "shadows")
 
-    def __init__(self, sim: "_Simulation", tks: Iterable[int], codes: Iterable[int]):
+    def __init__(self, sim: "_Simulation", tks: Sequence[int], codes: Sequence[int]):
         self.ids = sim.ids
-        self.tokens = tokens = {}
+        components = sim.components
+        if len(tks) == 1:  # most steps: one component, read as it is
+            (tk,), (code,) = tks, codes
+            marked, self.in_flight, self.completed, self.compensated, started, shadow = (
+                components[code]
+            )
+            self.tokens = list(marked)
+            self.spawned = started << tk
+            self.shadows = {tk: shadow}
+            return
+        self.tokens = tokens = []
         self.shadows = shadows = {}
         in_flight = spawned = completed = compensated = 0
-        components = sim.components
         for tk, code in zip(tks, codes):
             marked, flying, done, undone, started, shadows[tk] = components[code]
-            tokens.update(marked)
+            tokens += marked
             in_flight |= flying
             completed |= done
             compensated |= undone
@@ -241,35 +250,36 @@ class _Working:
         self.in_flight, self.spawned = in_flight, spawned
         self.completed, self.compensated = completed, compensated
 
-    def add_token(self, node: int, count: int = 1) -> None:
-        self.tokens[node] = self.tokens.get(node, 0) + count
-
     def take_token(self, node: int, count: int = 1) -> None:
-        left = self.tokens.get(node, 0) - count
-        if left < 0:
-            raise SimulationError(f"token underflow at {self.ids[node]}")
-        if left:
-            self.tokens[node] = left
-        else:
-            self.tokens.pop(node, None)
+        tokens = self.tokens
+        if count == 1:
+            if node in tokens:
+                tokens.remove(node)
+                return
+        elif tokens.count(node) >= count:  # a join
+            for _ in range(count):
+                tokens.remove(node)
+            return
+        raise SimulationError(f"token underflow at {self.ids[node]}")
 
     def freeze(self, sim: "_Simulation", tks: tuple[int, ...]) -> tuple[int, ...]:
         """The component code of each of ``tks``, in ascending order."""
-        items = sorted(self.tokens.items())
+        tokens = self.tokens
+        tokens.sort()
         if len(tks) == 1:  # most steps: every token and bit is this one's
             (tk,) = tks
             return (sim.component_code((
-                tuple(items), self.in_flight, self.completed, self.compensated,
+                tuple(tokens), self.in_flight, self.completed, self.compensated,
                 self.spawned >> tk & 1, self.shadows[tk],
             )),)
         codes = []
         start = 0
         for tk in tks:
             nodes, mask = sim.tk_nodes[tk], sim.masks[tk]
-            start = bisect_left(items, (nodes.start,), start)
-            stop = bisect_left(items, (nodes.stop,), start)
+            start = bisect_left(tokens, nodes.start, start)
+            stop = bisect_left(tokens, nodes.stop, start)
             codes.append(sim.component_code((
-                tuple(items[start:stop]),
+                tuple(tokens[start:stop]),
                 self.in_flight & mask,
                 self.completed & mask,
                 self.compensated & mask,
@@ -316,7 +326,8 @@ _TASK, _SEND_TASK, _CATCH, _THROW = (
 _XOR, _PAR, _EBG = (
     NodeKind.EXCLUSIVE_GATEWAY, NodeKind.PARALLEL_GATEWAY, NodeKind.EVENT_BASED_GATEWAY,
 )
-_INITIAL = Phase.INITIAL
+_INITIAL, _TERMINATED = Phase.INITIAL, Phase.TERMINATED
+_ALLOW, _REFUSE = Act.ALLOW, Act.REFUSE
 
 
 # Step operations, numbered in the alphabetical order of their names so that
@@ -462,6 +473,9 @@ class _Simulation:
             if node not in msg_in and node in self.ebg_pred:
                 self.gate_triggers.setdefault(self.ebg_pred[node], []).append(node)
         self._read_guards(sources, pars)
+        # the nodes with a guarded outgoing flow; every other node places a
+        # token on each of its flows' targets
+        self.guarded = set(map(sources.__getitem__, self.guards))
 
         self._components = _Interner()
         self.components: list[tuple] = self._components.values
@@ -598,7 +612,7 @@ class _Simulation:
     def initial(self) -> tuple[int, ...]:
         return tuple(
             self.component_code((
-                tuple((start, 1) for start in self.starts if start in nodes), 0, 0, 0, 0, 0
+                tuple(start for start in self.starts if start in nodes), 0, 0, 0, 0, 0
             ))
             for nodes in self.tk_nodes
         )
@@ -627,7 +641,10 @@ class _Simulation:
 
     def steps(self, state: tuple[int, ...]) -> list[tuple[int, int, int]]:
         """The enabled steps in sorted order: the union of the steps each
-        component enables (``_steps_of``)."""
+        component enables (``_steps_of``).  The caller must not change the
+        list: for one transaction it is that component's own."""
+        if len(state) == 1:
+            return self._steps_of(state[0])
         out: list[tuple[int, int, int]] = []
         local_steps = self._local_steps
         for code in state:
@@ -654,8 +671,16 @@ class _Simulation:
         locked = shadow & _LOCK
         out: list[tuple[int, int, int]] = []
 
-        for node, count in tokens:
-            if count < need[node]:
+        previous = -1
+        for node in tokens:
+            if node == previous:  # a node's tokens are adjacent
+                continue
+            previous = node
+            if not locked:
+                for trigger in self.gate_triggers.get(node, ()):
+                    if self._allows(shadow, trigger):
+                        out.append((_TRIGGER, trigger, 0))
+            if need[node] > 1 and tokens.count(node) < need[node]:
                 continue
             if locked and node not in unlockable:
                 continue
@@ -666,7 +691,6 @@ class _Simulation:
                 if self._branch_allowed(f, shadow):
                     out.append((_FIRE, node, branch))
 
-        marked = dict(tokens) if in_flight else {}
         for source in _bits(in_flight):
             for target in self.msg_out.get(source, ()):
                 if target is None:
@@ -676,18 +700,12 @@ class _Simulation:
                         out.append((_DELIVER, source, target))
                     continue
                 gate = self.ebg_pred.get(target)
-                armed = target in marked or (gate is not None and gate in marked)
+                armed = target in tokens or (gate is not None and gate in tokens)
                 if not armed:
                     continue
                 if locked and target not in unlockable:
                     continue
                 out.append((_DELIVER, source, target))
-
-        if not locked:
-            for gate, _ in tokens:
-                for trigger in self.gate_triggers.get(gate, ()):
-                    if self._allows(shadow, trigger):
-                        out.append((_TRIGGER, trigger, 0))
 
         out.sort()
         return out
@@ -796,7 +814,7 @@ class _Simulation:
         tokens, in_flight = self.components[code][:2]
         reach = self._reach_masks
         mask = 0
-        for node, _ in tokens:
+        for node in tokens:
             mask |= reach[node]
         for source in _bits(in_flight):
             for target in self.msg_out.get(source, ()):
@@ -939,7 +957,8 @@ class _Simulation:
     def _advance(self, working: _Working, node: int, events: list[int]) -> None:
         """Move the transaction's shadow by the node's act, if it has one,
         and emit the act."""
-        meta, column = self._meta(node)
+        entry = self.meta[node]
+        meta, column = self._meta(node) if entry is None else entry
         if column < 0:
             return
         tk = self.tk_of[node]
@@ -952,9 +971,9 @@ class _Simulation:
                 f"{state.phase.value}, which the engine's bounded step forbids"
             )
         lock = shadow & _LOCK
-        if meta.act is Act.ALLOW:
-            lock = _PENDING if LANDING_PHASE[state.pending[0]] is Phase.TERMINATED else _REPOSITIONING
-        elif meta.act is Act.REFUSE:
+        if meta.act is _ALLOW:
+            lock = _PENDING if LANDING_PHASE[state.pending[0]] is _TERMINATED else _REPOSITIONING
+        elif meta.act is _REFUSE:
             lock = _FREE
         working.shadows[tk] = after << 2 | lock
         events.append(self._event_code(node, False))
@@ -1022,8 +1041,11 @@ class _Simulation:
     # -- placement under flow guards --------------------------------------
 
     def _place_all(self, working: _Working, node: int) -> None:
-        for f in self._out(node):
-            self._place(working, f)
+        if node in self.guarded:
+            for f in self._out(node):
+                self._place(working, f)
+        else:
+            working.tokens += self.target[self.first_out[node]:self.first_out[node + 1]]
 
     def _phase(self, working: _Working, tk: int) -> Phase:
         return self.states[working.shadows[tk] >> 2].state.phase
@@ -1040,7 +1062,7 @@ class _Simulation:
                 if exit_flow is not None:
                     self._place(working, exit_flow)
                 return
-        working.add_token(self.target[f])
+        working.tokens.append(self.target[f])
 
     def _child_fresh(self, working: _Working, child: int) -> bool:
         if working.spawned >> child & 1:
@@ -1070,13 +1092,11 @@ class _Simulation:
     def _drop_tokens(self, working: _Working, tk: int, pool: str, spared: Container[int]) -> None:
         """Drop the transaction's tokens in ``pool``, short of the nodes in
         ``spared``: a walk over the marked nodes, not the transaction's."""
-        nodes, pool_of, tokens = self.tk_nodes[tk], self.pool_of, working.tokens
-        dropped = [
-            node for node in tokens
-            if node in nodes and pool_of[node] == pool and node not in spared
+        nodes, pool_of = self.tk_nodes[tk], self.pool_of
+        working.tokens = [
+            node for node in working.tokens
+            if node not in nodes or pool_of[node] != pool or node in spared
         ]
-        for node in dropped:
-            del tokens[node]
 
     def _clear(self, working: _Working, tk: int, pool: str, spared: Container[int]) -> None:
         """Drop the transaction's tokens in ``pool`` and its messages in
@@ -1188,8 +1208,8 @@ def _explore(
     lane_of = sim.event_lanes
     histories = _Histories(sim.events)
     extend = histories.extend
-    visited: set[tuple[int, ...]] = set()
-    onstack: set[tuple[int, ...]] = set()
+    # each searched state (its key) -> whether it is still on the stack
+    seen: dict[tuple[int, ...], bool] = {}
     ends: set[tuple[int, int, int]] = set()  # (transaction, history, component)
     # (transaction, history, phase) -> (acts, compensation violations)
     projections: dict[tuple[int, int, Phase], tuple] = {}
@@ -1215,7 +1235,7 @@ def _explore(
                 first = witness()
 
     def open_frame(key: tuple[int, ...]) -> None:
-        if len(visited) >= max_states:
+        if len(seen) >= max_states:
             raise StateSpaceLimitExceeded(f"more than {max_states} states explored")
         state, path = key[:lanes], key[lanes:]
         steps = sim.persistent_steps(state) if reduced else None
@@ -1244,8 +1264,7 @@ def _explore(
             else:
                 child += path
             successors.append(child)
-        visited.add(key)
-        onstack.add(key)
+        seen[key] = True
         stack.append([key, steps, successors, 0])
 
     exhausted = False
@@ -1257,21 +1276,22 @@ def _explore(
             if index < len(successors):
                 frame[3] = index + 1
                 child = successors[index]
-                if child in onstack:
+                on_stack = seen.get(child)
+                if on_stack is None:
+                    open_frame(child)
+                elif on_stack:
                     error = SimulationError("simulation state graph has a cycle")
                     error.witness = witness()
                     raise error
-                if child not in visited:
-                    open_frame(child)
             else:
-                onstack.discard(frame[0])
+                seen[frame[0]] = False
                 stack.pop()
     except StateSpaceLimitExceeded:
         if first is None:
             raise
         exhausted = True
     return ExhaustiveResult(
-        states=len(visited),
+        states=len(seen),
         transactions=tuple(sim.tks),
         projections=projections,
         histories=histories,

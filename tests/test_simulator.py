@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from collections import deque
+from collections import Counter, deque
 from typing import Optional
 
 import pytest
@@ -43,6 +43,8 @@ from demoflow.simulator import (
     SimulationError,
     StateSpaceLimitExceeded,
     Verdict,
+    _DELIVER,
+    _FIRE,
     _SPAWNED,
     _Simulation,
     _TRIGGER,
@@ -73,6 +75,11 @@ SOLO_EXPECTED = {
 # ---------------------------------------------------------------------------
 # Single-transaction exploration and conformance
 # ---------------------------------------------------------------------------
+
+
+def _outcome_of(trace: SimTrace, tk: str) -> Phase:
+    """The phase ``trace`` leaves ``tk`` in."""
+    return dict(trace.outcomes)[tk]
 
 
 @pytest.mark.parametrize("level", list(DetailLevel))
@@ -132,7 +139,7 @@ def test_projections_match_engine_language_exactly(solo_net):
     model = compile_network(solo_net, DetailLevel.COMPLETE)
     result = simulate_exhaustive(model)
     produced = {
-        (trace.acts_for("tk01"), trace.outcome_of("tk01")) for trace in result.traces
+        (trace.acts_for("tk01"), _outcome_of(trace, "tk01")) for trace in result.traces
     }
     assert produced == enumerate_language(LEVEL_ALPHABETS[DetailLevel.COMPLETE], Bounds())
 
@@ -247,6 +254,47 @@ def test_compensation_order_reports_an_allow_by_the_wrong_role():
     ]
 
 
+def _solo_trace(*events: tuple[Act, Role, bool]) -> SimTrace:
+    """A hand-built trace of ``tk01``'s ``(act, role, inverse)`` events."""
+    events = tuple(SimEvent("tk01", *event) for event in events)
+    return SimTrace(events, (("tk01", Phase.REQUESTED),))
+
+
+_I, _E = Role.INITIATOR, Role.EXECUTOR
+
+
+@pytest.mark.parametrize(
+    "trace, expected",
+    [
+        (
+            _solo_trace((Act.REQUEST, _I, False), (Act.ALLOW, _E, False)),
+            ["tk01: Allow without a pending revocation"],
+        ),
+        (
+            _solo_trace((Act.REQUEST, _I, False), (Act.ACCEPT, _I, False)),
+            ["tk01: Accept not enabled (Accept by initiator is not enabled in phase Requested)"],
+        ),
+        (
+            # Accept was never performed, so the Allow is refused
+            # automatically and leaves nothing to undo
+            _solo_trace(
+                (Act.REQUEST, _I, False),
+                (Act.REVOKE_ACCEPT, _I, False),
+                (Act.ALLOW, _E, False),
+                (Act.REQUEST, _I, True),
+            ),
+            ["tk01: extra inverse Request"],
+        ),
+    ],
+    ids=["allow-unpending", "rejected-act", "inverse-after-auto-refusal"],
+)
+def test_compensation_order_reports_what_only_a_forbidden_act_reaches(trace, expected):
+    # the bounded table forbids each of these acts, so no search records
+    # such a projection; the fold and its reference must still agree
+    assert check_compensation_order(trace) == expected
+    assert _reference_compensation_order(trace) == expected
+
+
 def test_compensation_order_does_not_hide_programming_errors(solo_net, monkeypatch):
     def broken(*args):
         raise TypeError("broken")
@@ -265,7 +313,7 @@ def test_refused_revocation_compensates_nothing(solo_net):
     assert matching
     for trace in matching:
         assert not any(e.inverse for e in trace.events)
-        assert trace.outcome_of("tk01") is Phase.ACCEPTED
+        assert _outcome_of(trace, "tk01") is Phase.ACCEPTED
 
 
 # ---------------------------------------------------------------------------
@@ -1470,16 +1518,16 @@ def test_spawn_and_phase_guards_steer_a_re_entry():
     started = _state_where(sim, lambda sim, s: _phase_of(sim, s, "tk01") is Phase.PROMISED)
     again = _working(sim, started)
     assert sim.target[entry] in again.tokens
-    before = dict(again.tokens)
+    before = Counter(again.tokens)
     sim._place(again, entry)  # a started child is passed, back into its parent
-    assert again.tokens == {**before, resume: 1}
+    assert Counter(again.tokens) == {**before, resume: 1}
 
     executed = _state_where(sim, lambda sim, s: _phase_of(sim, s, "tk01") is Phase.EXECUTED)
     stale = _working(sim, executed)
-    before = dict(stale.tokens)
+    before = Counter(stale.tokens)
     sim._place(stale, entry)  # the parent moved on: the resumption is stale
     sim._place(stale, exit_flow)
-    assert stale.tokens == before
+    assert Counter(stale.tokens) == before
 
 
 def test_zone_without_reposition_guards_is_rejected(solo_net):
@@ -1488,3 +1536,67 @@ def test_zone_without_reposition_guards_is_rejected(solo_net):
     model = _without_guards(compile_network(solo_net, DetailLevel.COMPLETE), "reposition")
     with pytest.raises(SimulationError, match="missing reposition guard"):
         simulate_exhaustive(model)
+
+
+# ---------------------------------------------------------------------------
+# Defensive errors of the step layer, on hand-made steps
+# ---------------------------------------------------------------------------
+
+
+def _solo_sim(solo_net):
+    return _Simulation(compile_network(solo_net, DetailLevel.HAPPY_FLOW), Bounds())
+
+
+def _with_in_flight(sim, state, source: int):
+    """``state`` with a message from ``source`` put in flight, its
+    transaction's component otherwise as it is."""
+    tk = sim.tk_of[source]
+    tokens, in_flight, *rest = sim.components[state[tk]]
+    code = sim.component_code((tokens, in_flight | 1 << source, *rest))
+    return state[:tk] + (code,) + state[tk + 1:]
+
+
+def _apply_error(sim, state, step) -> str:
+    with pytest.raises(SimulationError) as excinfo:
+        sim.apply(state, step)
+    return str(excinfo.value)
+
+
+def test_firing_an_unmarked_send_task_underflows(solo_net):
+    sim = _solo_sim(solo_net)
+    send = sim.ids.index("tk01_i_request_sendtask")
+    message = _apply_error(sim, sim.initial(), (_FIRE, send, 0))
+    assert message == "token underflow at tk01_i_request_sendtask"
+
+
+def test_a_join_short_of_its_tokens_underflows():
+    model = compile_network(_fan_net(DependencyKind.RAP, 2), DetailLevel.HAPPY_FLOW)
+    sim = _Simulation(model, Bounds())
+    join = sim.ids.index("tk01_e_rap_par_2")
+    assert sim.need[join] == 2
+    state = _state_where(sim, lambda sim, s: Counter(_working(sim, s).tokens)[join] == 1)
+    message = _apply_error(sim, state, (_FIRE, join, 0))
+    assert message == "token underflow at tk01_e_rap_par_2"
+
+
+def test_delivering_no_message_is_rejected(solo_net):
+    sim = _solo_sim(solo_net)
+    source, target = map(sim.ids.index, ("tk01_i_request_sendtask", "tk01_e_request_mstart"))
+    message = _apply_error(sim, sim.initial(), (_DELIVER, source, target))
+    assert message == "no message in flight from tk01_i_request_sendtask"
+
+
+def test_sending_over_a_message_in_flight_is_rejected(solo_net):
+    sim = _solo_sim(solo_net)
+    send = sim.ids.index("tk01_i_request_sendtask")
+    marked = _state_where(sim, lambda sim, s: send in _working(sim, s).tokens)
+    message = _apply_error(sim, _with_in_flight(sim, marked, send), (_FIRE, send, 0))
+    assert message == "message from tk01_i_request_sendtask still in flight"
+
+
+def test_delivery_to_an_unarmed_catch_is_rejected(solo_net):
+    sim = _solo_sim(solo_net)
+    source, target = map(sim.ids.index, ("tk01_e_promise_sendtask", "tk01_i_promise_catch"))
+    state = _with_in_flight(sim, sim.initial(), source)
+    message = _apply_error(sim, state, (_DELIVER, source, target))
+    assert message == "delivery to unarmed catch tk01_i_promise_catch"
