@@ -9,24 +9,32 @@ cross-pool message flows.  Node ids follow a fixed grammar,
 e.g. ``tk01_i_request_sendtask`` or ``tk01_e_revokedeclare_throw_2``, where
 the transaction has no underscore, the slug is either one of the fourteen
 act slugs or a plumbing word (entry, response, repromise, ...) and the ordinal
-is a decimal number of at most nine digits.  ``NODE_ID`` is that grammar,
-compiled once: the simulator checks ids against it, and parse_node_id reads
-an id's fields through it, recovering the transaction, role and act.  That
+is a decimal number of at most nine digits.  The grammar is a head, the
+transaction (the text before the first underscore), and a tail, the rest;
+``NODE_TAIL`` is the tail's grammar.  A node id's transaction is whatever
+its head holds, so an id follows the grammar exactly when its tail does.
+Ids repeat their tails across transactions and models (the 33,387 ids of
+the benchmark's random-walk models hold 120 distinct tails), so each tail
+on the grammar is read once per process, into a bounded table of its
+fields (``read_tail``).  parse_node_id splits an id there, recovering the
+transaction, role and act, and the simulator checks ids
+(``tails_on_grammar``) and reads their acts through the same table.  That
 is what lets the simulator and the coverage auditor treat generated and
-re-parsed models identically.  Control beyond the graph itself is carried by flow guards (see
-``SequenceFlow``).  Sequence flows, message flows and associations form
-their ids from their endpoints (see ``_Link``).
+re-parsed models identically.  Control beyond the graph itself is carried
+by flow guards (see ``SequenceFlow``).  Sequence flows, message flows and
+associations form their ids from their endpoints (see ``_Link``).
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
-from .engine import Act, Role
+from .engine import MOVES, Act, Role
 
 
 class NodeKind(Enum):
@@ -78,14 +86,75 @@ class NodeMeta(NamedTuple):
         return ACT_SLUGS.get(self.slug)
 
 
-# The node-id grammar.  Its groups are the transaction, role tag, slug, kind
-# tag and ordinal.  A slug may hold any character, newlines included (DOTALL),
-# and underscores; an ordinal is one to nine decimal digits, so int() can read
-# it whatever the interpreter's limit on digits in an integer string.
-NODE_ID = re.compile(
-    r"([^_]*)_(" + "|".join(_ROLE_TAGS) + r")_(.*)_(" + "|".join(_KIND_TAGS) + r")(?:_(\d{1,9}))?",
+# The node-id grammar after the head.  Its groups are the role tag, slug,
+# kind tag and ordinal.  A slug may hold any character, newlines included
+# (DOTALL), and underscores; an ordinal is one to nine decimal digits, so int()
+# can read it whatever the interpreter's limit on digits in an integer string.
+NODE_TAIL = re.compile(
+    r"(" + "|".join(_ROLE_TAGS) + r")_(.*)_(" + "|".join(_KIND_TAGS) + r")(?:_(\d{1,9}))?",
     re.DOTALL,
 )
+
+
+class IdTail(NamedTuple):
+    """What a node id's tail names: the fields of its ``NodeMeta`` after the
+    transaction, then its act and the act's column in the engine's
+    ``MOVES`` (-1 for a node without an act)."""
+
+    role: Role
+    slug: str
+    kind: NodeKind
+    ordinal: int
+    act: Optional[Act]
+    column: int
+
+
+# Each tail on the grammar read so far -> its fields, for the whole process.
+# Only strings are keyed, and nothing about any model's structure is kept.
+# Ids come from any model read, so the table is emptied when it reaches
+# TAIL_TABLE_CAP tails; a tail read again after that is simply re-read.
+# Lookups take no lock; a write does, so threads keep the table within its cap.
+TAIL_TABLE_CAP = 1024
+_TAILS: dict[str, IdTail] = {}
+_TAILS_WRITE = threading.Lock()
+
+
+def read_tail(tail: str) -> Optional[IdTail]:
+    """The fields of a node id's tail, the text after its first underscore;
+    None for a tail off the grammar, which the table never holds."""
+    fields = _TAILS.get(tail)
+    if fields is None:
+        match = NODE_TAIL.fullmatch(tail)
+        if match is None:
+            return None
+        role_tag, slug, kind_tag, ordinal = match.groups()
+        role, act = _ROLE_TAGS[role_tag], ACT_SLUGS.get(slug)
+        fields = IdTail(
+            role, slug, _KIND_TAGS[kind_tag], int(ordinal) if ordinal else 1,
+            act, -1 if act is None else MOVES.index((act, role)),
+        )
+        with _TAILS_WRITE:
+            if len(_TAILS) >= TAIL_TABLE_CAP:
+                _TAILS.clear()
+            _TAILS[tail] = fields
+    return fields
+
+
+def tails_on_grammar(tails: set[str]) -> bool:
+    """Whether every one of ``tails`` follows the grammar.  Only the tails
+    the table does not know yet are read."""
+    return all(map(read_tail, tails.difference(_TAILS)))
+
+
+def first_off_grammar(node_ids: Iterable[str]) -> Optional[str]:
+    """The first of ``node_ids`` that does not follow the grammar, None if
+    all do."""
+    return next(
+        (node_id for node_id in node_ids if read_tail(node_id.partition("_")[2]) is None), None
+    )
+
+
+_new_tuple = tuple.__new__  # NamedTuple's own __new__ is a Python-level call
 
 
 def parse_node_id(node_id: str) -> Optional[NodeMeta]:
@@ -93,12 +162,12 @@ def parse_node_id(node_id: str) -> Optional[NodeMeta]:
 
     Returns None for ids that do not follow the grammar (foreign models).
     """
-    match = NODE_ID.fullmatch(node_id)
-    if match is None:
+    tk, _, tail = node_id.partition("_")
+    fields = _TAILS.get(tail) or read_tail(tail)
+    if fields is None:
         return None
-    tk, role_tag, slug, kind_tag, ordinal = match.groups()
-    ordinal = int(ordinal) if ordinal else 1
-    return NodeMeta(tk, _ROLE_TAGS[role_tag], slug, _KIND_TAGS[kind_tag], ordinal)
+    role, slug, kind, ordinal, _, _ = fields
+    return _new_tuple(NodeMeta, (tk, role, slug, kind, ordinal))
 
 
 @dataclass(slots=True)

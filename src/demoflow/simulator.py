@@ -62,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import attrgetter, itemgetter, ne
 from typing import Container, Iterable, Optional, Sequence
 
@@ -73,7 +73,6 @@ from .engine import (
     COMPLETE_ALPHABET,
     INITIAL_STATE,
     LANDING_PHASE,
-    MOVES,
     Phase,
     RevocationError,
     Role,
@@ -87,11 +86,12 @@ from .model import (
     ACT_SLUGS,
     BpmnModel,
     FlowNode,
-    NODE_ID,
+    IdTail,
     NodeKind,
-    NodeMeta,
-    parse_node_id,
+    first_off_grammar,
+    read_tail,
     slugify_tk,
+    tails_on_grammar,
 )
 from .network import DEPENDENCY_RULES, TransactionNetwork
 
@@ -350,14 +350,19 @@ class _Simulation:
     so sorting steps by index sorts them as by id.  A step is ``(op, node,
     arg)``: ``arg`` is a delivery's target node, or an exclusive gateway's
     branch in flow-id order.  Transaction components and emitted events are
-    interned to small ints; ``event_lanes`` gives each event code's
-    transaction.
+    interned to small ints, an event by its transaction, its act's column
+    in the table's moves and whether it is a compensation; ``event_lanes``
+    gives each event code's transaction.
 
-    The build checks every node id against the id grammar (``NODE_ID``) and
-    reads only each node's transaction from it; every check that can reject
-    the model runs there.  Two things a short walk needs for few nodes are
-    derived on first use instead: a node's parsed id and table column
-    (``_meta``), and an exclusive gateway's branch order (``_branches``).
+    The build checks the model's node ids against the id grammar, reading
+    only the distinct tails that the process-wide table of
+    ``model.read_tail`` does not know yet (``tails_on_grammar``), and takes
+    each node's transaction from its id's head.  Every check that can reject
+    the model runs there, on every build, so a changed model is read afresh.
+    Two things a short walk needs for few nodes are looked up on first use
+    instead: a node's tail fields, its act and the act's table column among
+    them (``_meta``), and an exclusive gateway's branch order
+    (``_branches``).
     """
 
     def __init__(self, model: BpmnModel, bounds: Bounds):
@@ -373,31 +378,37 @@ class _Simulation:
         for pool in model.pools:
             nodes += pool.nodes
             pools += [pool.id] * len(pool.nodes)
-        ids = list(map(_ID, nodes))
-        if not all(map(NODE_ID.fullmatch, ids)):
-            stray = next(node_id for node_id in ids if not NODE_ID.fullmatch(node_id))
+        model_ids = list(map(_ID, nodes))
+        order = sorted(range(len(model_ids)), key=model_ids.__getitem__)
+        self.ids = ids = list(map(model_ids.__getitem__, order))
+        # A transaction's ids are those from "<tk>_" up to "<tk>`" ("`" is
+        # the character after "_"), so in id order its nodes are one range
+        # and their tails start at one offset.
+        blocks: dict[str, range] = {}
+        tails: set[str] = set()
+        start = 0
+        while start < len(ids):
+            cut = ids[start].find("_") + 1
+            if not cut:
+                tails.add("")  # the tail of an id without "_", off the grammar
+                break
+            tk = ids[start][: cut - 1]
+            end = bisect_left(ids, tk + "`", start)
+            blocks[tk] = range(start, end)
+            tails.update(map(itemgetter(slice(cut, None)), islice(ids, start, end)))
+            start = end
+        if not tails_on_grammar(tails):
             raise SimulationError(
-                f"node {stray} does not follow the generated-id grammar; "
-                "only generated models can be simulated"
+                f"node {first_off_grammar(model_ids)} does not follow the generated-id "
+                "grammar; only generated models can be simulated"
             )
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.ids = ids = list(map(ids.__getitem__, order))
         index = dict(zip(ids, range(len(ids))))
         if len(index) < len(ids):
             duplicate = next(a for a, b in zip(ids, ids[1:]) if a == b)
             raise SimulationError(f"duplicate node id {duplicate}")
         self.pool_of = list(map(pools.__getitem__, order))
         self.kinds = kinds = list(map(_KIND, map(nodes.__getitem__, order)))
-        self.meta: list[Optional[tuple[NodeMeta, int]]] = [None] * len(ids)
-        # A transaction's ids are those from "<tk>_" up to "<tk>`" ("`" is
-        # the character after "_"), so in id order its nodes are one range.
-        blocks: dict[str, range] = {}
-        start = 0
-        while start < len(ids):
-            tk = ids[start][: ids[start].index("_")]
-            end = bisect_left(ids, tk + "`", start)
-            blocks[tk] = range(start, end)
-            start = end
+        self.meta: list[Optional[IdTail]] = [None] * len(ids)
         self.tks = sorted(blocks)
         self.tk_nodes = [blocks[tk] for tk in self.tks]
         # each transaction's bits in a bitset over nodes
@@ -480,9 +491,10 @@ class _Simulation:
         self._components = _Interner()
         self.components: list[tuple] = self._components.values
         self.component_code = self._components.code
-        self._events = _Interner()
-        self.events: list[SimEvent] = self._events.values
+        self.events: list[SimEvent] = []  # event code -> its event
         self.event_lanes: list[int] = []  # event code -> its transaction's index
+        # (transaction, column, inverse) -> event code
+        self._event_codes: dict[tuple[int, int, bool], int] = {}
         # component code -> the steps it enables, sorted (see _steps_of)
         self._local_steps: dict[int, list[tuple[int, int, int]]] = {}
         # step -> (its footprint, the getter of their codes, {codes: (codes
@@ -490,7 +502,6 @@ class _Simulation:
         self._applied: dict[tuple[int, int, int], tuple[tuple[int, ...], itemgetter, dict]] = {}
         # each transaction's footprint of itself alone, and its getter
         self._own = [((tk,), itemgetter(tk)) for tk in range(len(self.tks))]
-        self._node_events: dict[tuple[int, bool], int] = {}
         # partial-order reduction, made on the first reduced state with
         # _reach_masks and _entry_masks: per transaction, component code ->
         # (its sorted steps if every one touches the transaction alone, the
@@ -584,27 +595,26 @@ class _Simulation:
             par for par in pars if not gates.isdisjoint(target[first_out[par]:first_out[par + 1]])
         }
 
-    def _meta(self, node: int) -> tuple[NodeMeta, int]:
-        """The node's parsed id and its act's column in the table's moves
-        (-1 for a node without an act), both derived on first use."""
+    def _meta(self, node: int) -> IdTail:
+        """The fields of the node's id tail, its act and the act's column in
+        the table's moves (-1 for a node without an act) among them, looked
+        up in the id table on first use."""
         entry = self.meta[node]
         if entry is None:
-            meta = parse_node_id(self.ids[node])
-            column = -1 if meta.act is None else MOVES.index((meta.act, meta.role))
-            entry = self.meta[node] = (meta, column)
+            entry = self.meta[node] = read_tail(self.ids[node].partition("_")[2])
         return entry
 
     # -- interning ----------------------------------------------------------
 
     def _event_code(self, node: int, inverse: bool) -> int:
         """The code of the node's act event, or of its compensation."""
-        code = self._node_events.get((node, inverse))
+        tk, fields = self.tk_of[node], self.meta[node] or self._meta(node)
+        key = (tk, fields.column, inverse)
+        code = self._event_codes.get(key)
         if code is None:
-            meta, _ = self._meta(node)
-            code = self._events.code(SimEvent(meta.tk, meta.act, meta.role, inverse))
-            if code == len(self.event_lanes):
-                self.event_lanes.append(self.tk_of[node])
-            self._node_events[(node, inverse)] = code
+            code = self._event_codes[key] = len(self.events)
+            self.events.append(SimEvent(self.tks[tk], fields.act, fields.role, inverse))
+            self.event_lanes.append(tk)
         return code
 
     # -- state ------------------------------------------------------------
@@ -730,7 +740,7 @@ class _Simulation:
 
     def _allows(self, shadow: int, node: int) -> bool:
         """Whether the engine's bounded step lets the node's act happen now."""
-        column = self._meta(node)[1]
+        column = self._meta(node).column
         return column >= 0 and self.moves[shadow >> 2][column] >= 0
 
     # -- partial-order reduction -------------------------------------------
@@ -957,23 +967,24 @@ class _Simulation:
     def _advance(self, working: _Working, node: int, events: list[int]) -> None:
         """Move the transaction's shadow by the node's act, if it has one,
         and emit the act."""
-        entry = self.meta[node]
-        meta, column = self._meta(node) if entry is None else entry
+        fields = self.meta[node] or self._meta(node)
+        column = fields.column
         if column < 0:
             return
+        act = fields.act
         tk = self.tk_of[node]
         shadow = working.shadows[tk]
         state = self.states[shadow >> 2].state
         after = self.moves[shadow >> 2][column]
         if after < 0:
             raise SimulationError(
-                f"model lets {meta.act.value} happen at {self.ids[node]} in phase "
+                f"model lets {act.value} happen at {self.ids[node]} in phase "
                 f"{state.phase.value}, which the engine's bounded step forbids"
             )
         lock = shadow & _LOCK
-        if meta.act is _ALLOW:
+        if act is _ALLOW:
             lock = _PENDING if LANDING_PHASE[state.pending[0]] is _TERMINATED else _REPOSITIONING
-        elif meta.act is _REFUSE:
+        elif act is _REFUSE:
             lock = _FREE
         working.shadows[tk] = after << 2 | lock
         events.append(self._event_code(node, False))

@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled example networks and a one-transaction network."""
+"""Shared fixtures: bundled example networks and a one-transaction network,
+and a strategy of node ids for property tests."""
 
 from __future__ import annotations
 
@@ -6,10 +7,28 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
+from demoflow.model import ACT_SLUGS, NodeKind
 from demoflow.network import TransactionNetwork, load_network, parse_network
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+_KIND_TAGS = [kind.value for kind in NodeKind]
+_ID_FRAGMENTS = ["_", "i", "e", "tk01", "2", "10", "1234", "²", "٣", "\n", ""] + _KIND_TAGS + list(ACT_SLUGS)
+_piece = st.lists(st.sampled_from(_ID_FRAGMENTS), max_size=3).map("".join)
+# Node ids for property tests: ids shaped like the generated-id grammar, with
+# any field or suffix swapped for fragments, and ids made of fragments alone.
+node_ids = st.builds(
+    "{}_{}_{}_{}{}".format,
+    _piece,
+    st.sampled_from(["i", "e"]) | _piece,
+    _piece,
+    st.sampled_from(_KIND_TAGS) | _piece,
+    st.sampled_from(["", "_2", "_10", "_123456789", "_1234567890", "_" + "1" * 5000, "_²", "_٣", "_\n"])
+    | _piece,
+) | st.lists(st.sampled_from(_ID_FRAGMENTS), max_size=12).map("".join)
 
 
 def make_solo_network() -> TransactionNetwork:

@@ -8,10 +8,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import demoflow.model
 from demoflow.compiler import DetailLevel, compile_network
-from demoflow.engine import Act, Role
+from demoflow.engine import MOVES, Act, Role
 from demoflow.model import (
     ACT_SLUGS,
+    TAIL_TABLE_CAP,
     Association,
     BpmnModel,
     FlowNode,
@@ -24,10 +26,12 @@ from demoflow.model import (
     SequenceFlow,
     lint_model,
     parse_node_id,
+    read_tail,
     slugify_tk,
 )
 from demoflow.network import DependencyKind, parse_network, validate_network
 from demoflow.xmlio import parse_model, serialize_model
+from conftest import node_ids
 from test_simulator import _chain_net, _fan_net
 
 
@@ -122,29 +126,33 @@ def _split_parse(node_id: str):
     return NodeMeta(tk, _ROLES[role_tag], slug, _KINDS[kind_tag], ordinal)
 
 
-_ID_FRAGMENTS = ["_", "i", "e", "tk01", "2", "10", "1234", "²", "٣", "\n", ""] + list(_KINDS) + list(ACT_SLUGS)
-_piece = st.lists(st.sampled_from(_ID_FRAGMENTS), max_size=3).map("".join)
-# ids shaped like the grammar, with any field or suffix swapped for fragments,
-# and ids made of fragments alone
-_node_ids = st.builds(
-    "{}_{}_{}_{}{}".format,
-    _piece,
-    st.sampled_from(["i", "e"]) | _piece,
-    _piece,
-    st.sampled_from(list(_KINDS)) | _piece,
-    st.sampled_from(["", "_2", "_10", "_123456789", "_1234567890", "_" + "1" * 5000, "_²", "_٣", "_\n"])
-    | _piece,
-) | st.lists(st.sampled_from(_ID_FRAGMENTS), max_size=12).map("".join)
-
-
 @settings(max_examples=2000, deadline=None)
-@given(_node_ids)
+@given(node_ids)
 def test_parse_matches_the_split_reference(node_id):
     try:
         expected = _split_parse(node_id)
     except ValueError:
         expected = None  # outside the grammar: the reference crashes on it
     assert parse_node_id(node_id) == expected
+
+
+def test_the_tail_table_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(demoflow.model, "_TAILS", {})
+    slugs = ["request", "revokedeclare", "response", "ack_go"]
+    # more distinct tails than the cap, each on the grammar
+    ids = [
+        f"tk{n % 7:02d}_{'ie'[n % 2]}_{slugs[n % 4]}_{'task' if n % 3 else 'catch'}_{n}"
+        for n in range(1, 2 * TAIL_TABLE_CAP + 100)
+    ]
+    for _ in range(2):  # the second round re-reads tails the table let go
+        for node_id in ids:
+            meta = parse_node_id(node_id)
+            assert meta == _split_parse(node_id)
+            assert len(demoflow.model._TAILS) <= TAIL_TABLE_CAP
+            fields = read_tail(node_id.partition("_")[2])
+            assert fields.act is meta.act
+            assert fields.column == (-1 if meta.act is None else MOVES.index((meta.act, meta.role)))
+    assert 0 < len(demoflow.model._TAILS) <= TAIL_TABLE_CAP
 
 
 def test_every_act_slug_round_trips():

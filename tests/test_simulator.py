@@ -11,10 +11,12 @@ from typing import Optional
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import demoflow.model
 from demoflow.compiler import DetailLevel, LEVEL_ALPHABETS, compile_network
 from demoflow.engine import (
     COMPLETE_ALPHABET,
     INITIAL_STATE,
+    MOVES,
     Act,
     ActNotEnabled,
     Bounds,
@@ -26,7 +28,14 @@ from demoflow.engine import (
     enumerate_language,
     rollback_chain,
 )
-from demoflow.model import ACT_SLUGS, FlowNode, NodeKind, SequenceFlow, parse_node_id
+from demoflow.model import (
+    ACT_SLUGS,
+    TAIL_TABLE_CAP,
+    FlowNode,
+    NodeKind,
+    SequenceFlow,
+    parse_node_id,
+)
 from demoflow.network import (
     DEPENDENCY_RULES,
     Actor,
@@ -57,6 +66,8 @@ from demoflow.simulator import (
     simulate_exhaustive,
     simulate_random,
 )
+from demoflow.xmlio import parse_model, serialize_model
+from conftest import node_ids
 
 HAPPY_ACTS = (Act.REQUEST, Act.PROMISE, Act.EXECUTE, Act.DECLARE, Act.ACCEPT)
 
@@ -1421,6 +1432,85 @@ def test_build_rejects_the_model(poc1_net, case, simulate):
     with pytest.raises(SimulationError) as excinfo:
         simulate(model)
     assert str(excinfo.value).startswith(message)
+
+
+# ---------------------------------------------------------------------------
+# The id table: the build's grammar check and each node's fields
+# ---------------------------------------------------------------------------
+
+
+def _build_error(model) -> Optional[str]:
+    """The message of the build's SimulationError, None if it builds."""
+    try:
+        _Simulation(model, Bounds())
+    except SimulationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(node_ids, st.integers(min_value=0))
+def test_the_build_rejects_exactly_the_ids_off_the_grammar(solo_net, new_id, pick):
+    model = compile_network(solo_net, DetailLevel.HAPPY_FLOW)
+    nodes = model.all_nodes()
+    mutant = _renamed(model, nodes[pick % len(nodes)].id, new_id)
+    message = _build_error(mutant)
+    off_grammar = message is not None and "does not follow the generated-id grammar" in message
+    assert off_grammar == (parse_node_id(new_id) is None)
+    # the table never turns a rejected tail into an accepted one: a second
+    # build, and one after an accepted model, give the same message
+    assert _build_error(mutant) == message
+    assert _build_error(model) is None
+    assert _build_error(mutant) == message
+
+
+def _reparsed(model):
+    return parse_model(serialize_model(model))
+
+
+@pytest.mark.parametrize("read", [None, _reparsed], ids=["compiled", "from-xml"])
+@pytest.mark.parametrize("level", list(DetailLevel), ids=lambda level: level.value)
+@pytest.mark.parametrize("net_name", ["poc1", "poc2"])
+def test_node_fields_and_events_come_from_the_id_table(request, net_name, level, read):
+    model = compile_network(request.getfixturevalue(f"{net_name}_net"), level)
+    sim = _Simulation(read(model) if read else model, Bounds())
+    for node, node_id in enumerate(sim.ids):
+        meta, fields = parse_node_id(node_id), sim._meta(node)
+        assert (meta.tk, *fields[:4]) == meta
+        assert fields.act is meta.act
+        assert fields.column == (-1 if meta.act is None else MOVES.index((meta.act, meta.role)))
+        if meta.act is None:
+            continue
+        for inverse in (False, True):
+            code = sim._event_code(node, inverse)
+            assert sim.events[code] == SimEvent(meta.tk, meta.act, meta.role, inverse)
+            assert sim.event_lanes[code] == sim.tk_of[node]
+    # one code per event
+    assert len(set(sim.events)) == len(sim.events) == len(sim.event_lanes)
+
+
+def _fill_tail_table(poc1_net) -> None:
+    """Read other models' ids: poc1 at every level and a fan of two RaD
+    children at complete."""
+    models = [compile_network(poc1_net, level) for level in DetailLevel]
+    models.append(compile_network(_fan_net(DependencyKind.RAD, 2), DetailLevel.COMPLETE))
+    for other in models:
+        _Simulation(other, Bounds())
+        for node in other.all_nodes():
+            parse_node_id(node.id)
+
+
+@pytest.mark.parametrize("table", ["emptied", "filled", "near-cap"])
+def test_poc2_walks_hold_whatever_the_id_table_holds(poc1_net, poc2_net, table, monkeypatch):
+    monkeypatch.setattr(demoflow.model, "_TAILS", {})
+    if table == "filled":
+        _fill_tail_table(poc1_net)
+    elif table == "near-cap":
+        # the table is emptied partway through the build's grammar check
+        for n in range(TAIL_TABLE_CAP - 3):
+            parse_node_id(f"tk01_i_filler_task_{n + 1}")
+    model = compile_network(poc2_net, DetailLevel.COMPLETE)
+    assert _walks_sha256(model, seed=13, runs=200) == POC2_COMPLETE_WALKS_SHA256
 
 
 def _chain2_rap(level=DetailLevel.HAPPY_FLOW):
