@@ -14,24 +14,25 @@ transaction (the text before the first underscore), and a tail, the rest;
 ``NODE_TAIL`` is the tail's grammar.  A node id's transaction is whatever
 its head holds, so an id follows the grammar exactly when its tail does.
 Ids repeat their tails across transactions and models (the 33,387 ids of
-the benchmark's random-walk models hold 120 distinct tails), so each tail
-on the grammar is read once per process, into a bounded table of its
-fields (``read_tail``).  parse_node_id splits an id there, recovering the
-transaction, role and act, and the simulator checks ids
-(``tails_on_grammar``) and reads their acts through the same table.  That
-is what lets the simulator and the coverage auditor treat generated and
-re-parsed models identically.  Control beyond the graph itself is carried
-by flow guards (see ``SequenceFlow``).  Sequence flows, message flows and
-associations form their ids from their endpoints (see ``_Link``).
+the benchmark's random-walk models hold 120 distinct tails), so a tail is
+read once per process, through a bounded cache of its fields
+(``read_tail``) that remembers a tail off the grammar as None.
+parse_node_id splits an id there, recovering the transaction, role and
+act, and the simulator checks ids and reads their acts through the same
+cache.  That is what lets the simulator and the coverage auditor treat
+generated and re-parsed models identically.  Control beyond the graph
+itself is carried by flow guards (see ``SequenceFlow``).  Sequence flows,
+message flows and associations form their ids from their endpoints (see
+``_Link``).
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .engine import MOVES, Act, Role
@@ -109,41 +110,25 @@ class IdTail(NamedTuple):
     column: int
 
 
-# Each tail on the grammar read so far -> its fields, for the whole process.
-# Only strings are keyed, and nothing about any model's structure is kept.
-# Ids come from any model read, so the table is emptied when it reaches
-# TAIL_TABLE_CAP tails; a tail read again after that is simply re-read.
-# Lookups take no lock; a write does, so threads keep the table within its cap.
+# Ids come from any model read, so the cache of tails read keeps the
+# TAIL_TABLE_CAP most recently used; it keys only strings and keeps nothing
+# about any model's structure.
 TAIL_TABLE_CAP = 1024
-_TAILS: dict[str, IdTail] = {}
-_TAILS_WRITE = threading.Lock()
 
 
+@lru_cache(maxsize=TAIL_TABLE_CAP)
 def read_tail(tail: str) -> Optional[IdTail]:
     """The fields of a node id's tail, the text after its first underscore;
-    None for a tail off the grammar, which the table never holds."""
-    fields = _TAILS.get(tail)
-    if fields is None:
-        match = NODE_TAIL.fullmatch(tail)
-        if match is None:
-            return None
-        role_tag, slug, kind_tag, ordinal = match.groups()
-        role, act = _ROLE_TAGS[role_tag], ACT_SLUGS.get(slug)
-        fields = IdTail(
-            role, slug, _KIND_TAGS[kind_tag], int(ordinal) if ordinal else 1,
-            act, -1 if act is None else MOVES.index((act, role)),
-        )
-        with _TAILS_WRITE:
-            if len(_TAILS) >= TAIL_TABLE_CAP:
-                _TAILS.clear()
-            _TAILS[tail] = fields
-    return fields
-
-
-def tails_on_grammar(tails: set[str]) -> bool:
-    """Whether every one of ``tails`` follows the grammar.  Only the tails
-    the table does not know yet are read."""
-    return all(map(read_tail, tails.difference(_TAILS)))
+    None for a tail off the grammar."""
+    match = NODE_TAIL.fullmatch(tail)
+    if match is None:
+        return None
+    role_tag, slug, kind_tag, ordinal = match.groups()
+    role, act = _ROLE_TAGS[role_tag], ACT_SLUGS.get(slug)
+    return IdTail(
+        role, slug, _KIND_TAGS[kind_tag], int(ordinal) if ordinal else 1,
+        act, -1 if act is None else MOVES.index((act, role)),
+    )
 
 
 def first_off_grammar(node_ids: Iterable[str]) -> Optional[str]:
@@ -163,7 +148,7 @@ def parse_node_id(node_id: str) -> Optional[NodeMeta]:
     Returns None for ids that do not follow the grammar (foreign models).
     """
     tk, _, tail = node_id.partition("_")
-    fields = _TAILS.get(tail) or read_tail(tail)
+    fields = read_tail(tail)
     if fields is None:
         return None
     role, slug, kind, ordinal, _, _ = fields

@@ -91,7 +91,6 @@ from .model import (
     first_off_grammar,
     read_tail,
     slugify_tk,
-    tails_on_grammar,
 )
 from .network import DEPENDENCY_RULES, TransactionNetwork
 
@@ -354,15 +353,13 @@ class _Simulation:
     in the table's moves and whether it is a compensation; ``event_lanes``
     gives each event code's transaction.
 
-    The build checks the model's node ids against the id grammar, reading
-    only the distinct tails that the process-wide table of
-    ``model.read_tail`` does not know yet (``tails_on_grammar``), and takes
-    each node's transaction from its id's head.  Every check that can reject
-    the model runs there, on every build, so a changed model is read afresh.
-    Two things a short walk needs for few nodes are looked up on first use
-    instead: a node's tail fields, its act and the act's table column among
-    them (``_meta``), and an exclusive gateway's branch order
-    (``_branches``).
+    The build reads each node's tail fields through ``model.read_tail``
+    into ``meta``, its act and the act's table column among them, which
+    checks the node ids against the id grammar, and takes each node's
+    transaction from its id's head.  Every check that can reject the model
+    runs there, on every build, so a changed model is read afresh.  An
+    exclusive gateway's branch order, which a short walk needs for few
+    nodes, is looked up on first use instead (``_branches``).
     """
 
     def __init__(self, model: BpmnModel, bounds: Bounds):
@@ -383,21 +380,22 @@ class _Simulation:
         self.ids = ids = list(map(model_ids.__getitem__, order))
         # A transaction's ids are those from "<tk>_" up to "<tk>`" ("`" is
         # the character after "_"), so in id order its nodes are one range
-        # and their tails start at one offset.
+        # and their tails start at one offset.  meta holds each node's tail
+        # fields, None off the grammar.
         blocks: dict[str, range] = {}
-        tails: set[str] = set()
+        self.meta: list[IdTail] = []
+        meta = self.meta
         start = 0
         while start < len(ids):
             cut = ids[start].find("_") + 1
             if not cut:
-                tails.add("")  # the tail of an id without "_", off the grammar
-                break
+                break  # an id without "_" is off the grammar
             tk = ids[start][: cut - 1]
             end = bisect_left(ids, tk + "`", start)
             blocks[tk] = range(start, end)
-            tails.update(map(itemgetter(slice(cut, None)), islice(ids, start, end)))
+            meta += map(read_tail, map(itemgetter(slice(cut, None)), islice(ids, start, end)))
             start = end
-        if not tails_on_grammar(tails):
+        if len(meta) < len(ids) or not all(meta):
             raise SimulationError(
                 f"node {first_off_grammar(model_ids)} does not follow the generated-id "
                 "grammar; only generated models can be simulated"
@@ -408,7 +406,6 @@ class _Simulation:
             raise SimulationError(f"duplicate node id {duplicate}")
         self.pool_of = list(map(pools.__getitem__, order))
         self.kinds = kinds = list(map(_KIND, map(nodes.__getitem__, order)))
-        self.meta: list[Optional[IdTail]] = [None] * len(ids)
         self.tks = sorted(blocks)
         self.tk_nodes = [blocks[tk] for tk in self.tks]
         # each transaction's bits in a bitset over nodes
@@ -595,20 +592,11 @@ class _Simulation:
             par for par in pars if not gates.isdisjoint(target[first_out[par]:first_out[par + 1]])
         }
 
-    def _meta(self, node: int) -> IdTail:
-        """The fields of the node's id tail, its act and the act's column in
-        the table's moves (-1 for a node without an act) among them, looked
-        up in the id table on first use."""
-        entry = self.meta[node]
-        if entry is None:
-            entry = self.meta[node] = read_tail(self.ids[node].partition("_")[2])
-        return entry
-
     # -- interning ----------------------------------------------------------
 
     def _event_code(self, node: int, inverse: bool) -> int:
         """The code of the node's act event, or of its compensation."""
-        tk, fields = self.tk_of[node], self.meta[node] or self._meta(node)
+        tk, fields = self.tk_of[node], self.meta[node]
         key = (tk, fields.column, inverse)
         code = self._event_codes.get(key)
         if code is None:
@@ -740,7 +728,7 @@ class _Simulation:
 
     def _allows(self, shadow: int, node: int) -> bool:
         """Whether the engine's bounded step lets the node's act happen now."""
-        column = self._meta(node).column
+        column = self.meta[node].column
         return column >= 0 and self.moves[shadow >> 2][column] >= 0
 
     # -- partial-order reduction -------------------------------------------
@@ -967,7 +955,7 @@ class _Simulation:
     def _advance(self, working: _Working, node: int, events: list[int]) -> None:
         """Move the transaction's shadow by the node's act, if it has one,
         and emit the act."""
-        fields = self.meta[node] or self._meta(node)
+        fields = self.meta[node]
         column = fields.column
         if column < 0:
             return

@@ -22,6 +22,7 @@ from demoflow.xmlio import parse_model
 
 from test_coverage import POC1_CSV
 from test_model import POOL_CLASH
+from test_network import REFUSED_DOCUMENTS
 from test_simulator import _enabled
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -102,6 +103,18 @@ def test_non_list_dependencies_are_a_format_error(tmp_path, solo_file, capsys, c
         "error: NetworkFormatError: network: field 'dependencies' must be list, got int\n"
     )
     assert not (tmp_path / "out.bpmn").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message", REFUSED_DOCUMENTS, ids=[message for _, message in REFUSED_DOCUMENTS]
+)
+def test_refused_network_documents_exit_1_with_one_error_line(tmp_path, capsys, doc, message):
+    network = tmp_path / "net.json"
+    network.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(network)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: NetworkFormatError: {message}\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", list(_NETWORK_COMMANDS))
@@ -333,6 +346,25 @@ def test_analyze_rejects_unknown_act(tmp_path, solo_file, capsys):
     assert "UnknownAnnotationKey" in capsys.readouterr().err
 
 
+def test_analyze_warns_of_a_mapping_to_a_missing_node(tmp_path, solo_file, capsys):
+    model_file = tmp_path / "solo.bpmn"
+    main(["generate", str(solo_file), "--level", "happy", "--out", str(model_file)])
+    mapping = tmp_path / "map.json"
+    mapping.write_text(
+        json.dumps([{"transaction": "TK01", "act": "Request", "nodeId": "nope"}]),
+        encoding="utf-8",
+    )
+    report, unmapped = tmp_path / "r.csv", tmp_path / "unmapped.csv"
+    analyze = ["analyze", str(model_file), "--network", str(solo_file)]
+    assert main([*analyze, "--mapping", str(mapping), "--report", str(report)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: mapping for (TK01, Request) references missing node 'nope'; ignored\n"
+    )
+    # the ignored entry leaves the report as it is without a mapping
+    assert main([*analyze, "--report", str(unmapped)]) == 0
+    assert report.read_bytes() == unmapped.read_bytes()
+
+
 def test_analyze_reads_a_non_decimal_ordinal_as_a_foreign_id(tmp_path, capsys):
     # "²" is a digit to str.isdigit but not to int(), and int() refuses
     # 5,000 digits: such ids are outside the id grammar, like any foreign id
@@ -560,6 +592,13 @@ def test_simulate_runs_must_be_positive(solo_file, capsys, runs):
         main(["simulate", str(solo_file), "--level", "happy", "--random", "--runs", runs])
     assert excinfo.value.code == 2
     assert f"--runs: must be at least 1, got {runs}" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_network_without_transactions(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"actors": [], "transactions": []}), encoding="utf-8")
+    assert main(["simulate", str(empty), "--level", "happy"]) == 1
+    assert capsys.readouterr().err == "error: NoRootTransaction []: network has no transactions\n"
 
 
 def test_simulate_mode_flags_conflict(solo_file):

@@ -8,7 +8,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import demoflow.model
 from demoflow.compiler import DetailLevel, compile_network
 from demoflow.engine import MOVES, Act, Role
 from demoflow.model import (
@@ -136,23 +135,23 @@ def test_parse_matches_the_split_reference(node_id):
     assert parse_node_id(node_id) == expected
 
 
-def test_the_tail_table_stays_within_its_cap(monkeypatch):
-    monkeypatch.setattr(demoflow.model, "_TAILS", {})
+def test_the_tail_table_stays_within_its_cap():
+    read_tail.cache_clear()
     slugs = ["request", "revokedeclare", "response", "ack_go"]
     # more distinct tails than the cap, each on the grammar
     ids = [
         f"tk{n % 7:02d}_{'ie'[n % 2]}_{slugs[n % 4]}_{'task' if n % 3 else 'catch'}_{n}"
         for n in range(1, 2 * TAIL_TABLE_CAP + 100)
     ]
-    for _ in range(2):  # the second round re-reads tails the table let go
+    for _ in range(2):  # the second round re-reads tails the cache let go
         for node_id in ids:
             meta = parse_node_id(node_id)
             assert meta == _split_parse(node_id)
-            assert len(demoflow.model._TAILS) <= TAIL_TABLE_CAP
+            assert read_tail.cache_info().currsize <= TAIL_TABLE_CAP
             fields = read_tail(node_id.partition("_")[2])
             assert fields.act is meta.act
             assert fields.column == (-1 if meta.act is None else MOVES.index((meta.act, meta.role)))
-    assert 0 < len(demoflow.model._TAILS) <= TAIL_TABLE_CAP
+    assert 0 < read_tail.cache_info().currsize <= TAIL_TABLE_CAP
 
 
 def test_every_act_slug_round_trips():

@@ -184,6 +184,51 @@ def test_parse_accepts_absent_null_and_empty_dependencies(dependencies):
     assert parse_network(doc).dependencies == ()
 
 
+_ACTORS = [{"id": "A", "name": "x"}, {"id": "B", "name": "y"}]
+
+
+def _transaction(tk_id: str = "T", result_id: str = "P") -> dict:
+    return {
+        "id": tk_id,
+        "name": "t",
+        "initiator": "A",
+        "executor": "B",
+        "result": {"id": result_id, "phrase": "[p] done"},
+    }
+
+
+# documents parse_network refuses, each with its exact message
+REFUSED_DOCUMENTS = [
+    ([], "network document must be a JSON object"),
+    ({"actors": 5, "transactions": []}, "network: field 'actors' must be list, got int"),
+    ({"actors": [5], "transactions": []}, "actors[0]: must be an object"),
+    ({"actors": _ACTORS, "transactions": [5]}, "transactions[0]: must be an object"),
+    (
+        {"actors": _ACTORS, "transactions": [_transaction(), _transaction()]},
+        "transactions[1]: duplicate id 'T'",
+    ),
+    (
+        # a result id shares the one namespace of actor and transaction ids
+        {"actors": _ACTORS, "transactions": [_transaction(result_id="A")]},
+        "transactions[0].result: duplicate id 'A'",
+    ),
+    (
+        {"actors": _ACTORS, "transactions": [_transaction()], "dependencies": [5]},
+        "dependencies[0]: must be an object",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, message", REFUSED_DOCUMENTS, ids=[m for _, m in REFUSED_DOCUMENTS])
+def test_parse_refuses_with_an_exact_message(doc, message):
+    with pytest.raises(NetworkFormatError) as excinfo:
+        parse_network(doc)
+    assert str(excinfo.value) == message
+    with pytest.raises(NetworkFormatError) as excinfo:
+        parse_network(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
 def test_parse_rejects_json_nested_too_deeply():
     with pytest.raises(NetworkFormatError) as excinfo:
         parse_network("[" * 200_000)

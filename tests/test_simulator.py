@@ -11,7 +11,6 @@ from typing import Optional
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import demoflow.model
 from demoflow.compiler import DetailLevel, LEVEL_ALPHABETS, compile_network
 from demoflow.engine import (
     COMPLETE_ALPHABET,
@@ -35,6 +34,7 @@ from demoflow.model import (
     NodeKind,
     SequenceFlow,
     parse_node_id,
+    read_tail,
 )
 from demoflow.network import (
     DEPENDENCY_RULES,
@@ -306,6 +306,16 @@ def test_compensation_order_reports_what_only_a_forbidden_act_reaches(trace, exp
     assert _reference_compensation_order(trace) == expected
 
 
+def test_compensation_order_reports_an_inverse_for_an_unperformed_act():
+    # the executor's RevokePromise targets a Promise never performed, so
+    # no rollback chain exists for the inverse to replay
+    trace = _solo_trace(
+        (Act.REQUEST, _I, False), (Act.REVOKE_PROMISE, _E, False), (Act.REQUEST, _I, True)
+    )
+    assert check_compensation_order(trace) == ["tk01: inverse Request for an unperformed act"]
+    assert _reference_compensation_order(trace) == check_compensation_order(trace)
+
+
 def test_compensation_order_does_not_hide_programming_errors(solo_net, monkeypatch):
     def broken(*args):
         raise TypeError("broken")
@@ -357,6 +367,18 @@ def test_random_walks_are_a_subset_of_exhaustive(solo_net):
     for trace in simulate_random(model, seed=42, runs=50):
         assert not trace.exhausted
         assert trace in exhaustive
+
+
+def test_a_walk_cut_at_its_step_bound_is_bound_exhausted(solo_net, monkeypatch):
+    # a happy walk takes more than three steps to quiesce
+    monkeypatch.setattr("demoflow.simulator._MAX_WALK_STEPS", 3)
+    model = compile_network(solo_net, DetailLevel.HAPPY_FLOW)
+    traces = simulate_random(model, seed=1, runs=5)
+    assert len(traces) == 5
+    for trace in traces:
+        assert trace.exhausted
+        assert trace.outcome() == "BoundExhausted"
+        assert json.loads(trace.to_json())["outcome"] == "BoundExhausted"
 
 
 # ---------------------------------------------------------------------------
@@ -924,19 +946,26 @@ def _assert_matches_reference(model, alphabet, bounds=Bounds()) -> int:
     return report.states
 
 
-def _with_misordered_compensations(model):
-    """The model with the compensation targets of three pairs of throw
-    events swapped, so some rollbacks undo acts in the wrong order."""
+def _with_swapped_compensations(model, *pairs: tuple[str, str]):
+    """The model with the compensation targets of each pair of throw events
+    swapped."""
     mutant = copy.deepcopy(model)
     nodes = {node.id: node for node in mutant.all_nodes()}
-    for first, second in [
-        ("tk01_e_revokedeclare_throw", "tk01_e_revokedeclare_throw_2"),
-        ("tk01_e_revokepromise_throw", "tk01_e_revokepromise_throw_3"),
-        ("tk01_i_revokerequest_throw", "tk01_i_revokerequest_throw_2"),
-    ]:
+    for first, second in pairs:
         a, b = nodes[first], nodes[second]
         a.compensates, b.compensates = b.compensates, a.compensates
     return mutant
+
+
+def _with_misordered_compensations(model):
+    """The model with the compensation targets of three pairs of throw
+    events swapped, so some rollbacks undo acts in the wrong order."""
+    return _with_swapped_compensations(
+        model,
+        ("tk01_e_revokedeclare_throw", "tk01_e_revokedeclare_throw_2"),
+        ("tk01_e_revokepromise_throw", "tk01_e_revokepromise_throw_3"),
+        ("tk01_i_revokerequest_throw", "tk01_i_revokerequest_throw_2"),
+    )
 
 
 # name -> (network, or the name of a fixture network, level, edit of the model)
@@ -1058,6 +1087,22 @@ def test_compensation_violations_are_listed_in_a_fixed_order(solo_net):
         "tk01: expected Execute undone next, got Request",
         "tk01: expected Promise undone next, got Request",
         "tk01: Request happened before the rollback finished",
+    ]
+
+
+def test_a_compensation_finding_is_reported_end_to_end(solo_net):
+    # one swapped pair: the RevokeDeclare rollback undoes Execute before
+    # Declare, and the search and the summary report just that
+    model = _with_swapped_compensations(
+        compile_network(solo_net, DetailLevel.COMPLETE),
+        ("tk01_e_revokedeclare_throw", "tk01_e_revokedeclare_throw_2"),
+    )
+    report = check_conformance(model, LEVEL_ALPHABETS[DetailLevel.COMPLETE])
+    assert report.verdict is Verdict.NONCONFORMANT
+    assert report.summary().splitlines() == [
+        "NonConformant: 372 traces over 9987 states",
+        "  compensation: tk01: expected Declare undone next, got Execute",
+        "  compensation: tk01: Execute happened before the rollback finished",
     ]
 
 
@@ -1435,7 +1480,7 @@ def test_build_rejects_the_model(poc1_net, case, simulate):
 
 
 # ---------------------------------------------------------------------------
-# The id table: the build's grammar check and each node's fields
+# The tail cache: the build's grammar check and each node's fields
 # ---------------------------------------------------------------------------
 
 
@@ -1457,7 +1502,7 @@ def test_the_build_rejects_exactly_the_ids_off_the_grammar(solo_net, new_id, pic
     message = _build_error(mutant)
     off_grammar = message is not None and "does not follow the generated-id grammar" in message
     assert off_grammar == (parse_node_id(new_id) is None)
-    # the table never turns a rejected tail into an accepted one: a second
+    # the cache never turns a rejected tail into an accepted one: a second
     # build, and one after an accepted model, give the same message
     assert _build_error(mutant) == message
     assert _build_error(model) is None
@@ -1475,7 +1520,7 @@ def test_node_fields_and_events_come_from_the_id_table(request, net_name, level,
     model = compile_network(request.getfixturevalue(f"{net_name}_net"), level)
     sim = _Simulation(read(model) if read else model, Bounds())
     for node, node_id in enumerate(sim.ids):
-        meta, fields = parse_node_id(node_id), sim._meta(node)
+        meta, fields = parse_node_id(node_id), sim.meta[node]
         assert (meta.tk, *fields[:4]) == meta
         assert fields.act is meta.act
         assert fields.column == (-1 if meta.act is None else MOVES.index((meta.act, meta.role)))
@@ -1501,12 +1546,12 @@ def _fill_tail_table(poc1_net) -> None:
 
 
 @pytest.mark.parametrize("table", ["emptied", "filled", "near-cap"])
-def test_poc2_walks_hold_whatever_the_id_table_holds(poc1_net, poc2_net, table, monkeypatch):
-    monkeypatch.setattr(demoflow.model, "_TAILS", {})
+def test_poc2_walks_hold_whatever_the_id_table_holds(poc1_net, poc2_net, table):
+    read_tail.cache_clear()
     if table == "filled":
         _fill_tail_table(poc1_net)
     elif table == "near-cap":
-        # the table is emptied partway through the build's grammar check
+        # the cache lets tails go partway through the build's grammar check
         for n in range(TAIL_TABLE_CAP - 3):
             parse_node_id(f"tk01_i_filler_task_{n + 1}")
     model = compile_network(poc2_net, DetailLevel.COMPLETE)
